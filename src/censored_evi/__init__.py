@@ -37,17 +37,11 @@ from .estimators import (
 from .kaplan_meier import KaplanMeierCurves, fit, survival_f_at
 from .moments import (
     AsymptoticScale,
-    MomentSet,
     beta_function,
-    d_term,
     limit_l_alpha,
     log_excesses,
-    moment_km,
-    moment_leurgans,
-    moment_set,
-    moment_unweighted,
     scale_a_nk,
-    xi_terms,
+    tail_moments,
 )
 from .montecarlo import (
     StudyCell,
@@ -77,15 +71,9 @@ __all__ = [
     "KaplanMeierCurves",
     "fit",
     "survival_f_at",
-    "MomentSet",
     "AsymptoticScale",
     "log_excesses",
-    "xi_terms",
-    "moment_unweighted",
-    "moment_km",
-    "moment_leurgans",
-    "d_term",
-    "moment_set",
+    "tail_moments",
     "beta_function",
     "limit_l_alpha",
     "scale_a_nk",

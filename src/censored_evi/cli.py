@@ -37,9 +37,6 @@ RESULTS_HEADER = (
     "degenerate_count,reps,n,gamma_x,gamma_c"
 )
 
-_FAMILY_NAMES = [f.value for f in (Family.MOMENT, Family.TYPE1, Family.TYPE2)]
-_METHOD_NAMES = [m.value for m in (Method.KM, Method.LEURGANS, Method.EFG)]
-
 
 def _fmt(v: float) -> str:
     """Shortest decimal that round-trips to the same float."""
@@ -91,12 +88,18 @@ def _read_data_csv(path: str):
     return z, delta
 
 
-def _parse_name_list(raw: str, known: list[str], flag: str) -> list[str]:
+def _names(enum_cls) -> list[str]:
+    """Member values in declaration order, the order of every listing."""
+    return [member.value for member in enum_cls]
+
+
+def _parse_name_list(raw: str, enum_cls, flag: str) -> list:
+    known = _names(enum_cls)
     names = [p.strip() for p in raw.split(",")]
     for name in names:
         if name not in known:
             raise ValueError(f"{flag}: unknown entry {name!r} (expected one of {', '.join(known)})")
-    return names
+    return [enum_cls(name) for name in names]
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
@@ -108,21 +111,19 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         raise ValueError(f"k range [{k_min}, {k_max}] invalid for n={s.n}")
     if args.k_step < 1:
         raise ValueError(f"--k-step must be >= 1, got {args.k_step}")
-    families = _parse_name_list(args.families, _FAMILY_NAMES, "--families")
-    methods = _parse_name_list(args.methods, _METHOD_NAMES, "--methods")
+    families = _parse_name_list(args.families, Family, "--families")
+    methods = _parse_name_list(args.methods, Method, "--methods")
     if not args.alpha >= 1:
         raise ValueError(f"--alpha must be >= 1, got {args.alpha}")
+    specs = [EstimatorSpec(f, m, args.alpha) for f in families for m in methods]
     curves = fit(s)
     lines = [ESTIMATES_HEADER]
     for k in range(k_min, k_max + 1, args.k_step):
-        for family in families:
-            for method in methods:
-                spec = EstimatorSpec(Family(family), Method(method), args.alpha)
-                rec = estimate(s, k, spec, curves)
-                lines.append(
-                    f"{k},{family},{method},{_fmt(args.alpha)},"
-                    f"{_fmt(rec.value)},{_fmt(rec.p_hat)},{int(rec.degenerate)}"
-                )
+        for rec in estimate(s, k, specs, curves):
+            lines.append(
+                f"{k},{rec.spec.family.value},{rec.spec.method.value},{_fmt(args.alpha)},"
+                f"{_fmt(rec.value)},{_fmt(rec.p_hat)},{int(rec.degenerate)}"
+            )
     _write_atomic(args.out, "\n".join(lines) + "\n")
     return 0
 
@@ -174,7 +175,7 @@ def _read_results_csv(path: str):
             })
         except ValueError:
             raise ValueError(f"{path}: line {lineno}: malformed numeric field") from None
-        if parts[1] not in _FAMILY_NAMES or parts[2] not in _METHOD_NAMES:
+        if parts[1] not in _names(Family) or parts[2] not in _names(Method):
             raise ValueError(
                 f"{path}: line {lineno}: unknown estimator {parts[1]!r}/{parts[2]!r}"
             )
@@ -186,18 +187,19 @@ def _read_results_csv(path: str):
 def cmd_plot(args: argparse.Namespace) -> int:
     rows = _read_results_csv(args.input)
     metric = args.metric
+    family_names, method_names = _names(Family), _names(Method)
     groups: dict[tuple[int, int, float], list[tuple[float, float]]] = {}
     for row in rows:
         key = (
-            _FAMILY_NAMES.index(row["family"]),
-            _METHOD_NAMES.index(row["method"]),
+            family_names.index(row["family"]),
+            method_names.index(row["method"]),
             row["alpha"],
         )
         groups.setdefault(key, []).append((float(row["k"]), row[metric]))
     multi_alpha = len({key[2] for key in groups}) > 1
     series = []
     for key in sorted(groups):
-        fam, meth, alpha = _FAMILY_NAMES[key[0]], _METHOD_NAMES[key[1]], key[2]
+        fam, meth, alpha = family_names[key[0]], method_names[key[1]], key[2]
         label = f"{fam}/{meth}" + (f" a={alpha:g}" if multi_alpha else "")
         pts = tuple(
             (x, y) for x, y in sorted(groups[key]) if math.isfinite(y)
@@ -223,9 +225,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--k-max", type=int, default=None, help="largest k (default n-1)")
     p_est.add_argument("--k-step", type=int, default=1, help="k stride (default 1)")
     p_est.add_argument("--alpha", type=float, default=2.0, help="moment order (default 2)")
-    p_est.add_argument("--families", default=",".join(_FAMILY_NAMES),
+    p_est.add_argument("--families", default=",".join(_names(Family)),
                        help="comma list of mom,type1,type2")
-    p_est.add_argument("--methods", default=",".join(_METHOD_NAMES),
+    p_est.add_argument("--methods", default=",".join(_names(Method)),
                        help="comma list of km,l,efg")
     p_est.set_defaults(func=cmd_estimate)
 

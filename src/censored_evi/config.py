@@ -83,7 +83,6 @@ class RunConfig:
             n=self.n,
             reps=self.reps,
             k_grid=self.k_grid,
-            alphas=self.alphas,
             specs=build_specs(self.families, self.methods, self.alphas),
             seed=self.seed,
         )

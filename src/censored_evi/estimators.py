@@ -17,9 +17,10 @@ Methods (which sample moments are fed in):
   index of Z = min(X, C), so the result is divided by the empirical
   uncensored tail proportion p_hat to point back at X.
 
-Singular combinations (zero moments, R = 1, V = 0, p_hat = 0) yield a
-record flagged degenerate with a NaN value instead of raising, so large
-k-sweeps never abort.
+Singular combinations (zero moments, R = 1, V = 0, p_hat = 0) and a
+non-positive threshold Z_(n-k), whose moments are NaN, yield a record
+flagged degenerate with a NaN value instead of raising, so large k-sweeps
+never abort.
 
 Every method weights the log-excesses with non-negative weights of total
 mass at most 1 (exactly 1 for l and efg, and for km when the top point is
@@ -36,11 +37,12 @@ from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .censoring import CensoredSample, tail_uncensored_proportion
 from .kaplan_meier import KaplanMeierCurves
-from .moments import moment_km, moment_leurgans, moment_unweighted
+from .moments import tail_moments
 
 __all__ = [
     "Family",
@@ -142,48 +144,57 @@ def combine_type2(m1: float, m_a: float, m_a1: float, alpha: float) -> float:
     return 1.0 - (alpha / (alpha + 1.0)) / (1.0 - r)
 
 
-def _moment(s: CensoredSample, k: int, alpha: float, curves: KaplanMeierCurves,
-            method: Method) -> float:
-    if method is Method.KM:
-        return moment_km(s, k, alpha, curves)
-    if method is Method.LEURGANS:
-        return moment_leurgans(s, k, alpha, curves)
-    return moment_unweighted(s, k, alpha)
-
-
 def _at_bound(lhs: float, rhs: float) -> bool:
     """lhs/rhs within _POLE_TOL of 1, for a ratio bounded above by 1."""
     return abs(rhs - lhs) <= _POLE_TOL * rhs
 
 
-def _combine(s: CensoredSample, k: int, spec: EstimatorSpec, curves: KaplanMeierCurves) -> float:
+def _orders(spec: EstimatorSpec) -> tuple[float, ...]:
+    """Moment orders the spec's family combines, in combiner argument order."""
     a = spec.alpha
-    m = lambda order: _moment(s, k, order, curves, spec.method)  # noqa: E731
     if spec.family is Family.MOMENT:
-        m1, m2 = m(1.0), m(2.0)
+        return (1.0, 2.0)
+    if spec.family is Family.TYPE1:
+        return (a, a + 1.0, a + 2.0)
+    return (1.0, a, a + 1.0)
+
+
+def _combine(spec: EstimatorSpec, moments: dict[float, float]) -> float:
+    ms = [moments[order] for order in _orders(spec)]
+    if spec.family is Family.MOMENT:
+        m1, m2 = ms
         return _NAN if _at_bound(m1 * m1, m2) else combine_moment(m1, m2)
     if spec.family is Family.TYPE1:
-        m_a, m_a1, m_a2 = m(a), m(a + 1.0), m(a + 2.0)
+        m_a, m_a1, m_a2 = ms
         if _at_bound(m_a1 * m_a1, m_a * m_a2):
             return _NAN
-        return combine_type1(m_a, m_a1, m_a2, a)
-    m1, m_a, m_a1 = m(1.0), m(a), m(a + 1.0)
-    return _NAN if _at_bound(m1 * m_a, m_a1) else combine_type2(m1, m_a, m_a1, a)
+        return combine_type1(m_a, m_a1, m_a2, spec.alpha)
+    m1, m_a, m_a1 = ms
+    return _NAN if _at_bound(m1 * m_a, m_a1) else combine_type2(m1, m_a, m_a1, spec.alpha)
 
 
-def estimate(s: CensoredSample, k: int, spec: EstimatorSpec,
-             curves: KaplanMeierCurves) -> EstimateRecord:
-    """Evaluate one estimator on the top-k tail of a censored sample.
+def estimate(s: CensoredSample, k: int, specs: Sequence[EstimatorSpec],
+             curves: KaplanMeierCurves) -> list[EstimateRecord]:
+    """Evaluate every estimator in ``specs`` on the top-k tail of a
+    censored sample; one record per spec, in spec order.
 
-    The efg method combines the unweighted moments (which target the
-    pooled index of Z) and divides by p_hat; km and l feed their weighted
-    moments straight through.  Non-finite outcomes are flagged.
+    All moments come from one ``tail_moments`` pass at the union of the
+    specs' orders.  The efg method combines the unweighted moments (which
+    target the pooled index of Z) and divides by p_hat; km and l feed
+    their weighted moments straight through.  Non-finite outcomes are
+    flagged.
     """
     p_hat = tail_uncensored_proportion(s, k)
-    value = _combine(s, k, spec, curves)
-    if spec.method is Method.EFG:
-        value = value / p_hat if p_hat > 0 else _NAN
-    return EstimateRecord(
-        k=k, spec=spec, value=value, p_hat=p_hat,
-        degenerate=not math.isfinite(value),
-    )
+    orders = sorted({order for spec in specs for order in _orders(spec)})
+    unweighted, km, l = tail_moments(s, k, orders, curves)
+    by_method = {Method.KM: km, Method.LEURGANS: l, Method.EFG: unweighted}
+    records = []
+    for spec in specs:
+        value = _combine(spec, by_method[spec.method])
+        if spec.method is Method.EFG:
+            value = value / p_hat if p_hat > 0 else _NAN
+        records.append(EstimateRecord(
+            k=k, spec=spec, value=value, p_hat=p_hat,
+            degenerate=not math.isfinite(value),
+        ))
+    return records

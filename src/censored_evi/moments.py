@@ -2,19 +2,20 @@
 
 For threshold Z_(n-k) and order alpha >= 1 the building block is the
 vector of powered log-excesses  L_i = log^alpha(Z_(n-i+1)/Z_(n-k)),
-i = 1..k.  Three sample moments are formed from it:
+i = 1..k.  ``tail_moments`` forms three sample moments from it, at every
+requested order in one pass over the top k observations:
 
-* ``moment_unweighted``: plain mean of the L_i (ignores censoring).
-* ``moment_km``: each L_i weighted by delta_(n-i+1)/(1-Ghat(Z_(n-i+1)^-)),
-  normalized by n*(1-Fhat(Z_(n-k))).
-* ``moment_leurgans``: same normalizer, but weighting the increments
-  xi_i = i*(L_i - L_{i+1}) by 1/(1-Ghat(Z_(n-i+1)^-)).
+* unweighted: plain mean of the L_i (ignores censoring).
+* km: each L_i weighted by delta_(n-i+1)/(1-Ghat(Z_(n-i+1)^-)),
+  normalized by N = n*(1-Fhat(Z_(n-k))).
+* l: Leurgans' increment weighting, defined by the exact identity
 
-The last two differ only through the top observation: on every sample
+      m_l = m_km + (1 - delta_(n)) * L_1 / (N * (1-Ghat(Z_(n)^-))),
 
-    moment_leurgans = moment_km + (1 - delta_(n)) * d_term
+  so it differs from km only through a censored top observation.  The
+  increment form it equals, sum of i*(L_i - L_{i+1})/(1-Ghat(Z_(n-i+1)^-))
+  over N, is kept as the naive reference the tests check it against.
 
-holds exactly, with ``d_term`` the explicit top-observation correction.
 ``limit_l_alpha`` gives the constant these weighted moments approach
 after division by a_nk^alpha, and ``scale_a_nk`` computes that
 normalizing scale for a known censoring pair by solving for the pooled
@@ -24,6 +25,7 @@ upper quantile numerically.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,114 +35,56 @@ from .distributions import DistributionSpec
 from .kaplan_meier import KaplanMeierCurves
 
 __all__ = [
-    "MomentSet",
     "AsymptoticScale",
     "log_excesses",
-    "xi_terms",
-    "moment_unweighted",
-    "moment_km",
-    "moment_leurgans",
-    "d_term",
-    "moment_set",
+    "tail_moments",
     "beta_function",
     "limit_l_alpha",
     "scale_a_nk",
 ]
 
 
-def _check_args(s: CensoredSample, k: int, alpha: float) -> None:
+def log_excesses(s: CensoredSample, k: int, alpha: float) -> np.ndarray:
+    """L_i = log^alpha(Z_(n-i+1)/Z_(n-k)) for i = 1..k (largest first).
+
+    A threshold Z_(n-k) <= 0 has no log-excesses: every L_i is NaN.
+    """
     if not 1 <= k < s.n:
         raise ValueError(f"k must satisfy 1 <= k < n, got k={k}, n={s.n}")
     if not alpha >= 1:
         raise ValueError(f"alpha must be >= 1, got {alpha}")
-    if not s.z[s.n - k - 1] > 0:
-        raise ValueError("threshold order statistic Z_(n-k) must be positive")
+    threshold = s.z[s.n - k - 1]
+    if not threshold > 0:
+        return np.full(k, np.nan)
+    return np.log(s.z[s.n - k:][::-1] / threshold) ** alpha
 
 
-def log_excesses(s: CensoredSample, k: int, alpha: float) -> np.ndarray:
-    """L_i = log^alpha(Z_(n-i+1)/Z_(n-k)) for i = 1..k (largest first)."""
-    _check_args(s, k, alpha)
-    n = s.n
-    top = s.z[n - k:][::-1]
-    return np.log(top / s.z[n - k - 1]) ** alpha
+def tail_moments(
+    s: CensoredSample, k: int, orders: Sequence[float], curves: KaplanMeierCurves
+) -> tuple[dict[float, float], dict[float, float], dict[float, float]]:
+    """Unweighted, km and l moments of the top-k tail at every order.
 
-
-def xi_terms(s: CensoredSample, k: int, alpha: float) -> np.ndarray:
-    """Increments xi_i = i*(L_i - L_{i+1}) with L_{k+1} = 0.
-
-    Abel summation gives sum(xi) = sum(L), so these are a redistribution
-    of the same total mass onto index-weighted gaps.
+    Returns three dicts ``(unweighted, km, l)``, each mapping an order in
+    ``orders`` to its moment.  The moments are NaN when the threshold
+    Z_(n-k) is not positive.
     """
-    ell = log_excesses(s, k, alpha)
-    ell_next = np.append(ell[1:], 0.0)
-    return np.arange(1, k + 1, dtype=float) * (ell - ell_next)
-
-
-def moment_unweighted(s: CensoredSample, k: int, alpha: float) -> float:
-    """Mean powered log-excess, censoring ignored."""
-    return float(np.mean(log_excesses(s, k, alpha)))
-
-
-def _top_g_weights(s: CensoredSample, k: int, curves: KaplanMeierCurves) -> np.ndarray:
-    # 1/(1-Ghat(Z_(n-i+1)^-)) for i = 1..k, aligned with log_excesses.
-    idx = s.n - np.arange(1, k + 1)
-    return 1.0 / curves.surv_g_left_at_order[idx]
-
-
-def _normalizer(s: CensoredSample, k: int, curves: KaplanMeierCurves) -> float:
-    # n * (1 - Fhat(Z_(n-k)))
-    return s.n * float(curves.surv_f_at_order[s.n - k - 1])
-
-
-def moment_km(s: CensoredSample, k: int, alpha: float, curves: KaplanMeierCurves) -> float:
-    """Product-limit weighted moment: uncensored excesses inflated by the
-    inverse censoring survival, normalized by n*(1-Fhat(Z_(n-k)))."""
-    ell = log_excesses(s, k, alpha)
-    idx = s.n - np.arange(1, k + 1)
-    w = s.delta[idx] * _top_g_weights(s, k, curves)
-    return float(np.sum(w * ell) / _normalizer(s, k, curves))
-
-
-def moment_leurgans(s: CensoredSample, k: int, alpha: float, curves: KaplanMeierCurves) -> float:
-    """Increment-weighted moment: xi_i / (1-Ghat(Z_(n-i+1)^-)), same
-    normalizer as moment_km."""
-    xi = xi_terms(s, k, alpha)
-    w = _top_g_weights(s, k, curves)
-    return float(np.sum(w * xi) / _normalizer(s, k, curves))
-
-
-def d_term(s: CensoredSample, k: int, alpha: float, curves: KaplanMeierCurves) -> float:
-    """Top-observation correction
-    log^alpha(Z_(n)/Z_(n-k)) / (n*(1-Fhat(Z_(n-k)))*(1-Ghat(Z_(n)^-)))."""
-    _check_args(s, k, alpha)
+    for alpha in orders:
+        if not alpha >= 1:
+            raise ValueError(f"alpha must be >= 1, got {alpha}")
+    base = log_excesses(s, k, 1.0)
     n = s.n
-    num = math.log(s.z[n - 1] / s.z[n - k - 1]) ** alpha
-    return float(num / (_normalizer(s, k, curves) * curves.surv_g_left_at_order[n - 1]))
-
-
-@dataclass(frozen=True)
-class MomentSet:
-    """All three moments of one (k, alpha) cell plus the correction term."""
-
-    alpha: float
-    k: int
-    m_unweighted: float
-    m_km: float
-    m_leurgans: float
-    d_term: float
-    delta_max: int
-
-
-def moment_set(s: CensoredSample, k: int, alpha: float, curves: KaplanMeierCurves) -> MomentSet:
-    return MomentSet(
-        alpha=alpha,
-        k=k,
-        m_unweighted=moment_unweighted(s, k, alpha),
-        m_km=moment_km(s, k, alpha, curves),
-        m_leurgans=moment_leurgans(s, k, alpha, curves),
-        d_term=d_term(s, k, alpha, curves),
-        delta_max=int(s.delta[s.n - 1]),
-    )
+    g_left = curves.surv_g_left_at_order
+    w = s.delta[n - k:][::-1] * (1.0 / g_left[n - k:][::-1])
+    norm = n * float(curves.surv_f_at_order[n - k - 1])
+    top_censored = 1 - int(s.delta[n - 1])
+    top_norm = norm * float(g_left[n - 1])
+    unweighted, km, l = {}, {}, {}
+    for alpha in orders:
+        ell = base ** alpha
+        unweighted[alpha] = float(np.mean(ell))
+        km[alpha] = float(np.sum(w * ell) / norm)
+        l[alpha] = km[alpha] + top_censored * float(ell[0]) / top_norm
+    return unweighted, km, l
 
 
 def beta_function(a: float, b: float) -> float:

@@ -9,8 +9,8 @@ true index of X, mean, variance and the count of degenerate replicates
 Reproducibility contract: replicate r uses a fresh generator seeded by
 SeedSequence(entropy=(seed, r)) and draws the X block first, then the C
 block.  Replicates are therefore independent of scheduling, and the
-aggregation consumes them in replicate order after collection, so the
-result is bitwise identical for any worker count.  The worker count
+aggregation consumes them in replicate order, so the result is bitwise
+identical for any worker count.  The worker count
 comes from the CENSORED_EVI_THREADS environment variable when not given
 explicitly.
 """
@@ -18,6 +18,7 @@ explicitly.
 from __future__ import annotations
 
 import os
+from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -41,9 +42,6 @@ __all__ = [
 
 ENV_THREADS = "CENSORED_EVI_THREADS"
 
-_FAMILY_ORDER = {Family.MOMENT: 0, Family.TYPE1: 1, Family.TYPE2: 2}
-_METHOD_ORDER = {Method.KM: 0, Method.LEURGANS: 1, Method.EFG: 2}
-
 
 def build_specs(families, methods, alphas) -> tuple[EstimatorSpec, ...]:
     """Cartesian product of families x methods x alphas, canonical order."""
@@ -60,7 +58,6 @@ class StudyDesign:
     n: int
     reps: int
     k_grid: tuple[int, ...]
-    alphas: tuple[float, ...]
     specs: tuple[EstimatorSpec, ...]
     seed: int
 
@@ -122,25 +119,22 @@ def run_replicate(design: StudyDesign, replicate_index: int) -> list[EstimateRec
     # mass below zero, while only the top-k statistics enter any formula.
     s = make_censored(x, c, require_positive=False)
     curves = fit(s)
-    return [
-        estimate(s, k, spec, curves)
-        for k in design.k_grid
-        for spec in design.specs
-    ]
+    return [rec for k in design.k_grid for rec in estimate(s, k, design.specs, curves)]
 
 
 def _cell_sort_key(cell: StudyCell):
     return (
         cell.k,
-        _FAMILY_ORDER[cell.spec.family],
-        _METHOD_ORDER[cell.spec.method],
+        list(Family).index(cell.spec.family),
+        list(Method).index(cell.spec.method),
         cell.spec.alpha,
     )
 
 
-def aggregate(records_per_replicate: list[list[EstimateRecord]],
+def aggregate(records_per_replicate: Iterable[list[EstimateRecord]],
               design: StudyDesign) -> StudyResult:
-    """Reduce replicate records (in replicate order) to per-cell stats.
+    """Reduce replicate records (in replicate order, read once) to
+    per-cell stats.
 
     Degenerate records are excluded; mse and bias are taken about the
     true index of X.  Cells come out sorted by (k, family, method, alpha).
@@ -184,7 +178,15 @@ def aggregate(records_per_replicate: list[list[EstimateRecord]],
 def resolve_workers(workers: int | None, reps: int) -> int:
     if workers is None:
         env = os.environ.get(ENV_THREADS)
-        workers = int(env) if env else (os.cpu_count() or 1)
+        if not env:
+            workers = os.cpu_count() or 1
+        else:
+            try:
+                workers = int(env)
+            except ValueError:
+                workers = 0  # reported below, like any non-positive value
+            if workers < 1:
+                raise ValueError(f"{ENV_THREADS} must be a positive integer, got {env!r}")
     if workers < 1:
         raise ValueError(f"worker count must be >= 1, got {workers}")
     return min(workers, reps)
@@ -203,11 +205,10 @@ def run_study(design: StudyDesign, workers: int | None = None) -> StudyResult:
     workers = resolve_workers(workers, design.reps)
     indices = range(design.reps)
     if workers == 1:
-        per_rep = [run_replicate(design, r) for r in indices]
-    else:
-        chunk = max(1, design.reps // (workers * 4))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_rep = list(
-                pool.map(_replicate_task, [(design, r) for r in indices], chunksize=chunk)
-            )
-    return aggregate(per_rep, design)
+        return aggregate([run_replicate(design, r) for r in indices], design)
+    chunk = max(1, design.reps // (workers * 4))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        # Reduced as they arrive, in replicate order, so the records of
+        # all replicates are never held at once.
+        per_rep = pool.map(_replicate_task, [(design, r) for r in indices], chunksize=chunk)
+        return aggregate(per_rep, design)

@@ -88,7 +88,7 @@ def naive_d_term(z, delta, k, alpha):
 
 def combination_orders(family, alpha):
     """Moment orders fed to a family's combiner, in argument order; the
-    same choice as ``censored_evi.estimators._combine``."""
+    same choice as ``censored_evi.estimators._orders``."""
     if family == "mom":
         return (1.0, 2.0)
     if family == "type1":

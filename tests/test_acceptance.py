@@ -24,16 +24,13 @@ from censored_evi import (
     combine_moment,
     combine_type1,
     combine_type2,
-    d_term,
     fit,
     limit_l_alpha,
     make_censored,
-    moment_km,
-    moment_leurgans,
-    moment_unweighted,
     run_replicate,
     run_study,
     scale_a_nk,
+    tail_moments,
     tail_uncensored_proportion,
 )
 from censored_evi.cli import main as cli_main
@@ -62,13 +59,16 @@ def test_criterion_1_increment_identity():
         for i in range(1000):
             n = (10, 50, 200)[i % 3]
             s, k = draw_sample_with_k(rng, n, MIXED_PAIRS[i % len(MIXED_PAIRS)])
-            cur = fit(s)
-            top_censored = 1 - int(s.delta[-1])
+            z = [float(v) for v in s.z]
+            delta = [int(v) for v in s.delta]
+            _, km, l = tail_moments(s, k, (1.0, 2.0, 3.0), fit(s))
             for alpha in (1.0, 2.0, 3.0):
-                ml = moment_leurgans(s, k, alpha, cur)
-                mk = moment_km(s, k, alpha, cur)
-                d = d_term(s, k, alpha, cur)
-                assert abs(ml - (mk + top_censored * d)) <= 1e-12 * max(1.0, ml)
+                # l from the identity against its increment definition
+                want = ref.naive_moment_leurgans(z, delta, k, alpha)
+                assert abs(l[alpha] - want) <= 1e-12 * max(1.0, want)
+                d = ref.naive_d_term(z, delta, k, alpha)
+                gap = l[alpha] - (km[alpha] + (1 - delta[-1]) * d)
+                assert abs(gap) <= 1e-12 * max(1.0, l[alpha])
         assert time.perf_counter() - start < 10.0
 
 
@@ -82,24 +82,18 @@ def test_criterion_2_reduction_identities():
             x = GPD(-0.5, 1).sample(rng, n)
             s = make_censored(x, np.full(n, 3.0))
             k = int(rng.integers(2, n))
-            cur = fit(s)
+            unweighted, km, l = tail_moments(s, k, (1.0, 2.0, 3.0), fit(s))
             for alpha in (1.0, 2.0, 3.0):
-                mu = moment_unweighted(s, k, alpha)
-                mk = moment_km(s, k, alpha, cur)
-                ml = moment_leurgans(s, k, alpha, cur)
+                mu, mk, ml = unweighted[alpha], km[alpha], l[alpha]
                 scale = max(1.0, abs(mu))
                 assert abs(mk - mu) <= 1e-12 * scale
                 assert abs(ml - mu) <= 1e-12 * scale
-            # censored draw with an uncensored maximum: the two weighted
-            # routes coincide (1e-12 relative, the documented meaning of
-            # exact agreement between independently summed paths)
+            # censored draw with an uncensored maximum: the top correction
+            # vanishes, so the two weighted moments are the same sum
             s2, k2 = draw_sample_with_k(rng, n, MIXED_PAIRS[i % len(MIXED_PAIRS)])
             if s2.delta[-1] == 1:
-                cur2 = fit(s2)
-                for alpha in (1.0, 2.0, 3.0):
-                    mk = moment_km(s2, k2, alpha, cur2)
-                    ml = moment_leurgans(s2, k2, alpha, cur2)
-                    assert abs(mk - ml) <= 1e-12 * max(1.0, abs(ml))
+                _, km, l = tail_moments(s2, k2, (1.0, 2.0, 3.0), fit(s2))
+                assert l == km
                 top_uncensored_seen += 1
         assert top_uncensored_seen >= 100
 
@@ -143,9 +137,9 @@ def test_criterion_5_weighted_ratio_limits():
             x = FIGURE1_X.sample(rng, n)
             c = FIGURE1_C.sample(rng, n)
             s = make_censored(x, c, require_positive=False)
-            cur = fit(s)
-            m1.append(moment_km(s, k, 1.0, cur))
-            m2.append(moment_km(s, k, 2.0, cur))
+            _, km, _ = tail_moments(s, k, (1.0, 2.0), fit(s))
+            m1.append(km[1.0])
+            m2.append(km[2.0])
         a = scale_a_nk(FIGURE1_X, FIGURE1_C, n, k).a_nk
         assert float(np.median(m1)) / a == pytest.approx(5.0 / 6.0, rel=0.10)
         assert float(np.median(m2)) / a**2 == pytest.approx(25.0 / 27.0, rel=0.10)
@@ -169,7 +163,6 @@ def desk_study():
         n=500,
         reps=500,
         k_grid=K_SWEEP,
-        alphas=(2.0,),
         specs=build_specs((Family.TYPE1,), tuple(Method), (2.0,)),
         seed=1,
     )
@@ -203,7 +196,6 @@ def test_criterion_6b_median_tail_proportion():
             n=500,
             reps=500,
             k_grid=(100,),
-            alphas=(2.0,),
             specs=build_specs((Family.TYPE1,), (Method.KM,), (2.0,)),
             seed=1,
         )
@@ -267,12 +259,15 @@ def test_criterion_8_brute_force_oracle():
                 assert abs(cur.surv_f_at_order[idx - 1] - f_ref) <= 1e-10 * max(1.0, f_ref)
                 assert abs(cur.surv_g_left_at_order[idx - 1] - g_ref) <= 1e-10 * max(1.0, g_ref)
             assert tail_uncensored_proportion(s, k) == ref.naive_p_hat(delta, k)
+            unweighted, km, l = tail_moments(s, k, (1.0, 2.0), cur)
             for alpha in (1.0, 2.0):
+                # the top correction l - km is d_term when the top is censored
+                d = (1 - delta[-1]) * ref.naive_d_term(z, delta, k, alpha)
                 pairs = [
-                    (moment_unweighted(s, k, alpha), ref.naive_moment_unweighted(z, k, alpha)),
-                    (moment_km(s, k, alpha, cur), ref.naive_moment_km(z, delta, k, alpha)),
-                    (moment_leurgans(s, k, alpha, cur), ref.naive_moment_leurgans(z, delta, k, alpha)),
-                    (d_term(s, k, alpha, cur), ref.naive_d_term(z, delta, k, alpha)),
+                    (unweighted[alpha], ref.naive_moment_unweighted(z, k, alpha)),
+                    (km[alpha], ref.naive_moment_km(z, delta, k, alpha)),
+                    (l[alpha], ref.naive_moment_leurgans(z, delta, k, alpha)),
+                    (l[alpha] - km[alpha], d),
                 ]
                 for got, want in pairs:
                     assert abs(got - want) <= 1e-10 * max(1.0, abs(want))

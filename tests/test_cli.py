@@ -2,6 +2,7 @@ import csv
 import importlib
 import importlib.metadata
 import math
+import os
 import shutil
 import subprocess
 import sys
@@ -9,9 +10,11 @@ from pathlib import Path
 
 import pytest
 
+import censored_evi
 from censored_evi import EstimatorSpec, Family, Method, estimate, fit, from_observations
 from censored_evi.cli import ESTIMATES_HEADER, RESULTS_HEADER, main
 
+PACKAGE_ROOT = str(Path(censored_evi.__file__).resolve().parent.parent)
 DATA_DIR = Path(__file__).parent / "data"
 PYPROJECT = Path(__file__).parent.parent / "pyproject.toml"
 
@@ -33,7 +36,11 @@ methods = km,l
 """
 
 
-def run_cli(*argv, cwd=None, env=None):
+def run_cli(*argv, cwd=None):
+    """Run the CLI module in a child interpreter that imports the same
+    censored_evi package as this process, installed or not."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [PACKAGE_ROOT, env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "censored_evi.cli", *argv],
         capture_output=True, text=True, cwd=cwd, env=env,
@@ -99,7 +106,7 @@ class TestEstimateCommand:
         curves = fit(s)
         for row in read_rows(out):
             spec = EstimatorSpec(Family(row["family"]), Method(row["method"]), 2.0)
-            rec = estimate(s, int(row["k"]), spec, curves)
+            (rec,) = estimate(s, int(row["k"]), [spec], curves)
             got = float(row["gamma_hat"])
             if math.isnan(rec.value):
                 assert math.isnan(got)
@@ -224,6 +231,29 @@ class TestSimulateCommand:
         proc = run_cli("simulate", "--config", str(cfg))
         assert proc.returncode == 1
         assert "key 'n' expects an integer" in proc.stderr
+
+    def test_bad_thread_count_names_the_variable(self, config, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("CENSORED_EVI_THREADS", "abc")
+        assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "r.csv")]) == 1
+        assert capsys.readouterr().err == (
+            "error: CENSORED_EVI_THREADS must be a positive integer, got 'abc'\n"
+        )
+
+    def test_non_positive_thresholds_do_not_abort(self, tmp_path):
+        # at n = 50, k = 45 the threshold Z_(5) is <= 0 in 12 of these 20
+        # samples; those replicates count as degenerate in every cell
+        cfg = tmp_path / "study.cfg"
+        cfg.write_text(
+            CONFIG_SMALL.replace("n = 60", "n = 50").replace("reps = 4", "reps = 20")
+            .replace("seed = 3", "seed = 101").replace("k_min = 10", "k_min = 45")
+            .replace("k_max = 20", "k_max = 45").replace("families = mom\n", "")
+            .replace("methods = km,l\n", "")
+        )
+        out = tmp_path / "res.csv"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        rows = read_rows(out)
+        assert len(rows) == 9
+        assert all(r["k"] == "45" and int(r["degenerate_count"]) >= 12 for r in rows)
 
 
 class TestPlotCommand:

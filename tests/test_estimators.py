@@ -19,9 +19,7 @@ from censored_evi import (
     from_observations,
     limit_l_alpha,
     make_censored,
-    moment_km,
-    moment_leurgans,
-    moment_unweighted,
+    tail_moments,
     tail_uncensored_proportion,
 )
 
@@ -39,10 +37,14 @@ EPS = float(np.finfo(float).eps)  # 2^-52; the unit roundoff is EPS/2
 
 def spec_moments(s, k, spec, curves, orders):
     """The spec's sample moments at the given orders."""
-    if spec.method is Method.EFG:
-        return [moment_unweighted(s, k, p) for p in orders]
-    moment = moment_km if spec.method is Method.KM else moment_leurgans
-    return [moment(s, k, p, curves) for p in orders]
+    unweighted, km, l = tail_moments(s, k, orders, curves)
+    by_method = {Method.EFG: unweighted, Method.KM: km, Method.LEURGANS: l}[spec.method]
+    return [by_method[p] for p in orders]
+
+
+def estimate_one(s, k, spec, curves):
+    (rec,) = estimate(s, k, [spec], curves)
+    return rec
 
 
 def sensitivity(s, k, spec, curves):
@@ -200,16 +202,36 @@ class TestEstimate:
     def test_record_carries_p_hat(self, rng):
         s, k = draw_sample_with_k(rng, 120, DESIGNS[0])
         cur = fit(s)
-        for spec in ALL_SPECS:
-            rec = estimate(s, k, spec, cur)
+        recs = estimate(s, k, ALL_SPECS, cur)
+        assert [rec.spec for rec in recs] == ALL_SPECS
+        for rec in recs:
             assert isinstance(rec, EstimateRecord)
-            assert rec.k == k and rec.spec == spec
+            assert rec.k == k
             assert rec.p_hat == tail_uncensored_proportion(s, k)
+
+    def test_one_record_per_spec_in_spec_order(self, rng):
+        # a spec's record does not depend on the other specs evaluated with it
+        s, k = draw_sample_with_k(rng, 120, DESIGNS[3])
+        cur = fit(s)
+        extra = EstimatorSpec(Family.TYPE1, Method.LEURGANS, 3.5)
+        specs = ALL_SPECS[::-1] + [extra] + ALL_SPECS[:2]
+        recs = estimate(s, k, specs, cur)
+        assert [rec.spec for rec in recs] == specs
+        for rec in recs:
+            assert repr(estimate_one(s, k, rec.spec, cur)) == repr(rec)
+        assert estimate(s, k, [], cur) == []
+
+    def test_non_positive_threshold_is_degenerate(self):
+        s = make_censored([-1.0, 1.0, 2.0], [9.0, 9.0, 9.0], require_positive=False)
+        for rec in estimate(s, 2, ALL_SPECS, fit(s)):
+            assert rec.degenerate
+            assert math.isnan(rec.value)
+            assert rec.p_hat == 1.0
 
     def test_efg_with_no_uncensored_top_is_degenerate(self):
         s = sample_from([1.0, 2.0, 3.0], [1, 0, 0])
         cur = fit(s)
-        rec = estimate(s, 2, EstimatorSpec(Family.MOMENT, Method.EFG), cur)
+        rec = estimate_one(s, 2, EstimatorSpec(Family.MOMENT, Method.EFG), cur)
         assert rec.p_hat == 0.0
         assert math.isnan(rec.value)
         assert rec.degenerate
@@ -218,7 +240,7 @@ class TestEstimate:
         s = sample_from([1.0, 2.0, 4.0], [1, 1, 1])
         cur = fit(s)
         for method in Method:
-            rec = estimate(s, 1, EstimatorSpec(Family.MOMENT, method), cur)
+            rec = estimate_one(s, 1, EstimatorSpec(Family.MOMENT, method), cur)
             assert rec.degenerate
             assert math.isnan(rec.value)
 
@@ -228,12 +250,8 @@ class TestEstimate:
         rng = np.random.default_rng(seed)
         s, _ = draw_sample_with_k(rng, int(rng.integers(5, 120)))
         cur = fit(s)
-        positive_thresholds = [
-            k for k in range(1, s.n) if s.z[s.n - k - 1] > 0
-        ]
-        k = positive_thresholds[int(rng.integers(len(positive_thresholds)))]
-        for spec in ALL_SPECS:
-            rec = estimate(s, k, spec, cur)
+        k = int(rng.integers(1, s.n))
+        for rec in estimate(s, k, ALL_SPECS, cur):
             assert rec.degenerate == (not math.isfinite(rec.value))
 
     @given(seed=st.integers(0, 2**32 - 1))
@@ -247,17 +265,18 @@ class TestEstimate:
         cur = fit(s)
         for family in Family:
             recs = {
-                m: estimate(s, k, EstimatorSpec(family, m), cur) for m in Method
+                m: estimate_one(s, k, EstimatorSpec(family, m), cur) for m in Method
             }
             assert recs[Method.KM].p_hat == 1.0
             vals = [recs[m].value for m in Method]
             if any(math.isnan(v) for v in vals):
                 assert all(math.isnan(v) for v in vals)
                 continue
-            # km, l and efg sum the same k terms by different routes, each
+            # with delta_(n) = 1 the l moments are the km moments
+            assert vals[1] == vals[0]
+            # km and efg sum the same k terms by different routes, each
             # within (k + 3) u of the shared exact value
             bound = 4.0 * sensitivity(s, k, EstimatorSpec(family, Method.KM), cur) * k * EPS
-            assert_within(vals[1], vals[0], bound)
             assert_within(vals[2], vals[0], bound)
 
     @example(seed=1592)  # type1 at k = 2 next to its pole, kappa ~ 6.5e4
@@ -268,14 +287,11 @@ class TestEstimate:
         assume(s.delta[-1] == 1)
         cur = fit(s)
         for family in Family:
-            km = EstimatorSpec(family, Method.KM)
-            a = estimate(s, k, km, cur).value
-            b = estimate(s, k, EstimatorSpec(family, Method.LEURGANS), cur).value
-            if math.isnan(a) or math.isnan(b):
-                continue
-            # with delta_(n) = 1 both moments equal the same exact sum;
-            # the two summation routes each stay within (k + 3) u of it
-            assert_within(b, a, 4.0 * sensitivity(s, k, km, cur) * k * EPS)
+            specs = [EstimatorSpec(family, Method.KM), EstimatorSpec(family, Method.LEURGANS)]
+            a, b = estimate(s, k, specs, cur)
+            # with delta_(n) = 1 the top correction vanishes, so l is the
+            # km sum itself: equal bit for bit, or NaN together
+            assert repr(b.value) == repr(a.value)
 
     # The first two are near type1's pole (kappa ~ 1.7e4); at c = 0.5 the
     # same cells must come out bit-identical.  At seed=94 the top k = 3
@@ -297,9 +313,8 @@ class TestEstimate:
         cur, cur2 = fit(s), fit(scaled)
         # a power of two scales every z exactly, so nothing downstream moves
         exact = math.frexp(c)[0] == 0.5
-        for spec in ALL_SPECS:
-            a = estimate(s, k, spec, cur)
-            b = estimate(scaled, k, spec, cur2)
+        for a, b in zip(estimate(s, k, ALL_SPECS, cur), estimate(scaled, k, ALL_SPECS, cur2)):
+            spec = a.spec
             assert b.p_hat == a.p_hat
             assert math.isnan(b.value) == math.isnan(a.value), (spec.label, a.value, b.value)
             if math.isnan(a.value):

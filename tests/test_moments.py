@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,21 +10,17 @@ from censored_evi import (
     GPD,
     ReverseBurr,
     beta_function,
-    d_term,
     fit,
     from_observations,
     limit_l_alpha,
     log_excesses,
     make_censored,
-    moment_km,
-    moment_leurgans,
-    moment_set,
-    moment_unweighted,
     scale_a_nk,
+    tail_moments,
     theory_from_indices,
-    xi_terms,
 )
 
+import reference as ref
 from conftest import DESIGNS, FIGURE1_C, FIGURE1_X, draw_sample_with_k, sample_from
 
 # Pooled upper quantile of the Figure-1 pair, solved to 40 digits with
@@ -43,6 +40,15 @@ def sample_and_k(seed, n_max=250):
     n = int(rng.integers(5, n_max))
     design = DESIGNS[int(rng.integers(len(DESIGNS)))]
     return draw_sample_with_k(rng, n, design)
+
+
+def moments_at(s, k, alpha, curves):
+    """(unweighted, km, l) moments of one order."""
+    return tuple(m[alpha] for m in tail_moments(s, k, (alpha,), curves))
+
+
+def as_lists(s):
+    return [float(v) for v in s.z], [int(v) for v in s.delta]
 
 
 class TestLogExcesses:
@@ -79,49 +85,64 @@ class TestLogExcesses:
             log_excesses(self.make(), 2, 0.5)
 
     def test_non_positive_threshold(self):
-        s = make_censored(
-            np.array([-1.0, 1.0, 2.0]), np.array([9.0, 9.0, 9.0]), require_positive=False
-        )
-        with pytest.raises(ValueError, match="positive"):
-            log_excesses(s, 2, 1.0)
+        # no log-excesses exist: every moment is NaN, silently, so the
+        # estimators mark the cell degenerate instead of a sweep aborting
+        for threshold in (-1.0, 0.0):
+            s = make_censored(
+                np.array([threshold, 1.0, 2.0]), np.array([9.0, 9.0, 9.0]),
+                require_positive=False,
+            )
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert np.all(np.isnan(log_excesses(s, 2, 1.0)))
+                moments = tail_moments(s, 2, (1.0, 2.0, 3.0), fit(s))
+            for by_order in moments:
+                assert list(by_order) == [1.0, 2.0, 3.0]
+                assert all(math.isnan(v) for v in by_order.values())
 
 
-class TestXiTerms:
-    def test_small_example(self):
+class TestTailMomentsArguments:
+    @pytest.mark.parametrize("k", [0, 4])
+    def test_k_out_of_range(self, k):
         s = sample_from([0.5, 1.0, 2.0, 4.0], [1, 0, 1, 1])
-        xi = xi_terms(s, 2, 1.0)
-        # 1*(log4 - log2), 2*(log2 - 0)
-        assert xi == pytest.approx([math.log(2.0), 2.0 * math.log(2.0)], rel=1e-14)
+        with pytest.raises(ValueError, match="k must satisfy"):
+            tail_moments(s, k, (1.0,), fit(s))
 
-    def test_k_equal_one(self):
-        s = sample_from([1.0, 3.0], [1, 1])
-        assert xi_terms(s, 1, 1.0) == pytest.approx([math.log(3.0)], rel=1e-15)
+    def test_order_below_one(self):
+        s = sample_from([0.5, 1.0, 2.0, 4.0], [1, 0, 1, 1])
+        with pytest.raises(ValueError, match="alpha"):
+            tail_moments(s, 2, (1.0, 0.5), fit(s))
 
-    @given(seed=st.integers(0, 2**32 - 1), alpha=st.sampled_from([1.0, 2.0, 3.0]))
-    @settings(max_examples=40, deadline=None)
-    def test_total_mass_is_preserved(self, seed, alpha):
-        s, k = sample_and_k(seed)
-        total_xi = float(np.sum(xi_terms(s, k, alpha)))
-        total_ell = float(np.sum(log_excesses(s, k, alpha)))
-        assert total_xi == pytest.approx(total_ell, rel=1e-12, abs=1e-300)
+    def test_one_pass_equals_separate_passes(self, rng):
+        # moments of an order do not depend on which other orders are asked for
+        s, k = draw_sample_with_k(rng, 80, DESIGNS[0])
+        cur = fit(s)
+        together = tail_moments(s, k, (1.0, 2.0, 3.0, 4.0), cur)
+        for alpha in (1.0, 2.0, 3.0, 4.0):
+            assert moments_at(s, k, alpha, cur) == tuple(m[alpha] for m in together)
 
 
 class TestMomentUnweighted:
     def test_small_example(self):
         s = sample_from([0.5, 1.0, 2.0, 4.0], [1, 0, 1, 1])
-        assert moment_unweighted(s, 2, 1.0) == pytest.approx(1.5 * math.log(2.0), rel=1e-14)
+        mu, _, _ = moments_at(s, 2, 1.0, fit(s))
+        assert mu == pytest.approx(1.5 * math.log(2.0), rel=1e-14)
 
     def test_tied_top_gives_zero(self):
         with pytest.warns(UserWarning, match="tied"):
             s = sample_from([1.0, 1.0, 1.0], [1, 1, 1])
-        assert moment_unweighted(s, 2, 1.0) == 0.0
+        assert moments_at(s, 2, 1.0, fit(s))[0] == 0.0
 
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)
     def test_equals_mean_of_increments(self, seed):
+        # Abel summation: the increments xi_i = i*(L_i - L_{i+1}) carry the
+        # same total mass as the L_i
         s, k = sample_and_k(seed)
-        assert moment_unweighted(s, k, 2.0) == pytest.approx(
-            float(np.mean(xi_terms(s, k, 2.0))), rel=1e-12, abs=1e-300
+        z, _ = as_lists(s)
+        xi = ref.naive_xi(z, k, 2.0)
+        assert moments_at(s, k, 2.0, fit(s))[0] == pytest.approx(
+            sum(xi) / k, rel=1e-12, abs=1e-300
         )
 
 
@@ -130,48 +151,52 @@ class TestWeightedMoments:
         # top observation uncensored behind one censored point: weight 2,
         # normalizer 3*(2/3), so the single term survives unchanged
         s = sample_from([1.0, 2.0, 3.0], [1, 0, 1])
-        cur = fit(s)
-        assert moment_km(s, 1, 1.0, cur) == pytest.approx(math.log(1.5), rel=1e-14)
+        _, mk, _ = moments_at(s, 1, 1.0, fit(s))
+        assert mk == pytest.approx(math.log(1.5), rel=1e-14)
 
     def test_km_zero_when_top_censored(self):
         s = sample_from([1.0, 2.0, 3.0], [1, 1, 0])
-        cur = fit(s)
-        assert moment_km(s, 1, 1.0, cur) == 0.0
+        _, mk, _ = moments_at(s, 1, 1.0, fit(s))
+        assert mk == 0.0
 
     def test_leurgans_small_example(self):
         s = sample_from([1.0, 2.0, 3.0], [1, 0, 1])
-        cur = fit(s)
-        assert moment_leurgans(s, 1, 1.0, cur) == pytest.approx(math.log(1.5), rel=1e-14)
+        _, _, ml = moments_at(s, 1, 1.0, fit(s))
+        assert ml == pytest.approx(math.log(1.5), rel=1e-14)
 
     def test_leurgans_picks_up_censored_top(self):
         # same numerator as the KM form would have had if delta_(n)=1
         s = sample_from([1.0, 2.0, 3.0], [1, 1, 0])
-        cur = fit(s)
-        assert moment_leurgans(s, 1, 1.0, cur) == pytest.approx(math.log(1.5), rel=1e-14)
+        _, _, ml = moments_at(s, 1, 1.0, fit(s))
+        assert ml == pytest.approx(math.log(1.5), rel=1e-14)
 
     def test_d_term_small_example(self):
-        s = sample_from([1.0, 2.0, 3.0], [1, 0, 1])
-        cur = fit(s)
-        assert d_term(s, 1, 1.0, cur) == pytest.approx(math.log(1.5), rel=1e-14)
+        # with the top censored, l - km is the top correction d_term
+        s = sample_from([1.0, 2.0, 3.0], [1, 0, 0])
+        _, mk, ml = moments_at(s, 1, 1.0, fit(s))
+        z, delta = as_lists(s)
+        assert ref.naive_d_term(z, delta, 1, 1.0) == pytest.approx(math.log(1.5), rel=1e-14)
+        assert ml - mk == pytest.approx(math.log(1.5), rel=1e-14)
 
     def test_d_term_zero_when_top_ties_threshold(self):
         with pytest.warns(UserWarning, match="tied"):
-            s = sample_from([1.0, 1.0], [1, 1])
-        assert d_term(s, 1, 1.0, fit(s)) == 0.0
+            s = sample_from([1.0, 1.0], [1, 0])
+        assert s.delta[-1] == 0
+        assert moments_at(s, 1, 1.0, fit(s)) == (0.0, 0.0, 0.0)
 
 
 class TestTopCorrectionIdentity:
-    # moment_leurgans = moment_km + (1 - delta_(n)) * d_term on every
-    # sample; this is the primary regression for the weighted moments.
+    # l is km plus the top correction; checked here against the naive
+    # increment form of l, the definition the identity replaces.
     @given(seed=st.integers(0, 2**32 - 1), alpha=st.sampled_from([1.0, 2.0, 3.0]))
     @settings(max_examples=80, deadline=None)
     def test_identity(self, seed, alpha):
         s, k = sample_and_k(seed)
-        cur = fit(s)
-        ml = moment_leurgans(s, k, alpha, cur)
-        mk = moment_km(s, k, alpha, cur)
-        d = d_term(s, k, alpha, cur)
-        gap = ml - (mk + (1 - int(s.delta[-1])) * d)
+        z, delta = as_lists(s)
+        _, mk, ml = moments_at(s, k, alpha, fit(s))
+        want = ref.naive_moment_leurgans(z, delta, k, alpha)
+        assert abs(ml - want) <= 1e-12 * max(1.0, abs(want))
+        gap = ml - (mk + (1 - delta[-1]) * ref.naive_d_term(z, delta, k, alpha))
         assert abs(gap) <= 1e-12 * max(1.0, abs(ml))
 
     @given(seed=st.integers(0, 2**32 - 1))
@@ -179,10 +204,8 @@ class TestTopCorrectionIdentity:
     def test_agreement_when_top_uncensored(self, seed):
         s, k = sample_and_k(seed)
         assume(s.delta[-1] == 1)
-        cur = fit(s)
-        ml = moment_leurgans(s, k, 2.0, cur)
-        mk = moment_km(s, k, 2.0, cur)
-        assert abs(ml - mk) <= 1e-12 * max(1.0, abs(ml))
+        _, mk, ml = moments_at(s, k, 2.0, fit(s))
+        assert ml == mk
 
 
 class TestUncensoredReduction:
@@ -195,12 +218,9 @@ class TestUncensoredReduction:
         s = make_censored(x, np.full(n, 3.0))
         assert np.all(s.delta == 1)
         k = int(rng.integers(1, n))
-        cur = fit(s)
-        mu = moment_unweighted(s, k, 2.0)
-        mk = moment_km(s, k, 2.0, cur)
-        ml = moment_leurgans(s, k, 2.0, cur)
+        mu, mk, ml = moments_at(s, k, 2.0, fit(s))
         assert mk == pytest.approx(mu, rel=1e-12, abs=1e-300)
-        assert ml == pytest.approx(mu, rel=1e-12, abs=1e-300)
+        assert ml == mk
 
 
 class TestScaleInvariance:
@@ -212,30 +232,13 @@ class TestScaleInvariance:
         n = int(rng.integers(5, 150))
         s, k = draw_sample_with_k(rng, n, DESIGNS[3])
         scaled = from_observations(c * s.z, s.delta)
-        cur, cur2 = fit(s), fit(scaled)
-        for alpha in (1.0, 2.0):
-            assert moment_unweighted(scaled, k, alpha) == pytest.approx(
-                moment_unweighted(s, k, alpha), rel=1e-12, abs=1e-300
-            )
-            assert moment_km(scaled, k, alpha, cur2) == pytest.approx(
-                moment_km(s, k, alpha, cur), rel=1e-12, abs=1e-300
-            )
-            assert moment_leurgans(scaled, k, alpha, cur2) == pytest.approx(
-                moment_leurgans(s, k, alpha, cur), rel=1e-12, abs=1e-300
-            )
-
-
-class TestMomentSet:
-    def test_bundles_the_individual_functions(self, rng):
-        s, k = draw_sample_with_k(rng, 80, DESIGNS[0])
-        cur = fit(s)
-        ms = moment_set(s, k, 2.0, cur)
-        assert ms.k == k and ms.alpha == 2.0
-        assert ms.m_unweighted == moment_unweighted(s, k, 2.0)
-        assert ms.m_km == moment_km(s, k, 2.0, cur)
-        assert ms.m_leurgans == moment_leurgans(s, k, 2.0, cur)
-        assert ms.d_term == d_term(s, k, 2.0, cur)
-        assert ms.delta_max == int(s.delta[-1])
+        got = tail_moments(scaled, k, (1.0, 2.0), fit(scaled))
+        want = tail_moments(s, k, (1.0, 2.0), fit(s))
+        for by_order, want_by_order in zip(got, want):
+            for alpha in (1.0, 2.0):
+                assert by_order[alpha] == pytest.approx(
+                    want_by_order[alpha], rel=1e-12, abs=1e-300
+                )
 
 
 class TestBetaFunction:
@@ -351,11 +354,11 @@ def figure1_big_medians():
         x = FIGURE1_X.sample(rng, n)
         c = FIGURE1_C.sample(rng, n)
         s = make_censored(x, c, require_positive=False)
-        cur = fit(s)
-        cols["u1"].append(moment_unweighted(s, k, 1.0))
-        cols["u2"].append(moment_unweighted(s, k, 2.0))
-        cols["w1"].append(moment_km(s, k, 1.0, cur))
-        cols["w2"].append(moment_km(s, k, 2.0, cur))
+        unweighted, km, _ = tail_moments(s, k, (1.0, 2.0), fit(s))
+        cols["u1"].append(unweighted[1.0])
+        cols["u2"].append(unweighted[2.0])
+        cols["w1"].append(km[1.0])
+        cols["w2"].append(km[2.0])
     med = {key: float(np.median(v)) for key, v in cols.items()}
     med["a_nk"] = scale_a_nk(FIGURE1_X, FIGURE1_C, n, k).a_nk
     return med

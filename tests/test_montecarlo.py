@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from censored_evi import (
     GPD,
@@ -14,6 +16,7 @@ from censored_evi import (
     StudyDesign,
     aggregate,
     build_specs,
+    make_censored,
     resolve_workers,
     run_replicate,
     run_study,
@@ -32,7 +35,6 @@ def small_design(**overrides):
         n=60,
         reps=6,
         k_grid=(10, 20),
-        alphas=(2.0,),
         specs=build_specs(ALL_FAMILIES, ALL_METHODS, (2.0,)),
         seed=987,
     )
@@ -195,6 +197,14 @@ class TestResolveWorkers:
         with pytest.raises(ValueError, match="worker count"):
             resolve_workers(0, 10)
 
+    @pytest.mark.parametrize("raw", ["abc", "0"])
+    def test_bad_environment_value_names_the_variable(self, monkeypatch, raw):
+        monkeypatch.setenv("CENSORED_EVI_THREADS", raw)
+        message = f"CENSORED_EVI_THREADS must be a positive integer, got '{raw}'"
+        with pytest.raises(ValueError) as info:
+            resolve_workers(None, 10)
+        assert str(info.value) == message
+
 
 class TestWorkerIndependence:
     def test_result_identical_for_any_worker_count(self):
@@ -227,3 +237,36 @@ class TestTailProportionCalibration:
         )
         p_hats = [run_replicate(d, r)[0].p_hat for r in range(d.reps)]
         assert float(np.median(p_hats)) == pytest.approx(0.8202, abs=0.01)
+
+
+class TestSweepsNeverAbort:
+    def test_non_positive_thresholds_count_as_degenerate(self):
+        # Figure-1 pair at n = 50: the Reverse Burr laws put mass below
+        # zero, and at this seed 12 of the 20 samples have Z_(5) <= 0
+        d = small_design(n=50, reps=20, k_grid=(45,), seed=101)
+        bad = 0
+        for r in range(d.reps):
+            rng = np.random.default_rng(np.random.SeedSequence(entropy=(d.seed, r)))
+            x = d.dist_x.sample(rng, d.n)
+            s = make_censored(x, d.dist_c.sample(rng, d.n), require_positive=False)
+            bad += s.z[d.n - 45 - 1] <= 0
+        assert bad == 12
+        res = run_study(d, workers=1)
+        assert len(res.cells) == len(d.specs)
+        assert all(cell.degenerate_count >= bad for cell in res.cells)
+
+    @given(
+        n=st.integers(2, 60),
+        reps=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_run_study_completes_for_any_k(self, n, reps, seed, data):
+        k = data.draw(st.integers(1, n - 1))
+        d = small_design(n=n, reps=reps, k_grid=(k,), seed=seed)
+        res = run_study(d, workers=1)
+        assert [cell.spec for cell in res.cells] == list(d.specs)
+        for cell in res.cells:
+            assert 0 <= cell.degenerate_count <= reps
+            assert math.isnan(cell.mean) == (cell.degenerate_count == reps)

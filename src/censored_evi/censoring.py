@@ -11,7 +11,7 @@ endpoint, the pooled variable Z has index
 ``p = gamma_c/(gamma_x + gamma_c)`` of the extreme observations stays
 uncensored in the limit.  ``theory_from_indices`` packages those derived
 quantities; ``tail_uncensored_proportion`` is their empirical counterpart
-(mean of the top-k indicators).
+(mean of the top-k indicators, for a whole grid of k at once).
 """
 
 from __future__ import annotations
@@ -109,12 +109,29 @@ def from_observations(z, delta) -> CensoredSample:
     return _freeze(*_sort_with_tiebreak(z, delta.astype(np.int64)))
 
 
-def tail_uncensored_proportion(s: CensoredSample, k: int) -> float:
+def checked_ks(s: CensoredSample, ks) -> np.ndarray:
+    """``ks`` (one k or an array of them) as an integer array, each k
+    checked against 1 <= k < n."""
+    ks = np.asarray(ks)
+    if ks.size and ks.dtype.kind not in "iu":
+        raise ValueError(f"k must be an integer, got {ks.dtype} values")
+    ks = ks.astype(np.intp)
+    bad = (ks < 1) | (ks >= s.n)
+    if bad.any():
+        raise ValueError(f"k must satisfy 1 <= k < n, got k={ks[bad].flat[0]}, n={s.n}")
+    return ks
+
+
+def tail_uncensored_proportion(s: CensoredSample, ks):
     """Fraction of uncensored observations among the top k: mean of the
-    concomitant indicators of Z_(n), ..., Z_(n-k+1)."""
-    if not 1 <= k < s.n:
-        raise ValueError(f"k must satisfy 1 <= k < n, got k={k}, n={s.n}")
-    return float(np.mean(s.delta[s.n - k:]))
+    concomitant indicators of Z_(n), ..., Z_(n-k+1).
+
+    ``ks`` is one k or an array of them; every k reads the same running
+    count of uncensored observations from the top, and the result has
+    the shape of ``ks``.
+    """
+    ks = checked_ks(s, ks)
+    return np.cumsum(s.delta[::-1])[ks - 1] / ks
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,8 @@
 
 Subcommands:
 
-* ``estimate`` -- read a ``z,delta`` CSV, sweep k over a range, and emit
-  one estimate row per (k, family, method).
+* ``estimate`` -- read a ``z,delta`` CSV, estimate over a k range in one
+  pass, and emit one row per (k, family, method).
 * ``simulate`` -- run the Monte Carlo engine from a config file and emit
   per-cell aggregate rows.
 * ``plot`` -- render a results CSV as an SVG chart of one metric vs k.
@@ -96,9 +96,11 @@ def _names(enum_cls) -> list[str]:
 def _parse_name_list(raw: str, enum_cls, flag: str) -> list:
     known = _names(enum_cls)
     names = [p.strip() for p in raw.split(",")]
-    for name in names:
+    for i, name in enumerate(names):
         if name not in known:
             raise ValueError(f"{flag}: unknown entry {name!r} (expected one of {', '.join(known)})")
+        if name in names[:i]:
+            raise ValueError(f"{flag}: repeated entry {name!r}")
     return [enum_cls(name) for name in names]
 
 
@@ -113,16 +115,17 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         raise ValueError(f"--k-step must be >= 1, got {args.k_step}")
     families = _parse_name_list(args.families, Family, "--families")
     methods = _parse_name_list(args.methods, Method, "--methods")
-    if not args.alpha >= 1:
-        raise ValueError(f"--alpha must be >= 1, got {args.alpha}")
+    if not 1 <= args.alpha < math.inf:
+        raise ValueError(f"--alpha must be >= 1 and finite, got {args.alpha}")
     specs = [EstimatorSpec(f, m, args.alpha) for f in families for m in methods]
-    curves = fit(s)
+    ks = range(k_min, k_max + 1, args.k_step)
+    p_hat, values = estimate(s, ks, specs, fit(s))
+    names = [f"{spec.family.value},{spec.method.value},{_fmt(args.alpha)}" for spec in specs]
     lines = [ESTIMATES_HEADER]
-    for k in range(k_min, k_max + 1, args.k_step):
-        for rec in estimate(s, k, specs, curves):
+    for k, p, row in zip(ks, p_hat.tolist(), values.tolist()):
+        for name, value in zip(names, row):
             lines.append(
-                f"{k},{rec.spec.family.value},{rec.spec.method.value},{_fmt(args.alpha)},"
-                f"{_fmt(rec.value)},{_fmt(rec.p_hat)},{int(rec.degenerate)}"
+                f"{k},{name},{_fmt(value)},{_fmt(p)},{int(not math.isfinite(value))}"
             )
     _write_atomic(args.out, "\n".join(lines) + "\n")
     return 0

@@ -24,6 +24,7 @@ number and key name.  ``config_text`` is its lossless inverse.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 from .distributions import DistributionSpec, distribution_literal, parse_distribution
@@ -95,28 +96,36 @@ def _parse_int(key: str, raw: str, lineno: int) -> int:
         raise ValueError(f"line {lineno}: key {key!r} expects an integer, got {raw!r}") from None
 
 
+def _check_no_repeat(key: str, parts: list[str], values: tuple, lineno: int) -> None:
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise ValueError(f"line {lineno}: key {key!r} repeats entry {parts[i]!r}")
+
+
 def _parse_alphas(raw: str, lineno: int) -> tuple[float, ...]:
+    parts = [p.strip() for p in raw.split(",")]
     try:
-        values = tuple(float(p.strip()) for p in raw.split(","))
+        values = tuple(float(p) for p in parts)
     except ValueError:
         raise ValueError(f"line {lineno}: key 'alpha' expects numbers, got {raw!r}") from None
-    if any(a < 1 for a in values):
-        raise ValueError(f"line {lineno}: every alpha must be >= 1")
+    if not all(1 <= a < math.inf for a in values):
+        raise ValueError(f"line {lineno}: every alpha must be >= 1 and finite")
+    _check_no_repeat("alpha", parts, values, lineno)
     return values
 
 
 def _parse_enum_list(enum_cls, key: str, raw: str, lineno: int):
     known = {member.value: member for member in enum_cls}
-    out = []
-    for part in raw.split(","):
-        name = part.strip()
+    parts = [p.strip() for p in raw.split(",")]
+    for name in parts:
         if name not in known:
             raise ValueError(
                 f"line {lineno}: key {key!r} has unknown entry {name!r} "
                 f"(expected one of {', '.join(known)})"
             )
-        out.append(known[name])
-    return tuple(out)
+    values = tuple(known[name] for name in parts)
+    _check_no_repeat(key, parts, values, lineno)
+    return values
 
 
 def parse_config(text: str) -> RunConfig:

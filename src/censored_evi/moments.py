@@ -2,8 +2,8 @@
 
 For threshold Z_(n-k) and order alpha >= 1 the building block is the
 vector of powered log-excesses  L_i = log^alpha(Z_(n-i+1)/Z_(n-k)),
-i = 1..k.  ``tail_moments`` forms three sample moments from it, at every
-requested order in one pass over the top k observations:
+i = 1..k.  ``tail_moments`` forms three sample moments from it, for a
+whole grid of k and every requested order in one pass:
 
 * unweighted: plain mean of the L_i (ignores censoring).
 * km: each L_i weighted by delta_(n-i+1)/(1-Ghat(Z_(n-i+1)^-)),
@@ -15,6 +15,15 @@ requested order in one pass over the top k observations:
   so it differs from km only through a censored top observation.  The
   increment form it equals, sum of i*(L_i - L_{i+1})/(1-Ghat(Z_(n-i+1)^-))
   over N, is kept as the naive reference the tests check it against.
+
+Every top-k tail is a prefix of the sample read from the largest value
+down, so the tails of a k-grid are laid end to end in one flat (ragged)
+array and each k's segment is summed with ``np.add.reduceat``.  A
+segment's sum depends on its own terms only, so a moment does not depend
+on which other k share its pass.  The grid is cut into chunks of at most
+``max(largest k, 2**14)`` terms; a chunk of one k is a view of the
+sample, so the pass never holds more than about that many terms per
+array, however long the grid.
 
 ``limit_l_alpha`` gives the constant these weighted moments approach
 after division by a_nk^alpha, and ``scale_a_nk`` computes that
@@ -30,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .censoring import CensoredSample, theory_from_indices
+from .censoring import CensoredSample, checked_ks, theory_from_indices
 from .distributions import DistributionSpec
 from .kaplan_meier import KaplanMeierCurves
 
@@ -43,16 +52,84 @@ __all__ = [
     "scale_a_nk",
 ]
 
+# Smallest cap on the number of tail terms one chunk of the k-grid holds.
+_CHUNK_TERMS = 2 ** 14
+
+
+def _check_order(alpha: float) -> None:
+    if not 1 <= alpha < math.inf:
+        raise ValueError(f"alpha must be >= 1 and finite, got {alpha}")
+
+
+def _chunks(ks: np.ndarray):
+    """Consecutive runs of ks whose tails hold at most
+    max(largest k, _CHUNK_TERMS) terms together, as slices."""
+    cap = max(int(ks.max(initial=0)), _CHUNK_TERMS)
+    start, total = 0, 0
+    for i, k in enumerate(ks.tolist()):
+        if total + k > cap:
+            yield slice(start, i)
+            start, total = i, 0
+        total += k
+    if start < len(ks):
+        yield slice(start, len(ks))
+
+
+def _powers(base: np.ndarray, orders: Sequence[float]):
+    """(order, base**order) for the orders in ascending order.
+
+    Each order p is reached from q = p - floor(p - 1), in [1, 2), by
+    floor(p - 1) multiplications by the base, L^(a+1) = L^a * L, so its
+    bits do not depend on which other orders are requested.  The powers
+    of one q share a buffer: each yielded array is overwritten when the
+    next order is drawn.
+    """
+    chains: dict[float, tuple[float, np.ndarray]] = {}
+    for p in sorted(set(orders)):
+        q = p - math.floor(p - 1.0)
+        exponent, power = chains.get(q) or (q, base if q == 1.0 else base ** q)
+        while exponent < p:
+            exponent += 1.0
+            power = power * base if power is base else np.multiply(power, base, out=power)
+        chains[q] = (exponent, power)
+        yield p, power
+
+
+def _chunk_sums(top: np.ndarray, weight: np.ndarray, threshold: np.ndarray,
+                kc: np.ndarray, orders: Sequence[float]):
+    """For each order p, over the top-k tail of every k in kc: the sum of
+    L^p, the sum of w * L^p and the first term L_1^p, each an array over kc.
+
+    ``top`` and ``weight`` run from the largest observation down, and
+    ``threshold`` holds each k's threshold (NaN when not positive).  The
+    tails are laid end to end and each k's segment is summed with
+    ``np.add.reduceat``; a single k reads its tail as a view of ``top``.
+    """
+    if len(kc) == 1:
+        k = int(kc[0])
+        base, w = top[:k] / threshold, weight[:k]
+    else:
+        base = np.concatenate([top[:k] for k in kc.tolist()])
+        base /= np.repeat(threshold, kc)
+        w = np.concatenate([weight[:k] for k in kc.tolist()])
+    np.log(base, out=base)
+    starts = np.cumsum(kc) - kc
+    weighted = np.empty_like(base)
+    return {
+        p: (np.add.reduceat(power, starts),
+            np.add.reduceat(np.multiply(w, power, out=weighted), starts),
+            power[starts])
+        for p, power in _powers(base, orders)
+    }
+
 
 def log_excesses(s: CensoredSample, k: int, alpha: float) -> np.ndarray:
     """L_i = log^alpha(Z_(n-i+1)/Z_(n-k)) for i = 1..k (largest first).
 
     A threshold Z_(n-k) <= 0 has no log-excesses: every L_i is NaN.
     """
-    if not 1 <= k < s.n:
-        raise ValueError(f"k must satisfy 1 <= k < n, got k={k}, n={s.n}")
-    if not alpha >= 1:
-        raise ValueError(f"alpha must be >= 1, got {alpha}")
+    (k,) = checked_ks(s, [k])
+    _check_order(alpha)
     threshold = s.z[s.n - k - 1]
     if not threshold > 0:
         return np.full(k, np.nan)
@@ -60,30 +137,39 @@ def log_excesses(s: CensoredSample, k: int, alpha: float) -> np.ndarray:
 
 
 def tail_moments(
-    s: CensoredSample, k: int, orders: Sequence[float], curves: KaplanMeierCurves
-) -> tuple[dict[float, float], dict[float, float], dict[float, float]]:
-    """Unweighted, km and l moments of the top-k tail at every order.
+    s: CensoredSample, ks, orders: Sequence[float], curves: KaplanMeierCurves
+) -> tuple[dict[float, np.ndarray], dict[float, np.ndarray], dict[float, np.ndarray]]:
+    """Unweighted, km and l moments of the top-k tail for every k in
+    ``ks`` and every order in ``orders``.
 
-    Returns three dicts ``(unweighted, km, l)``, each mapping an order in
-    ``orders`` to its moment.  The moments are NaN when the threshold
-    Z_(n-k) is not positive.
+    Returns three dicts ``(unweighted, km, l)``, each mapping an order to
+    the array of its moments, one per k in ``ks``.  The moments at a k
+    whose threshold Z_(n-k) is not positive are NaN.
     """
+    ks = checked_ks(s, ks)
+    if ks.ndim != 1:
+        raise ValueError(f"ks must be one-dimensional, got shape {ks.shape}")
     for alpha in orders:
-        if not alpha >= 1:
-            raise ValueError(f"alpha must be >= 1, got {alpha}")
-    base = log_excesses(s, k, 1.0)
+        _check_order(alpha)
     n = s.n
+    top = s.z[::-1]  # largest first: the top-k tail is top[:k], its threshold top[k]
     g_left = curves.surv_g_left_at_order
-    w = s.delta[n - k:][::-1] * (1.0 / g_left[n - k:][::-1])
-    norm = n * float(curves.surv_f_at_order[n - k - 1])
+    weight = s.delta[::-1] * (1.0 / g_left[::-1])
+    # A NaN threshold turns every term of its tail into NaN, silently.
+    threshold = np.where(top[ks] > 0, top[ks], np.nan)
+    unweighted, km, first = ({p: np.empty(len(ks)) for p in orders} for _ in range(3))
+    for chunk in _chunks(ks):
+        sums = _chunk_sums(top, weight, threshold[chunk], ks[chunk], orders)
+        for p, (total, weighted_total, head) in sums.items():
+            unweighted[p][chunk], km[p][chunk], first[p][chunk] = total, weighted_total, head
+    norm = n * curves.surv_f_at_order[n - ks - 1]
     top_censored = 1 - int(s.delta[n - 1])
     top_norm = norm * float(g_left[n - 1])
-    unweighted, km, l = {}, {}, {}
-    for alpha in orders:
-        ell = base ** alpha
-        unweighted[alpha] = float(np.mean(ell))
-        km[alpha] = float(np.sum(w * ell) / norm)
-        l[alpha] = km[alpha] + top_censored * float(ell[0]) / top_norm
+    l = {}
+    for p in unweighted:
+        unweighted[p] /= ks
+        km[p] /= norm
+        l[p] = km[p] + top_censored * first[p] / top_norm
     return unweighted, km, l
 
 

@@ -6,19 +6,27 @@ grid, and aggregates per (k, estimator) cell: median bias, MSE about the
 true index of X, mean, variance and the count of degenerate replicates
 (which are excluded from the statistics).
 
+Each replicate is one ``estimate`` call over the whole k-grid, which
+yields a ``(len(k_grid), len(specs))`` value array; ``run_study`` stacks
+them into one ``(reps, len(k_grid), len(specs))`` array and ``aggregate``
+reduces it along the replicate axis.  ``StudyResult`` keeps each
+statistic as a ``(len(k_grid), len(specs))`` column and builds its
+per-cell ``cells`` view on demand.  ``run_replicate`` is the per-record
+view of one replicate's arrays.
+
 Reproducibility contract: replicate r uses a fresh generator seeded by
 SeedSequence(entropy=(seed, r)) and draws the X block first, then the C
-block.  Replicates are therefore independent of scheduling, and the
-aggregation consumes them in replicate order, so the result is bitwise
-identical for any worker count.  The worker count
+block.  Replicates are therefore independent of scheduling, each lands
+at its own index, and the aggregation sums in replicate order, so the
+result is bitwise identical for any worker count.  The worker count
 comes from the CENSORED_EVI_THREADS environment variable when not given
 explicitly.
 """
 
 from __future__ import annotations
 
+import math
 import os
-from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -51,6 +59,16 @@ def build_specs(families, methods, alphas) -> tuple[EstimatorSpec, ...]:
     )
 
 
+def _first_repeat(entries):
+    """The first entry that occurs earlier in ``entries``, or None."""
+    seen = set()
+    for entry in entries:
+        if entry in seen:
+            return entry
+        seen.add(entry)
+    return None
+
+
 @dataclass(frozen=True)
 class StudyDesign:
     dist_x: DistributionSpec
@@ -72,6 +90,12 @@ class StudyDesign:
             raise ValueError(f"every k must satisfy 1 <= k < n={self.n}")
         if not self.specs:
             raise ValueError("at least one estimator spec is required")
+        k = _first_repeat(self.k_grid)
+        if k is not None:
+            raise ValueError(f"k grid repeats k={k}")
+        spec = _first_repeat(self.specs)
+        if spec is not None:
+            raise ValueError(f"specs repeat {spec.label} at alpha {spec.alpha!r}")
         ex, ec = self.dist_x.endpoint, self.dist_c.endpoint
         if abs(ex - ec) > 1e-12 * max(1.0, abs(ex)):
             raise ValueError(f"endpoint mismatch: {ex!r} vs {ec!r}")
@@ -99,15 +123,43 @@ class StudyCell:
     degenerate_count: int
 
 
-@dataclass(frozen=True)
+_STATISTICS = ("median_bias", "mse", "mean", "variance")
+
+
+@dataclass(frozen=True, eq=False)
 class StudyResult:
+    """Per-cell aggregates as read-only ``(len(k_grid), len(specs))``
+    arrays: row i is ``design.k_grid[i]``, column j is ``design.specs[j]``."""
+
     design: StudyDesign
-    cells: tuple[StudyCell, ...]
+    median_bias: np.ndarray
+    mse: np.ndarray
+    mean: np.ndarray
+    variance: np.ndarray
+    degenerate_count: np.ndarray
+
+    @property
+    def cells(self) -> tuple[StudyCell, ...]:
+        """One StudyCell per (k, spec), sorted by (k, family, method, alpha);
+        built from the arrays on each access."""
+        design = self.design
+        families, methods = list(Family), list(Method)
+        rank = [(families.index(spec.family), methods.index(spec.method), spec.alpha)
+                for spec in design.specs]
+        order = sorted((k, rank[j], i, j)
+                       for i, k in enumerate(design.k_grid) for j in range(len(rank)))
+        columns = [getattr(self, name).tolist() for name in _STATISTICS]
+        counts = self.degenerate_count.tolist()
+        return tuple(
+            StudyCell(k, design.specs[j], *(column[i][j] for column in columns), counts[i][j])
+            for k, _, i, j in order
+        )
 
 
-def run_replicate(design: StudyDesign, replicate_index: int) -> list[EstimateRecord]:
-    """All (k, spec) estimates on one fresh sample; deterministic in
-    (design.seed, replicate_index) alone."""
+def _replicate_estimates(design: StudyDesign, replicate_index: int) -> tuple[np.ndarray, np.ndarray]:
+    """(p_hat, values) of ``estimate`` over the whole k-grid on replicate
+    ``replicate_index``'s sample; deterministic in (design.seed,
+    replicate_index) alone."""
     if not 0 <= replicate_index < design.reps:
         raise ValueError(f"replicate_index out of range: {replicate_index}")
     rng = np.random.default_rng(
@@ -118,61 +170,55 @@ def run_replicate(design: StudyDesign, replicate_index: int) -> list[EstimateRec
     # Positivity is not enforced here: endpoint-anchored families may put
     # mass below zero, while only the top-k statistics enter any formula.
     s = make_censored(x, c, require_positive=False)
-    curves = fit(s)
-    return [rec for k in design.k_grid for rec in estimate(s, k, design.specs, curves)]
+    return estimate(s, design.k_grid, design.specs, fit(s))
 
 
-def _cell_sort_key(cell: StudyCell):
-    return (
-        cell.k,
-        list(Family).index(cell.spec.family),
-        list(Method).index(cell.spec.method),
-        cell.spec.alpha,
-    )
+def run_replicate(design: StudyDesign, replicate_index: int) -> list[EstimateRecord]:
+    """All (k, spec) estimates on one fresh sample, k-major in design
+    order; deterministic in (design.seed, replicate_index) alone."""
+    p_hat, values = _replicate_estimates(design, replicate_index)
+    p_hat, values = p_hat.tolist(), values.tolist()
+    return [
+        EstimateRecord(k=k, spec=spec, value=value, p_hat=p_hat[i],
+                       degenerate=not math.isfinite(value))
+        for i, k in enumerate(design.k_grid)
+        for spec, value in zip(design.specs, values[i])
+    ]
 
 
-def aggregate(records_per_replicate: Iterable[list[EstimateRecord]],
-              design: StudyDesign) -> StudyResult:
-    """Reduce replicate records (in replicate order, read once) to
-    per-cell stats.
+def aggregate(values, design: StudyDesign) -> StudyResult:
+    """Reduce the replicates' estimates to per-cell statistics.
 
-    Degenerate records are excluded; mse and bias are taken about the
-    true index of X.  Cells come out sorted by (k, family, method, alpha).
+    ``values`` has shape ``(reps, len(k_grid), len(specs))``, replicates
+    in index order.  Non-finite (degenerate) values are excluded; mse and
+    bias are taken about the true index of X.  Sums run over replicates
+    in index order.
     """
+    values = np.asarray(values, dtype=float)
+    shape = (design.reps, len(design.k_grid), len(design.specs))
+    if values.shape != shape:
+        raise ValueError(f"values must have shape {shape}, got {values.shape}")
     gamma_x = design.gamma_x
-    values: dict[tuple[int, EstimatorSpec], list[float]] = {
-        (k, spec): [] for k in design.k_grid for spec in design.specs
-    }
-    degenerate: dict[tuple[int, EstimatorSpec], int] = {key: 0 for key in values}
-    for records in records_per_replicate:
-        for rec in records:
-            key = (rec.k, rec.spec)
-            if rec.degenerate:
-                degenerate[key] += 1
-            else:
-                values[key].append(rec.value)
-    cells = []
-    for (k, spec), vals in values.items():
-        if vals:
-            arr = np.asarray(vals)
-            mean = float(np.mean(arr))
-            cell = StudyCell(
-                k=k,
-                spec=spec,
-                median_bias=float(np.median(arr)) - gamma_x,
-                mse=float(np.mean((arr - gamma_x) ** 2)),
-                mean=mean,
-                variance=float(np.mean((arr - mean) ** 2)),
-                degenerate_count=degenerate[(k, spec)],
-            )
-        else:
-            nan = float("nan")
-            cell = StudyCell(k=k, spec=spec, median_bias=nan, mse=nan,
-                             mean=nan, variance=nan,
-                             degenerate_count=degenerate[(k, spec)])
-        cells.append(cell)
-    cells.sort(key=_cell_sort_key)
-    return StudyResult(design=design, cells=tuple(cells))
+    usable = np.isfinite(values)
+    count = usable.sum(axis=0)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        mean = np.where(usable, values, 0.0).sum(axis=0) / count
+        mse = np.where(usable, np.square(values - gamma_x), 0.0).sum(axis=0) / count
+        variance = np.where(usable, np.square(values - mean), 0.0).sum(axis=0) / count
+    # Degenerate values sort last as NaN; the median of the `count` usable
+    # ones is the middle one, or the mean of the middle two (NaN when
+    # count is 0, as every value of the column is NaN then).
+    ordered = np.sort(np.where(usable, values, np.nan), axis=0)
+    low = np.take_along_axis(ordered, ((count - 1) // 2)[None], axis=0)[0]
+    high = np.take_along_axis(ordered, (count // 2)[None], axis=0)[0]
+    median = np.where(count % 2 == 1, low, (low + high) / 2.0)
+    columns = dict(
+        median_bias=median - gamma_x, mse=mse, mean=mean, variance=variance,
+        degenerate_count=design.reps - count,
+    )
+    for column in columns.values():
+        column.flags.writeable = False
+    return StudyResult(design=design, **columns)
 
 
 def resolve_workers(workers: int | None, reps: int) -> int:
@@ -192,23 +238,26 @@ def resolve_workers(workers: int | None, reps: int) -> int:
     return min(workers, reps)
 
 
-def _replicate_task(args: tuple[StudyDesign, int]) -> list[EstimateRecord]:
-    return run_replicate(*args)
+def _replicate_values(args: tuple[StudyDesign, int]) -> np.ndarray:
+    return _replicate_estimates(*args)[1]
 
 
 def run_study(design: StudyDesign, workers: int | None = None) -> StudyResult:
     """Run all replicates (in parallel when workers > 1) and aggregate.
 
     The output is independent of the worker count: replicates are pure
-    functions of (seed, index) and are reduced in index order.
+    functions of (seed, index), stored at their index and reduced in
+    index order.
     """
     workers = resolve_workers(workers, design.reps)
-    indices = range(design.reps)
+    tasks = [(design, r) for r in range(design.reps)]
+    values = np.empty((design.reps, len(design.k_grid), len(design.specs)))
     if workers == 1:
-        return aggregate([run_replicate(design, r) for r in indices], design)
-    chunk = max(1, design.reps // (workers * 4))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        # Reduced as they arrive, in replicate order, so the records of
-        # all replicates are never held at once.
-        per_rep = pool.map(_replicate_task, [(design, r) for r in indices], chunksize=chunk)
-        return aggregate(per_rep, design)
+        for r, task in enumerate(tasks):
+            values[r] = _replicate_values(task)
+    else:
+        chunk = max(1, design.reps // (workers * 4))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            for r, rep in enumerate(pool.map(_replicate_values, tasks, chunksize=chunk)):
+                values[r] = rep
+    return aggregate(values, design)

@@ -8,10 +8,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import censored_evi
-from censored_evi import EstimatorSpec, Family, Method, estimate, fit, from_observations
+from censored_evi import GPD, EstimatorSpec, Family, Method, estimate, fit, from_observations
 from censored_evi.cli import ESTIMATES_HEADER, RESULTS_HEADER, main
 
 PACKAGE_ROOT = str(Path(censored_evi.__file__).resolve().parent.parent)
@@ -106,14 +107,14 @@ class TestEstimateCommand:
         curves = fit(s)
         for row in read_rows(out):
             spec = EstimatorSpec(Family(row["family"]), Method(row["method"]), 2.0)
-            (rec,) = estimate(s, int(row["k"]), [spec], curves)
+            (p_hat,), ((value,),) = estimate(s, [int(row["k"])], [spec], curves)
             got = float(row["gamma_hat"])
-            if math.isnan(rec.value):
+            if math.isnan(value):
                 assert math.isnan(got)
             else:
-                assert got == rec.value
-            assert float(row["p_hat"]) == rec.p_hat
-            assert row["degenerate"] == str(int(rec.degenerate))
+                assert got == value
+            assert float(row["p_hat"]) == p_hat
+            assert row["degenerate"] == str(int(not math.isfinite(value)))
 
     def test_stdout_by_default(self, tmp_path):
         data = tmp_path / "data.csv"
@@ -148,6 +149,34 @@ class TestEstimateCommand:
         data = tmp_path / "data.csv"
         data.write_text(DEMO)
         assert main(["estimate", "--input", str(data), *extra]) == 1
+
+    @pytest.mark.parametrize("flag,raw,entry", [
+        ("--families", "mom,type1,mom", "mom"),
+        ("--methods", "km,l,km", "km"),
+    ])
+    def test_repeated_entry_is_named(self, tmp_path, capsys, flag, raw, entry):
+        # a repeated estimator would print each of its rows twice
+        data = tmp_path / "data.csv"
+        data.write_text(DEMO)
+        assert main(["estimate", "--input", str(data), flag, raw]) == 1
+        assert f"error: {flag}: repeated entry {entry!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("k", [51, 400])
+    def test_single_k_row_matches_full_sweep(self, tmp_path, k):
+        # n = 600: the full sweep's tails span several chunks, while k alone
+        # is a chunk of its own; the rows must not depend on that
+        rng = np.random.default_rng(600)
+        x, c = GPD(-0.5, 1).sample(rng, 600), GPD(-0.25, 0.5).sample(rng, 600)
+        data = tmp_path / "data.csv"
+        data.write_text("z,delta\n" + "".join(
+            f"{a!r},{int(b)}\n" for a, b in zip(np.minimum(x, c).tolist(), x <= c)))
+        full, single = tmp_path / "full.csv", tmp_path / "single.csv"
+        assert main(["estimate", "--input", str(data), "--out", str(full)]) == 0
+        assert main(["estimate", "--input", str(data), "--out", str(single),
+                     "--k-min", str(k), "--k-max", str(k)]) == 0
+        want = [line for line in full.read_text().splitlines() if line.startswith(f"{k},")]
+        assert len(want) == 9
+        assert single.read_text().splitlines()[1:] == want
 
     def test_too_few_rows(self, tmp_path):
         data = tmp_path / "data.csv"

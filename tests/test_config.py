@@ -68,6 +68,16 @@ class TestParseErrors:
         with pytest.raises(ValueError, match="line 8: duplicate key 'n'"):
             parse_config(MINIMAL + "n = 600\n")
 
+    @pytest.mark.parametrize("line,entry", [
+        ("families = mom,type1,mom", "'families' repeats entry 'mom'"),
+        ("methods = km, efg ,efg", "'methods' repeats entry 'efg'"),
+        ("alpha = 2,3,2.0", "'alpha' repeats entry '2.0'"),
+    ])
+    def test_repeated_list_entry_names_line_and_entry(self, line, entry):
+        # a repeated estimator would be evaluated twice per cell
+        with pytest.raises(ValueError, match=f"line 8: key {entry}"):
+            parse_config(MINIMAL + line + "\n")
+
     def test_missing_required(self):
         text = "\n".join(line for line in MINIMAL.splitlines() if not line.startswith("seed"))
         with pytest.raises(ValueError, match="missing required key 'seed'"):

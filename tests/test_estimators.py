@@ -24,7 +24,7 @@ from censored_evi import (
 )
 
 import reference as ref
-from conftest import DESIGNS, draw_sample_with_k, sample_from
+from conftest import DESIGNS, draw_sample, draw_sample_with_k, sample_from
 
 ALL_SPECS = [
     EstimatorSpec(family=f, method=m, alpha=2.0) for f in Family for m in Method
@@ -37,13 +37,21 @@ EPS = float(np.finfo(float).eps)  # 2^-52; the unit roundoff is EPS/2
 
 def spec_moments(s, k, spec, curves, orders):
     """The spec's sample moments at the given orders."""
-    unweighted, km, l = tail_moments(s, k, orders, curves)
+    unweighted, km, l = tail_moments(s, [k], orders, curves)
     by_method = {Method.EFG: unweighted, Method.KM: km, Method.LEURGANS: l}[spec.method]
-    return [by_method[p] for p in orders]
+    return [float(by_method[p][0]) for p in orders]
+
+
+def records(s, k, specs, curves):
+    """``estimate`` at one k, as one EstimateRecord per spec."""
+    (p_hat,), (values,) = estimate(s, [k], specs, curves)
+    return [EstimateRecord(k=k, spec=spec, value=value, p_hat=float(p_hat),
+                           degenerate=not math.isfinite(value))
+            for spec, value in zip(specs, values.tolist())]
 
 
 def estimate_one(s, k, spec, curves):
-    (rec,) = estimate(s, k, [spec], curves)
+    (rec,) = records(s, k, [spec], curves)
     return rec
 
 
@@ -69,9 +77,13 @@ def scaling_perturbation(s, k, spec, curves):
     (l through m_l = m_km + (1 - delta_(n)) d_term).  Rounding c*z moves
     each ratio Z_(n-j+1)/Z_(n-k) by at most 3u, the unscaled quotient
     carries u more, so ell_j moves by 4u absolute plus 2u relative from
-    the two logs; the power adds 2u relative.  Hence
+    the two logs, which the power multiplies by p.  The kernel forms
+    ell^p from ell^q, q = p - r in [1, 2), by r = floor(p - 1)
+    multiplications by ell, after one rounded ell**q when q > 1: at most
+    r + 1 roundings, so the power adds (r + 1) u relative on each side,
+    2 (r + 1) u in all.  Hence
 
-        eta_p = 4 p u m_{p-1}/m_p + (2p + 2) u + 2 (k + 3) u + 2 u,
+        eta_p = 4 p u m_{p-1}/m_p + (2p + 2r + 2) u + 2 (k + 3) u + 2 u,
 
     where 2 (k + 3) u bounds the two routes' summation of k non-negative
     terms and 2 u stands for the combiners' own rounding, about kappa*u
@@ -86,7 +98,8 @@ def scaling_perturbation(s, k, spec, curves):
             ratio = spec_moments(s, k, spec, curves, [p - 1.0])[0] / m_p
         else:
             ratio = m_p ** (-1.0 / p)
-        eta = max(eta, 4.0 * p * u * ratio + 2.0 * (p + k + 5.0) * u)
+        r = math.floor(p - 1.0)
+        eta = max(eta, 4.0 * p * u * ratio + 2.0 * (p + r + k + 5.0) * u)
     return eta
 
 
@@ -202,7 +215,7 @@ class TestEstimate:
     def test_record_carries_p_hat(self, rng):
         s, k = draw_sample_with_k(rng, 120, DESIGNS[0])
         cur = fit(s)
-        recs = estimate(s, k, ALL_SPECS, cur)
+        recs = records(s, k, ALL_SPECS, cur)
         assert [rec.spec for rec in recs] == ALL_SPECS
         for rec in recs:
             assert isinstance(rec, EstimateRecord)
@@ -215,15 +228,15 @@ class TestEstimate:
         cur = fit(s)
         extra = EstimatorSpec(Family.TYPE1, Method.LEURGANS, 3.5)
         specs = ALL_SPECS[::-1] + [extra] + ALL_SPECS[:2]
-        recs = estimate(s, k, specs, cur)
+        recs = records(s, k, specs, cur)
         assert [rec.spec for rec in recs] == specs
         for rec in recs:
             assert repr(estimate_one(s, k, rec.spec, cur)) == repr(rec)
-        assert estimate(s, k, [], cur) == []
+        assert estimate(s, [k], [], cur)[1].shape == (1, 0)
 
     def test_non_positive_threshold_is_degenerate(self):
         s = make_censored([-1.0, 1.0, 2.0], [9.0, 9.0, 9.0], require_positive=False)
-        for rec in estimate(s, 2, ALL_SPECS, fit(s)):
+        for rec in records(s, 2, ALL_SPECS, fit(s)):
             assert rec.degenerate
             assert math.isnan(rec.value)
             assert rec.p_hat == 1.0
@@ -251,8 +264,33 @@ class TestEstimate:
         s, _ = draw_sample_with_k(rng, int(rng.integers(5, 120)))
         cur = fit(s)
         k = int(rng.integers(1, s.n))
-        for rec in estimate(s, k, ALL_SPECS, cur):
+        for rec in records(s, k, ALL_SPECS, cur):
             assert rec.degenerate == (not math.isfinite(rec.value))
+
+    # seed 0 draws n = 596 and the full grid: 177 310 tail terms, about
+    # eleven chunks of the moment pass
+    @example(seed=0, full=True)
+    @given(seed=st.integers(0, 2**32 - 1), full=st.booleans())
+    @settings(max_examples=15, deadline=None)
+    def test_cell_does_not_depend_on_its_k_grid(self, seed, full):
+        # a k-grid estimate equals the single-k estimates bit for bit, NaN
+        # included, whichever other k share its pass
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(5, 700))
+        s = draw_sample(rng, n)
+        if full:
+            ks = np.arange(1, n)
+        else:
+            ks = rng.choice(np.arange(1, n), size=int(rng.integers(1, n)), replace=False)
+        specs = ALL_SPECS + [EstimatorSpec(Family.TYPE1, Method.LEURGANS, 2.5),
+                             EstimatorSpec(Family.TYPE2, Method.EFG, 3.5)]
+        cur = fit(s)
+        p_hat, values = estimate(s, ks, specs, cur)
+        assert values.shape == (len(ks), len(specs))
+        for i, k in enumerate(ks.tolist()):
+            p_one, values_one = estimate(s, [k], specs, cur)
+            assert p_one[0] == p_hat[i]
+            assert values_one[0].tobytes() == values[i].tobytes(), k
 
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)
@@ -288,7 +326,7 @@ class TestEstimate:
         cur = fit(s)
         for family in Family:
             specs = [EstimatorSpec(family, Method.KM), EstimatorSpec(family, Method.LEURGANS)]
-            a, b = estimate(s, k, specs, cur)
+            a, b = records(s, k, specs, cur)
             # with delta_(n) = 1 the top correction vanishes, so l is the
             # km sum itself: equal bit for bit, or NaN together
             assert repr(b.value) == repr(a.value)
@@ -313,7 +351,7 @@ class TestEstimate:
         cur, cur2 = fit(s), fit(scaled)
         # a power of two scales every z exactly, so nothing downstream moves
         exact = math.frexp(c)[0] == 0.5
-        for a, b in zip(estimate(s, k, ALL_SPECS, cur), estimate(scaled, k, ALL_SPECS, cur2)):
+        for a, b in zip(records(s, k, ALL_SPECS, cur), records(scaled, k, ALL_SPECS, cur2)):
             spec = a.spec
             assert b.p_hat == a.p_hat
             assert math.isnan(b.value) == math.isnan(a.value), (spec.label, a.value, b.value)

@@ -44,7 +44,7 @@ def sample_and_k(seed, n_max=250):
 
 def moments_at(s, k, alpha, curves):
     """(unweighted, km, l) moments of one order."""
-    return tuple(m[alpha] for m in tail_moments(s, k, (alpha,), curves))
+    return tuple(float(m[alpha][0]) for m in tail_moments(s, [k], (alpha,), curves))
 
 
 def as_lists(s):
@@ -95,10 +95,10 @@ class TestLogExcesses:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 assert np.all(np.isnan(log_excesses(s, 2, 1.0)))
-                moments = tail_moments(s, 2, (1.0, 2.0, 3.0), fit(s))
+                moments = tail_moments(s, [2], (1.0, 2.0, 3.0), fit(s))
             for by_order in moments:
                 assert list(by_order) == [1.0, 2.0, 3.0]
-                assert all(math.isnan(v) for v in by_order.values())
+                assert all(np.isnan(v).all() for v in by_order.values())
 
 
 class TestTailMomentsArguments:
@@ -106,20 +106,20 @@ class TestTailMomentsArguments:
     def test_k_out_of_range(self, k):
         s = sample_from([0.5, 1.0, 2.0, 4.0], [1, 0, 1, 1])
         with pytest.raises(ValueError, match="k must satisfy"):
-            tail_moments(s, k, (1.0,), fit(s))
+            tail_moments(s, [k], (1.0,), fit(s))
 
     def test_order_below_one(self):
         s = sample_from([0.5, 1.0, 2.0, 4.0], [1, 0, 1, 1])
         with pytest.raises(ValueError, match="alpha"):
-            tail_moments(s, 2, (1.0, 0.5), fit(s))
+            tail_moments(s, [2], (1.0, 0.5), fit(s))
 
     def test_one_pass_equals_separate_passes(self, rng):
         # moments of an order do not depend on which other orders are asked for
         s, k = draw_sample_with_k(rng, 80, DESIGNS[0])
         cur = fit(s)
-        together = tail_moments(s, k, (1.0, 2.0, 3.0, 4.0), cur)
+        together = tail_moments(s, [k], (1.0, 2.0, 3.0, 4.0), cur)
         for alpha in (1.0, 2.0, 3.0, 4.0):
-            assert moments_at(s, k, alpha, cur) == tuple(m[alpha] for m in together)
+            assert moments_at(s, k, alpha, cur) == tuple(float(m[alpha][0]) for m in together)
 
 
 class TestMomentUnweighted:
@@ -232,8 +232,8 @@ class TestScaleInvariance:
         n = int(rng.integers(5, 150))
         s, k = draw_sample_with_k(rng, n, DESIGNS[3])
         scaled = from_observations(c * s.z, s.delta)
-        got = tail_moments(scaled, k, (1.0, 2.0), fit(scaled))
-        want = tail_moments(s, k, (1.0, 2.0), fit(s))
+        got = tail_moments(scaled, [k], (1.0, 2.0), fit(scaled))
+        want = tail_moments(s, [k], (1.0, 2.0), fit(s))
         for by_order, want_by_order in zip(got, want):
             for alpha in (1.0, 2.0):
                 assert by_order[alpha] == pytest.approx(
@@ -354,11 +354,11 @@ def figure1_big_medians():
         x = FIGURE1_X.sample(rng, n)
         c = FIGURE1_C.sample(rng, n)
         s = make_censored(x, c, require_positive=False)
-        unweighted, km, _ = tail_moments(s, k, (1.0, 2.0), fit(s))
-        cols["u1"].append(unweighted[1.0])
-        cols["u2"].append(unweighted[2.0])
-        cols["w1"].append(km[1.0])
-        cols["w2"].append(km[2.0])
+        unweighted, km, _ = tail_moments(s, [k], (1.0, 2.0), fit(s))
+        cols["u1"].append(unweighted[1.0][0])
+        cols["u2"].append(unweighted[2.0][0])
+        cols["w1"].append(km[1.0][0])
+        cols["w2"].append(km[2.0][0])
     med = {key: float(np.median(v)) for key, v in cols.items()}
     med["a_nk"] = scale_a_nk(FIGURE1_X, FIGURE1_C, n, k).a_nk
     return med

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from censored_evi import (
     GPD,
-    EstimateRecord,
     EstimatorSpec,
     Family,
     Method,
@@ -72,6 +71,9 @@ class TestStudyDesignValidation:
             (dict(k_grid=(60,)), "every k"),
             (dict(specs=()), "estimator spec"),
             (dict(dist_c=ReverseBurr(1, 1, 1, 9)), "endpoint"),
+            (dict(k_grid=(10, 20, 10)), "k grid repeats k=10"),
+            (dict(specs=build_specs([Family.MOMENT] * 2, [Method.KM], (2.0,))),
+             "specs repeat mom/km at alpha 2.0"),
         ],
     )
     def test_invalid_designs_raise(self, overrides, pattern):
@@ -102,18 +104,10 @@ class TestRunReplicate:
 
 
 def fake_records(design, values_by_rep):
-    """Replicate record lists for a single-cell design from plain floats
-    (None marks a degenerate draw)."""
-    (k,) = design.k_grid
-    (spec,) = design.specs
-    out = []
-    for v in values_by_rep:
-        if v is None:
-            rec = EstimateRecord(k=k, spec=spec, value=float("nan"), p_hat=0.5, degenerate=True)
-        else:
-            rec = EstimateRecord(k=k, spec=spec, value=v, p_hat=0.5, degenerate=False)
-        out.append([rec])
-    return out
+    """The (reps, 1, 1) value array of a single-cell design from plain
+    floats (None marks a degenerate draw)."""
+    assert len(design.k_grid) == len(design.specs) == 1
+    return np.array([[[float("nan") if v is None else v]] for v in values_by_rep])
 
 
 def one_cell_design(reps):

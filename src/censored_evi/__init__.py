@@ -2,9 +2,9 @@
 short-tailed (negative extreme value index) regime.
 
 The pipeline: build a ``CensoredSample`` from (x, c) pairs or (z, delta)
-observations, ``fit`` the product-limit survival curves, form tail
-log-moments, and combine them with one of nine estimators (three
-combination families crossed with three weighting methods).  A
+observations, form tail log-moments weighted by its product-limit
+survival curves (``fit``), and combine them with one of nine estimators
+(three combination families crossed with three weighting methods).  A
 deterministic Monte Carlo engine reproduces simulation studies, and the
 ``censored-evi`` CLI wraps estimation, simulation and SVG plotting.
 """
@@ -39,7 +39,6 @@ from .moments import (
     AsymptoticScale,
     beta_function,
     limit_l_alpha,
-    log_excesses,
     scale_a_nk,
     tail_moments,
 )
@@ -72,7 +71,6 @@ __all__ = [
     "fit",
     "survival_f_at",
     "AsymptoticScale",
-    "log_excesses",
     "tail_moments",
     "beta_function",
     "limit_l_alpha",

@@ -25,7 +25,6 @@ import tempfile
 from .censoring import from_observations
 from .config import parse_config
 from .estimators import EstimatorSpec, Family, Method, estimate
-from .kaplan_meier import fit
 from .montecarlo import StudyResult, run_study
 from .svg import Series, render_chart
 
@@ -119,7 +118,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         raise ValueError(f"--alpha must be >= 1 and finite, got {args.alpha}")
     specs = [EstimatorSpec(f, m, args.alpha) for f in families for m in methods]
     ks = range(k_min, k_max + 1, args.k_step)
-    p_hat, values = estimate(s, ks, specs, fit(s))
+    p_hat, values = estimate(s, ks, specs)
     names = [f"{spec.family.value},{spec.method.value},{_fmt(args.alpha)}" for spec in specs]
     lines = [ESTIMATES_HEADER]
     for k, p, row in zip(ks, p_hat.tolist(), values.tolist()):

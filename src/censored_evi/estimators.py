@@ -19,7 +19,7 @@ Methods (which sample moments are fed in):
 
 ``estimate`` evaluates every spec at every k of a grid at once: the
 moments of all k come from one ``tail_moments`` pass, and the combiners
-and the pole guard act on whole arrays of moments.  Singular combinations
+act on whole arrays of moments.  Singular combinations
 (zero moments, R = 1, V = 0, p_hat = 0) and a non-positive threshold
 Z_(n-k), whose moments are NaN, yield a NaN value, which marks the
 estimate degenerate, instead of raising, so large k-sweeps never abort.
@@ -31,22 +31,23 @@ m_{a+1}^2 <= m_a*m_{a+2}, with equality only when all the weight sits on
 one log-excess: k = 1, or one weighted point in the tail.  That is the
 pole of every family (mom: m1^2 = m2; type2: R = 1; type1:
 1/V + alpha + 1 = 0).  Rounding leaves such a ratio a few units of
-roundoff away from 1 instead of at it, so ``estimate`` treats a ratio
-within ``_POLE_TOL`` of 1 as the pole.
+roundoff away from 1 instead of at it, so each combiner treats its ratio
+within ``_POLE_TOL`` of 1 as the pole.  That band holds every ratio for
+which 1 - m1^2/m2, 1 - R or 1/V + alpha + 1 rounds to 0 (products that
+do not underflow), so no exact test of the pole stands beside it; V = 0, at the ratio
+(alpha+1)/(alpha+2), is not a pole and keeps its own test.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .censoring import CensoredSample, tail_uncensored_proportion
-from .kaplan_meier import KaplanMeierCurves
-from .moments import tail_moments
+from .moments import _check_order, tail_moments
 
 __all__ = [
     "Family",
@@ -99,8 +100,7 @@ class EstimatorSpec:
     alpha: float = 2.0
 
     def __post_init__(self):
-        if not 1 <= self.alpha < math.inf:
-            raise ValueError(f"alpha must be >= 1 and finite, got {self.alpha}")
+        _check_order(self.alpha)
 
     @property
     def label(self) -> str:
@@ -116,45 +116,50 @@ class EstimateRecord:
     degenerate: bool
 
 
+def _at_bound(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """lhs/rhs within _POLE_TOL of 1, for a ratio bounded above by 1."""
+    return np.abs(rhs - lhs) <= _POLE_TOL * rhs
+
+
 def combine_moment(m1, m2):
-    """m1 + 1 - 0.5/(1 - m1^2/m2); NaN when m2 <= 0 or m1^2 = m2.
+    """m1 + 1 - 0.5/(1 - m1^2/m2); NaN when m2 <= 0 or m1^2/m2 is within
+    _POLE_TOL of 1.
 
     Like the other combiners it takes floats or arrays of moments and
     evaluates elementwise.
     """
     m1, m2 = np.asarray(m1, dtype=float), np.asarray(m2, dtype=float)
     with np.errstate(all="ignore"):
-        den = 1.0 - m1 * m1 / m2
-        value = m1 + 1.0 - 0.5 / den
-    return np.where((m2 > 0) & (den != 0.0), value, _NAN)[()]
+        m1_sq = m1 * m1
+        value = m1 + 1.0 - 0.5 / (1.0 - m1_sq / m2)
+        ok = (m2 > 0) & ~_at_bound(m1_sq, m2)
+    return np.where(ok, value, _NAN)[()]
 
 
 def combine_type1(m_a, m_a1, m_a2, alpha: float):
-    """1/(1/V + alpha + 1) with V the scale-free triple ratio; NaN on any
-    zero denominator."""
+    """1/(1/V + alpha + 1) with V the scale-free triple ratio; NaN when a
+    moment is not positive, V = 0 or m_{a+1}^2/(m_a*m_{a+2}) is within
+    _POLE_TOL of 1, where 1/V + alpha + 1 = 0."""
     m_a, m_a1, m_a2 = (np.asarray(m, dtype=float) for m in (m_a, m_a1, m_a2))
     with np.errstate(all="ignore"):
-        v = 1.0 - (alpha + 2.0) / (alpha + 1.0) * (m_a1 * m_a1) / (m_a * m_a2)
-        den = 1.0 / v + alpha + 1.0
-        value = 1.0 / den
-    ok = (m_a > 0) & (m_a2 > 0) & (v != 0.0) & (den != 0.0)
+        lhs, rhs = m_a1 * m_a1, m_a * m_a2
+        v = 1.0 - (alpha + 2.0) / (alpha + 1.0) * lhs / rhs
+        value = 1.0 / (1.0 / v + alpha + 1.0)
+        ok = (m_a > 0) & (m_a2 > 0) & (v != 0.0) & ~_at_bound(lhs, rhs)
     return np.where(ok, value, _NAN)[()]
 
 
 def combine_type2(m1, m_a, m_a1, alpha: float):
     """(1-(alpha+1)R)/((alpha+1)(1-R)) with R = m1*m_a/m_{a+1}; NaN when
-    R = 1.  Evaluated in the rearranged form 1 - (alpha/(alpha+1))/(1-R),
-    which at alpha=1 is bit-identical to the mom-style expression."""
+    m_{a+1} <= 0 or R is within _POLE_TOL of 1.  Evaluated in the
+    rearranged form 1 - (alpha/(alpha+1))/(1-R), which at alpha=1 is
+    bit-identical to the mom-style expression."""
     m1, m_a, m_a1 = (np.asarray(m, dtype=float) for m in (m1, m_a, m_a1))
     with np.errstate(all="ignore"):
-        r = m1 * m_a / m_a1
-        value = 1.0 - (alpha / (alpha + 1.0)) / (1.0 - r)
-    return np.where((m_a1 > 0) & (r != 1.0), value, _NAN)[()]
-
-
-def _at_bound(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """lhs/rhs within _POLE_TOL of 1, for a ratio bounded above by 1."""
-    return np.abs(rhs - lhs) <= _POLE_TOL * rhs
+        lhs = m1 * m_a
+        value = 1.0 - (alpha / (alpha + 1.0)) / (1.0 - lhs / m_a1)
+        ok = (m_a1 > 0) & ~_at_bound(lhs, m_a1)
+    return np.where(ok, value, _NAN)[()]
 
 
 def _orders(spec: EstimatorSpec) -> tuple[float, ...]:
@@ -170,22 +175,14 @@ def _orders(spec: EstimatorSpec) -> tuple[float, ...]:
 def _combine(spec: EstimatorSpec, moments: dict[float, np.ndarray]) -> np.ndarray:
     ms = [moments[order] for order in _orders(spec)]
     if spec.family is Family.MOMENT:
-        m1, m2 = ms
-        pole = _at_bound(m1 * m1, m2)
-        value = combine_moment(m1, m2)
-    elif spec.family is Family.TYPE1:
-        m_a, m_a1, m_a2 = ms
-        pole = _at_bound(m_a1 * m_a1, m_a * m_a2)
-        value = combine_type1(m_a, m_a1, m_a2, spec.alpha)
-    else:
-        m1, m_a, m_a1 = ms
-        pole = _at_bound(m1 * m_a, m_a1)
-        value = combine_type2(m1, m_a, m_a1, spec.alpha)
-    return np.where(pole, _NAN, value)
+        return combine_moment(*ms)
+    if spec.family is Family.TYPE1:
+        return combine_type1(*ms, spec.alpha)
+    return combine_type2(*ms, spec.alpha)
 
 
-def estimate(s: CensoredSample, ks, specs: Sequence[EstimatorSpec],
-             curves: KaplanMeierCurves) -> tuple[np.ndarray, np.ndarray]:
+def estimate(s: CensoredSample, ks,
+             specs: Sequence[EstimatorSpec]) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate every estimator in ``specs`` on the top-k tails of a
     censored sample, for every k in ``ks``.
 
@@ -195,13 +192,14 @@ def estimate(s: CensoredSample, ks, specs: Sequence[EstimatorSpec],
     value that is not finite is degenerate.
 
     All moments come from one ``tail_moments`` pass over the k-grid at
-    the union of the specs' orders.  The efg method combines the
+    the union of the specs' orders, which fits the sample's product-limit
+    curves once.  The efg method combines the
     unweighted moments (which target the pooled index of Z) and divides
     by p_hat; km and l feed their weighted moments straight through.
     """
     p_hat = tail_uncensored_proportion(s, ks)
     orders = sorted({order for spec in specs for order in _orders(spec)})
-    unweighted, km, l = tail_moments(s, ks, orders, curves)
+    unweighted, km, l = tail_moments(s, ks, orders)
     by_method = {Method.KM: km, Method.LEURGANS: l, Method.EFG: unweighted}
     values = np.empty((len(p_hat), len(specs)))
     for j, spec in enumerate(specs):

@@ -62,7 +62,7 @@ def fit(s: CensoredSample) -> KaplanMeierCurves:
     return KaplanMeierCurves(surv_f_at_order=surv_f, surv_g_left_at_order=surv_g_left)
 
 
-def survival_f_at(s: CensoredSample, t: float, curves: KaplanMeierCurves | None = None) -> float:
+def survival_f_at(s: CensoredSample, t: float) -> float:
     """Step-function value 1 - Fhat(t) for t < Z_(n).
 
     The product-limit estimator is undefined from the largest observation
@@ -70,9 +70,7 @@ def survival_f_at(s: CensoredSample, t: float, curves: KaplanMeierCurves | None 
     """
     if t >= s.z[-1]:
         raise ValueError(f"1-Fhat is undefined at t >= Z_(n) = {s.z[-1]!r}")
-    if curves is None:
-        curves = fit(s)
     idx = int(np.searchsorted(s.z, t, side="right")) - 1
     if idx < 0:
         return 1.0
-    return float(curves.surv_f_at_order[idx])
+    return float(fit(s).surv_f_at_order[idx])

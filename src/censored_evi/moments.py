@@ -41,11 +41,10 @@ import numpy as np
 
 from .censoring import CensoredSample, checked_ks, theory_from_indices
 from .distributions import DistributionSpec
-from .kaplan_meier import KaplanMeierCurves
+from .kaplan_meier import fit
 
 __all__ = [
     "AsymptoticScale",
-    "log_excesses",
     "tail_moments",
     "beta_function",
     "limit_l_alpha",
@@ -123,28 +122,16 @@ def _chunk_sums(top: np.ndarray, weight: np.ndarray, threshold: np.ndarray,
     }
 
 
-def log_excesses(s: CensoredSample, k: int, alpha: float) -> np.ndarray:
-    """L_i = log^alpha(Z_(n-i+1)/Z_(n-k)) for i = 1..k (largest first).
-
-    A threshold Z_(n-k) <= 0 has no log-excesses: every L_i is NaN.
-    """
-    (k,) = checked_ks(s, [k])
-    _check_order(alpha)
-    threshold = s.z[s.n - k - 1]
-    if not threshold > 0:
-        return np.full(k, np.nan)
-    return np.log(s.z[s.n - k:][::-1] / threshold) ** alpha
-
-
 def tail_moments(
-    s: CensoredSample, ks, orders: Sequence[float], curves: KaplanMeierCurves
+    s: CensoredSample, ks, orders: Sequence[float]
 ) -> tuple[dict[float, np.ndarray], dict[float, np.ndarray], dict[float, np.ndarray]]:
     """Unweighted, km and l moments of the top-k tail for every k in
     ``ks`` and every order in ``orders``.
 
     Returns three dicts ``(unweighted, km, l)``, each mapping an order to
     the array of its moments, one per k in ``ks``.  The moments at a k
-    whose threshold Z_(n-k) is not positive are NaN.
+    whose threshold Z_(n-k) is not positive are NaN.  The weights come
+    from the product-limit curves of ``s``, fitted here.
     """
     ks = checked_ks(s, ks)
     if ks.ndim != 1:
@@ -152,6 +139,7 @@ def tail_moments(
     for alpha in orders:
         _check_order(alpha)
     n = s.n
+    curves = fit(s)
     top = s.z[::-1]  # largest first: the top-k tail is top[:k], its threshold top[k]
     g_left = curves.surv_g_left_at_order
     weight = s.delta[::-1] * (1.0 / g_left[::-1])
@@ -187,8 +175,7 @@ def limit_l_alpha(gamma_x: float, gamma_c: float, alpha: float) -> float:
 
     with gamma the pooled index of the censoring pair.
     """
-    if not alpha >= 1:
-        raise ValueError(f"alpha must be >= 1, got {alpha}")
+    _check_order(alpha)
     theory = theory_from_indices(gamma_x, gamma_c)
     bx = 1.0 / abs(gamma_x)
     return bx * abs(theory.gamma) ** (-alpha) * beta_function(bx, alpha + 1.0)

@@ -35,7 +35,6 @@ import numpy as np
 from .censoring import make_censored
 from .distributions import DistributionSpec
 from .estimators import EstimateRecord, EstimatorSpec, Family, Method, estimate
-from .kaplan_meier import fit
 
 __all__ = [
     "StudyDesign",
@@ -170,7 +169,7 @@ def _replicate_estimates(design: StudyDesign, replicate_index: int) -> tuple[np.
     # Positivity is not enforced here: endpoint-anchored families may put
     # mass below zero, while only the top-k statistics enter any formula.
     s = make_censored(x, c, require_positive=False)
-    return estimate(s, design.k_grid, design.specs, fit(s))
+    return estimate(s, design.k_grid, design.specs)
 
 
 def run_replicate(design: StudyDesign, replicate_index: int) -> list[EstimateRecord]:

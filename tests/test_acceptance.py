@@ -52,10 +52,10 @@ def gate(num, desc):
 MIXED_PAIRS = (DESIGNS[0], DESIGNS[3], DESIGNS[4])  # reverse Burr, GPD, mixed
 
 
-def moments_at_k(s, k, orders, curves):
+def moments_at_k(s, k, orders):
     """``tail_moments`` at one k: (unweighted, km, l) dicts of floats."""
     return tuple({p: float(v[0]) for p, v in by_order.items()}
-                 for by_order in tail_moments(s, [k], orders, curves))
+                 for by_order in tail_moments(s, [k], orders))
 
 
 def test_criterion_1_increment_identity():
@@ -67,7 +67,7 @@ def test_criterion_1_increment_identity():
             s, k = draw_sample_with_k(rng, n, MIXED_PAIRS[i % len(MIXED_PAIRS)])
             z = [float(v) for v in s.z]
             delta = [int(v) for v in s.delta]
-            _, km, l = moments_at_k(s, k, (1.0, 2.0, 3.0), fit(s))
+            _, km, l = moments_at_k(s, k, (1.0, 2.0, 3.0))
             for alpha in (1.0, 2.0, 3.0):
                 # l from the identity against its increment definition
                 want = ref.naive_moment_leurgans(z, delta, k, alpha)
@@ -88,7 +88,7 @@ def test_criterion_2_reduction_identities():
             x = GPD(-0.5, 1).sample(rng, n)
             s = make_censored(x, np.full(n, 3.0))
             k = int(rng.integers(2, n))
-            unweighted, km, l = moments_at_k(s, k, (1.0, 2.0, 3.0), fit(s))
+            unweighted, km, l = moments_at_k(s, k, (1.0, 2.0, 3.0))
             for alpha in (1.0, 2.0, 3.0):
                 mu, mk, ml = unweighted[alpha], km[alpha], l[alpha]
                 scale = max(1.0, abs(mu))
@@ -98,7 +98,7 @@ def test_criterion_2_reduction_identities():
             # vanishes, so the two weighted moments are the same sum
             s2, k2 = draw_sample_with_k(rng, n, MIXED_PAIRS[i % len(MIXED_PAIRS)])
             if s2.delta[-1] == 1:
-                _, km, l = moments_at_k(s2, k2, (1.0, 2.0, 3.0), fit(s2))
+                _, km, l = moments_at_k(s2, k2, (1.0, 2.0, 3.0))
                 assert l == km
                 top_uncensored_seen += 1
         assert top_uncensored_seen >= 100
@@ -143,7 +143,7 @@ def test_criterion_5_weighted_ratio_limits():
             x = FIGURE1_X.sample(rng, n)
             c = FIGURE1_C.sample(rng, n)
             s = make_censored(x, c, require_positive=False)
-            _, km, _ = moments_at_k(s, k, (1.0, 2.0), fit(s))
+            _, km, _ = moments_at_k(s, k, (1.0, 2.0))
             m1.append(km[1.0])
             m2.append(km[2.0])
         a = scale_a_nk(FIGURE1_X, FIGURE1_C, n, k).a_nk
@@ -265,7 +265,7 @@ def test_criterion_8_brute_force_oracle():
                 assert abs(cur.surv_f_at_order[idx - 1] - f_ref) <= 1e-10 * max(1.0, f_ref)
                 assert abs(cur.surv_g_left_at_order[idx - 1] - g_ref) <= 1e-10 * max(1.0, g_ref)
             assert tail_uncensored_proportion(s, k) == ref.naive_p_hat(delta, k)
-            unweighted, km, l = moments_at_k(s, k, (1.0, 2.0), cur)
+            unweighted, km, l = moments_at_k(s, k, (1.0, 2.0))
             for alpha in (1.0, 2.0):
                 # the top correction l - km is d_term when the top is censored
                 d = (1 - delta[-1]) * ref.naive_d_term(z, delta, k, alpha)

@@ -15,13 +15,14 @@ from censored_evi import (
     combine_type1,
     combine_type2,
     estimate,
-    fit,
     from_observations,
     limit_l_alpha,
     make_censored,
     tail_moments,
     tail_uncensored_proportion,
 )
+
+from censored_evi.estimators import _POLE_TOL
 
 import reference as ref
 from conftest import DESIGNS, draw_sample, draw_sample_with_k, sample_from
@@ -35,39 +36,39 @@ positive = st.floats(0.001, 1000.0, allow_nan=False, allow_infinity=False)
 EPS = float(np.finfo(float).eps)  # 2^-52; the unit roundoff is EPS/2
 
 
-def spec_moments(s, k, spec, curves, orders):
+def spec_moments(s, k, spec, orders):
     """The spec's sample moments at the given orders."""
-    unweighted, km, l = tail_moments(s, [k], orders, curves)
+    unweighted, km, l = tail_moments(s, [k], orders)
     by_method = {Method.EFG: unweighted, Method.KM: km, Method.LEURGANS: l}[spec.method]
     return [float(by_method[p][0]) for p in orders]
 
 
-def records(s, k, specs, curves):
+def records(s, k, specs):
     """``estimate`` at one k, as one EstimateRecord per spec."""
-    (p_hat,), (values,) = estimate(s, [k], specs, curves)
+    (p_hat,), (values,) = estimate(s, [k], specs)
     return [EstimateRecord(k=k, spec=spec, value=value, p_hat=float(p_hat),
                            degenerate=not math.isfinite(value))
             for spec, value in zip(specs, values.tolist())]
 
 
-def estimate_one(s, k, spec, curves):
-    (rec,) = records(s, k, [spec], curves)
+def estimate_one(s, k, spec):
+    (rec,) = records(s, k, [spec])
     return rec
 
 
-def sensitivity(s, k, spec, curves):
+def sensitivity(s, k, spec):
     """S = sum_j |m_j dgamma/dm_j| of the spec's estimate on s: a relative
     change of at most eta in every moment moves the estimate by at most
     S*eta, to first order.  efg's division by p_hat divides S too."""
     orders = ref.combination_orders(spec.family.value, spec.alpha)
-    moments = spec_moments(s, k, spec, curves, orders)
+    moments = spec_moments(s, k, spec, orders)
     out = ref.combination_sensitivity(spec.family.value, moments, spec.alpha)
     if spec.method is Method.EFG:
         out /= tail_uncensored_proportion(s, k)
     return out
 
 
-def scaling_perturbation(s, k, spec, curves):
+def scaling_perturbation(s, k, spec):
     """First-order bound eta on the relative change of each moment the
     spec combines when z is multiplied by a constant that is not a power
     of two.
@@ -93,9 +94,9 @@ def scaling_perturbation(s, k, spec, curves):
     u = EPS / 2.0
     orders = ref.combination_orders(spec.family.value, spec.alpha)
     eta = 0.0
-    for p, m_p in zip(orders, spec_moments(s, k, spec, curves, orders)):
+    for p, m_p in zip(orders, spec_moments(s, k, spec, orders)):
         if p >= 2.0:
-            ratio = spec_moments(s, k, spec, curves, [p - 1.0])[0] / m_p
+            ratio = spec_moments(s, k, spec, [p - 1.0])[0] / m_p
         else:
             ratio = m_p ** (-1.0 / p)
         r = math.floor(p - 1.0)
@@ -185,16 +186,37 @@ class TestCombineType2:
     def test_non_positive_m_a1_gives_nan(self):
         assert math.isnan(combine_type2(1.0, 1.0, 0.0, 2.0))
 
+    @example(m1=1.0, m2=1.0 + 2**-52)  # R one unit of 2**-52 below 1: the pole
     @given(m1=positive, m2=positive)
     @settings(max_examples=100, deadline=None)
     def test_alpha_one_matches_ratio_form_bitwise(self, m1, m2):
         # at alpha = 1 the family collapses to the two-moment ratio form;
-        # the rearranged evaluation makes the match exact, not approximate
-        r = m1 * m1 / m2
-        assume(r != 1.0)
-        got = combine_type2(m1, m1, m2, 1.0)
-        want = 1.0 - 0.5 / (1.0 - r)
-        assert got == want
+        # the rearranged evaluation makes the match exact, not approximate,
+        # and both give NaN for a ratio within _POLE_TOL of 1
+        m1_sq = m1 * m1
+        if abs(m2 - m1_sq) <= _POLE_TOL * m2:
+            want = math.nan
+        else:
+            want = 1.0 - 0.5 / (1.0 - m1_sq / m2)
+        assert repr(float(combine_type2(m1, m1, m2, 1.0))) == repr(want)
+
+
+class TestOnePointTail:
+    # Every weighting puts all its mass on one log-excess at k = 1, so
+    # each family sits on its Cauchy-Schwarz pole there: the public
+    # combiners must give NaN on such moments, as ``estimate`` does, not
+    # the huge finite value a ratio a few roundings from 1 would give.
+    @given(seed=st.integers(0, 2**32 - 1), alpha=st.sampled_from([1.0, 2.0, 2.5, 3.0]))
+    @settings(max_examples=60, deadline=None)
+    def test_public_combiners_give_nan(self, seed, alpha):
+        rng = np.random.default_rng(seed)
+        s, k = draw_sample_with_k(rng, int(rng.integers(5, 300)), k_hi=1)
+        orders = (1.0, 2.0, alpha, alpha + 1.0, alpha + 2.0)
+        for moments in tail_moments(s, [k], orders):
+            m = {p: float(v[0]) for p, v in moments.items()}
+            assert math.isnan(combine_moment(m[1.0], m[2.0]))
+            assert math.isnan(combine_type1(m[alpha], m[alpha + 1.0], m[alpha + 2.0], alpha))
+            assert math.isnan(combine_type2(m[1.0], m[alpha], m[alpha + 1.0], alpha))
 
 
 class TestEstimatorSpec:
@@ -214,8 +236,7 @@ class TestEstimatorSpec:
 class TestEstimate:
     def test_record_carries_p_hat(self, rng):
         s, k = draw_sample_with_k(rng, 120, DESIGNS[0])
-        cur = fit(s)
-        recs = records(s, k, ALL_SPECS, cur)
+        recs = records(s, k, ALL_SPECS)
         assert [rec.spec for rec in recs] == ALL_SPECS
         for rec in recs:
             assert isinstance(rec, EstimateRecord)
@@ -225,35 +246,32 @@ class TestEstimate:
     def test_one_record_per_spec_in_spec_order(self, rng):
         # a spec's record does not depend on the other specs evaluated with it
         s, k = draw_sample_with_k(rng, 120, DESIGNS[3])
-        cur = fit(s)
         extra = EstimatorSpec(Family.TYPE1, Method.LEURGANS, 3.5)
         specs = ALL_SPECS[::-1] + [extra] + ALL_SPECS[:2]
-        recs = records(s, k, specs, cur)
+        recs = records(s, k, specs)
         assert [rec.spec for rec in recs] == specs
         for rec in recs:
-            assert repr(estimate_one(s, k, rec.spec, cur)) == repr(rec)
-        assert estimate(s, [k], [], cur)[1].shape == (1, 0)
+            assert repr(estimate_one(s, k, rec.spec)) == repr(rec)
+        assert estimate(s, [k], [])[1].shape == (1, 0)
 
     def test_non_positive_threshold_is_degenerate(self):
         s = make_censored([-1.0, 1.0, 2.0], [9.0, 9.0, 9.0], require_positive=False)
-        for rec in records(s, 2, ALL_SPECS, fit(s)):
+        for rec in records(s, 2, ALL_SPECS):
             assert rec.degenerate
             assert math.isnan(rec.value)
             assert rec.p_hat == 1.0
 
     def test_efg_with_no_uncensored_top_is_degenerate(self):
         s = sample_from([1.0, 2.0, 3.0], [1, 0, 0])
-        cur = fit(s)
-        rec = estimate_one(s, 2, EstimatorSpec(Family.MOMENT, Method.EFG), cur)
+        rec = estimate_one(s, 2, EstimatorSpec(Family.MOMENT, Method.EFG))
         assert rec.p_hat == 0.0
         assert math.isnan(rec.value)
         assert rec.degenerate
 
     def test_k_equal_one_moment_family_is_degenerate(self):
         s = sample_from([1.0, 2.0, 4.0], [1, 1, 1])
-        cur = fit(s)
         for method in Method:
-            rec = estimate_one(s, 1, EstimatorSpec(Family.MOMENT, method), cur)
+            rec = estimate_one(s, 1, EstimatorSpec(Family.MOMENT, method))
             assert rec.degenerate
             assert math.isnan(rec.value)
 
@@ -262,9 +280,8 @@ class TestEstimate:
     def test_never_raises_and_flag_matches_value(self, seed):
         rng = np.random.default_rng(seed)
         s, _ = draw_sample_with_k(rng, int(rng.integers(5, 120)))
-        cur = fit(s)
         k = int(rng.integers(1, s.n))
-        for rec in records(s, k, ALL_SPECS, cur):
+        for rec in records(s, k, ALL_SPECS):
             assert rec.degenerate == (not math.isfinite(rec.value))
 
     # seed 0 draws n = 596 and the full grid: 177 310 tail terms, about
@@ -284,11 +301,10 @@ class TestEstimate:
             ks = rng.choice(np.arange(1, n), size=int(rng.integers(1, n)), replace=False)
         specs = ALL_SPECS + [EstimatorSpec(Family.TYPE1, Method.LEURGANS, 2.5),
                              EstimatorSpec(Family.TYPE2, Method.EFG, 3.5)]
-        cur = fit(s)
-        p_hat, values = estimate(s, ks, specs, cur)
+        p_hat, values = estimate(s, ks, specs)
         assert values.shape == (len(ks), len(specs))
         for i, k in enumerate(ks.tolist()):
-            p_one, values_one = estimate(s, [k], specs, cur)
+            p_one, values_one = estimate(s, [k], specs)
             assert p_one[0] == p_hat[i]
             assert values_one[0].tobytes() == values[i].tobytes(), k
 
@@ -300,10 +316,9 @@ class TestEstimate:
         x = GPD(-0.5, 1).sample(rng, n)
         s = make_censored(x, np.full(n, 3.0))
         k = int(rng.integers(2, n))
-        cur = fit(s)
         for family in Family:
             recs = {
-                m: estimate_one(s, k, EstimatorSpec(family, m), cur) for m in Method
+                m: estimate_one(s, k, EstimatorSpec(family, m)) for m in Method
             }
             assert recs[Method.KM].p_hat == 1.0
             vals = [recs[m].value for m in Method]
@@ -314,7 +329,7 @@ class TestEstimate:
             assert vals[1] == vals[0]
             # km and efg sum the same k terms by different routes, each
             # within (k + 3) u of the shared exact value
-            bound = 4.0 * sensitivity(s, k, EstimatorSpec(family, Method.KM), cur) * k * EPS
+            bound = 4.0 * sensitivity(s, k, EstimatorSpec(family, Method.KM)) * k * EPS
             assert_within(vals[2], vals[0], bound)
 
     @example(seed=1592)  # type1 at k = 2 next to its pole, kappa ~ 6.5e4
@@ -323,10 +338,9 @@ class TestEstimate:
     def test_km_and_increment_weighting_agree_when_top_uncensored(self, seed):
         s, k = sample_and_k(seed)
         assume(s.delta[-1] == 1)
-        cur = fit(s)
         for family in Family:
             specs = [EstimatorSpec(family, Method.KM), EstimatorSpec(family, Method.LEURGANS)]
-            a, b = records(s, k, specs, cur)
+            a, b = records(s, k, specs)
             # with delta_(n) = 1 the top correction vanishes, so l is the
             # km sum itself: equal bit for bit, or NaN together
             assert repr(b.value) == repr(a.value)
@@ -348,10 +362,9 @@ class TestEstimate:
         rng = np.random.default_rng(seed)
         s, k = draw_sample_with_k(rng, int(rng.integers(6, 120)), DESIGNS[3])
         scaled = from_observations(c * s.z, s.delta)
-        cur, cur2 = fit(s), fit(scaled)
         # a power of two scales every z exactly, so nothing downstream moves
         exact = math.frexp(c)[0] == 0.5
-        for a, b in zip(records(s, k, ALL_SPECS, cur), records(scaled, k, ALL_SPECS, cur2)):
+        for a, b in zip(records(s, k, ALL_SPECS), records(scaled, k, ALL_SPECS)):
             spec = a.spec
             assert b.p_hat == a.p_hat
             assert math.isnan(b.value) == math.isnan(a.value), (spec.label, a.value, b.value)
@@ -360,5 +373,5 @@ class TestEstimate:
             if exact:
                 assert b.value == a.value
                 continue
-            bound = sensitivity(s, k, spec, cur) * scaling_perturbation(s, k, spec, cur)
+            bound = sensitivity(s, k, spec) * scaling_perturbation(s, k, spec)
             assert_within(b.value, a.value, bound)

@@ -67,19 +67,14 @@ class TestStepEvaluation:
 
     def test_at_and_between_jumps(self):
         s = self.make()
-        cur = fit(s)
-        assert survival_f_at(s, 1.0, cur) == pytest.approx(2.0 / 3.0, rel=1e-15)
-        assert survival_f_at(s, 1.5, cur) == pytest.approx(2.0 / 3.0, rel=1e-15)
-        assert survival_f_at(s, 2.0, cur) == pytest.approx(2.0 / 3.0, rel=1e-15)
+        assert survival_f_at(s, 1.0) == pytest.approx(2.0 / 3.0, rel=1e-15)
+        assert survival_f_at(s, 1.5) == pytest.approx(2.0 / 3.0, rel=1e-15)
+        assert survival_f_at(s, 2.0) == pytest.approx(2.0 / 3.0, rel=1e-15)
 
     @pytest.mark.parametrize("t", [3.0, 3.5, 99.0])
     def test_undefined_from_largest_observation(self, t):
         with pytest.raises(ValueError, match="undefined"):
             survival_f_at(self.make(), t)
-
-    def test_refits_when_curves_omitted(self):
-        s = self.make()
-        assert survival_f_at(s, 1.5) == survival_f_at(s, 1.5, fit(s))
 
 
 class TestProductIdentity:

@@ -12,6 +12,10 @@ endpoint, the pooled variable Z has index
 uncensored in the limit.  ``theory_from_indices`` packages those derived
 quantities; ``tail_uncensored_proportion`` is their empirical counterpart
 (mean of the top-k indicators, for a whole grid of k at once).
+
+A sample is one row ``(n,)`` or a batch of independent rows ``(R, n)``;
+every function here acts along the last axis, so a batch row gives the
+same bits as the same sample on its own.
 """
 
 from __future__ import annotations
@@ -35,9 +39,10 @@ __all__ = [
 class CensoredSample:
     """Sorted censored observations with concomitant indicators.
 
-    ``z`` is ascending, ``delta`` is aligned with it (delta[i] = 1 when
-    z[i] came from an uncensored observation), both read-only arrays of
-    common length ``n >= 2``.
+    ``z`` is ascending along its last axis, ``delta`` is aligned with it
+    (delta[..., i] = 1 when z[..., i] came from an uncensored observation),
+    both read-only arrays of shape ``(n,)`` for one sample or ``(R, n)``
+    for a batch of R samples, with ``n >= 2``.
     """
 
     z: np.ndarray
@@ -48,9 +53,9 @@ class CensoredSample:
 def _sort_with_tiebreak(z: np.ndarray, delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # Ties are a null event for continuous data; if they occur anyway,
     # uncensored observations are placed first (events before censorings).
-    order = np.lexsort((-delta, z))
-    z, delta = z[order], delta[order]
-    if np.any(z[1:] == z[:-1]):
+    order = np.lexsort((delta == 0, z), axis=-1)
+    z, delta = np.take_along_axis(z, order, -1), np.take_along_axis(delta, order, -1)
+    if np.any(z[..., 1:] == z[..., :-1]):
         warnings.warn("tied observation values; uncensored ordered first", stacklevel=3)
     return z, delta
 
@@ -60,41 +65,45 @@ def _freeze(z: np.ndarray, delta: np.ndarray) -> CensoredSample:
     delta = np.ascontiguousarray(delta, dtype=np.int64)
     z.flags.writeable = False
     delta.flags.writeable = False
-    return CensoredSample(z=z, delta=delta, n=len(z))
+    return CensoredSample(z=z, delta=delta, n=z.shape[-1])
 
 
 def make_censored(x, c, *, require_positive: bool = True) -> CensoredSample:
     """Build the censored sample z_i = min(x_i, c_i), delta_i = 1_{x_i <= c_i}.
 
     Args:
-        x: observations of interest.
-        c: censoring values, same length as x.
+        x: observations of interest, shape ``(n,)`` for one sample or
+            ``(R, n)`` for a batch of R samples.
+        c: censoring values, same shape as x.
         require_positive: reject non-positive entries (the default).  The
             simulation engine passes False because endpoint-x* families can
             put mass below zero; only the top order statistics ever enter a
             tail formula and the threshold positivity is re-checked there.
+            NaN is rejected either way; -inf and +inf are kept, as values
+            a sampler may produce.
 
     Returns:
-        CensoredSample sorted ascending with the uncensored-first tie rule.
+        CensoredSample of x's shape, each row sorted ascending with the
+        uncensored-first tie rule.
     """
     x = np.asarray(x, dtype=float)
     c = np.asarray(c, dtype=float)
-    if x.ndim != 1 or c.ndim != 1 or len(x) != len(c):
-        raise ValueError("x and c must be one-dimensional and of equal length")
-    if len(x) < 2:
+    if x.ndim not in (1, 2) or x.shape != c.shape:
+        raise ValueError("x and c must be one- or two-dimensional and of equal shape")
+    if x.shape[-1] < 2:
         raise ValueError("need at least 2 observations")
+    if np.isnan(x).any() or np.isnan(c).any():
+        raise ValueError("observations must not be NaN")
     if require_positive and (np.any(x <= 0) or np.any(c <= 0)):
         raise ValueError("all observations must be strictly positive")
-    z = np.minimum(x, c)
-    delta = (x <= c).astype(np.int64)
-    return _freeze(*_sort_with_tiebreak(z, delta))
+    return _freeze(*_sort_with_tiebreak(np.minimum(x, c), x <= c))
 
 
 def from_observations(z, delta) -> CensoredSample:
     """Build a sample from already-censored pairs (z_i, delta_i).
 
-    Used for data ingestion: validates delta in {0,1} and z > 0, then
-    sorts with the same tie rule as make_censored.
+    Used for data ingestion: validates delta in {0,1} and that every z is
+    finite and positive, then sorts with the same tie rule as make_censored.
     """
     z = np.asarray(z, dtype=float)
     delta = np.asarray(delta)
@@ -102,8 +111,8 @@ def from_observations(z, delta) -> CensoredSample:
         raise ValueError("z and delta must be one-dimensional and of equal length")
     if len(z) < 2:
         raise ValueError("need at least 2 observations")
-    if np.any(z <= 0):
-        raise ValueError("all z must be strictly positive")
+    if not np.all((z > 0) & (z < np.inf)):
+        raise ValueError("all z must be finite and strictly positive")
     if not np.all(np.isin(delta, (0, 1))):
         raise ValueError("delta entries must be 0 or 1")
     return _freeze(*_sort_with_tiebreak(z, delta.astype(np.int64)))
@@ -128,10 +137,10 @@ def tail_uncensored_proportion(s: CensoredSample, ks):
 
     ``ks`` is one k or an array of them; every k reads the same running
     count of uncensored observations from the top, and the result has
-    the shape of ``ks``.
+    the shape of ``ks``, after the batch axis of a batch sample.
     """
     ks = checked_ks(s, ks)
-    return np.cumsum(s.delta[::-1])[ks - 1] / ks
+    return np.cumsum(s.delta[..., ::-1], axis=-1)[..., ks - 1] / ks
 
 
 @dataclass(frozen=True)

@@ -76,8 +76,9 @@ def _read_data_csv(path: str):
             zv = float(parts[0])
         except ValueError:
             raise ValueError(f"{path}: line {lineno}: z must be a number, got {parts[0]!r}") from None
-        if not zv > 0:
-            raise ValueError(f"{path}: line {lineno}: z must be positive, got {parts[0]!r}")
+        if not 0 < zv < math.inf:
+            raise ValueError(
+                f"{path}: line {lineno}: z must be a finite positive number, got {parts[0]!r}")
         if parts[1] not in ("0", "1"):
             raise ValueError(f"{path}: line {lineno}: delta must be 0 or 1, got {parts[1]!r}")
         z.append(zv)

@@ -189,7 +189,9 @@ def estimate(s: CensoredSample, ks,
     Returns ``(p_hat, values)``: the uncensored tail proportion of each k,
     shape ``(len(ks),)``, and the estimates, shape
     ``(len(ks), len(specs))`` with one column per spec in spec order.  A
-    value that is not finite is degenerate.
+    value that is not finite is degenerate.  A batch sample ``(R, n)``
+    gives shapes ``(R, len(ks))`` and ``(R, len(ks), len(specs))``, each
+    row the bits of its sample on its own.
 
     All moments come from one ``tail_moments`` pass over the k-grid at
     the union of the specs' orders, which fits the sample's product-limit
@@ -201,11 +203,11 @@ def estimate(s: CensoredSample, ks,
     orders = sorted({order for spec in specs for order in _orders(spec)})
     unweighted, km, l = tail_moments(s, ks, orders)
     by_method = {Method.KM: km, Method.LEURGANS: l, Method.EFG: unweighted}
-    values = np.empty((len(p_hat), len(specs)))
+    values = np.empty(p_hat.shape + (len(specs),))
     for j, spec in enumerate(specs):
         value = _combine(spec, by_method[spec.method])
         if spec.method is Method.EFG:
             with np.errstate(all="ignore"):
                 value = np.where(p_hat > 0, value / p_hat, _NAN)
-        values[:, j] = value
+        values[..., j] = value
     return p_hat, values

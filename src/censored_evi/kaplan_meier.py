@@ -14,7 +14,8 @@ strictly earlier indices), which is exactly what the weighted tail
 moments consume.  Products are accumulated as sums of logs in extended
 precision so the telescoping identity
 (1-Fhat(Z_(i)))*(1-Ghat(Z_(i))) = (n-i)/n survives n in the tens of
-thousands at 1e-12 accuracy.
+thousands at 1e-12 accuracy.  For a batch sample ``(R, n)`` every row is
+fitted along the last axis, bit for bit as on its own.
 """
 
 from __future__ import annotations
@@ -32,9 +33,12 @@ __all__ = ["KaplanMeierCurves", "fit", "survival_f_at"]
 class KaplanMeierCurves:
     """Survival curves evaluated on the order statistics.
 
-    surv_f_at_order[i]      = 1 - Fhat(Z_(i+1))   (0-based storage)
-    surv_g_left_at_order[i] = 1 - Ghat(Z_(i+1)^-) (product over the first
-                              i factors; entry 0 is the empty product 1)
+    surv_f_at_order[..., i]      = 1 - Fhat(Z_(i+1))   (0-based storage)
+    surv_g_left_at_order[..., i] = 1 - Ghat(Z_(i+1)^-) (product over the
+                                   first i factors; entry 0 is the empty
+                                   product 1)
+
+    Both have the shape of the sample's ``z``.
     """
 
     surv_f_at_order: np.ndarray
@@ -51,12 +55,16 @@ def fit(s: CensoredSample) -> KaplanMeierCurves:
     # reached only by the F-curve at Z_(n) when delta_(n) = 1.
     with np.errstate(divide="ignore"):
         base = np.log1p(-1.0 / (n - j).astype(np.longdouble))
-    lf = np.cumsum(np.where(s.delta == 1, base, np.longdouble(0.0)))
-    lg_steps = np.where(s.delta == 0, base, np.longdouble(0.0))
-    # Left limit at Z_(i) excludes the factor of index i itself.
-    lg_left = np.concatenate(([np.longdouble(0.0)], np.cumsum(lg_steps)[:-1]))
-    surv_f = np.exp(lf).astype(float)
-    surv_g_left = np.exp(lg_left).astype(float)
+    # One extended-precision buffer holds each curve's log-steps in turn
+    # and is summed and exponentiated in place.
+    logs = np.zeros(s.z.shape, dtype=np.longdouble)
+    np.copyto(logs, base, where=s.delta == 1)
+    surv_f = np.exp(np.cumsum(logs, axis=-1, out=logs), out=logs).astype(float)
+    # Left limit at Z_(i) excludes the factor of index i itself: the
+    # G-steps are shifted one place right before they are summed.
+    logs[...] = 0.0
+    np.copyto(logs[..., 1:], base[:-1], where=s.delta[..., :-1] == 0)
+    surv_g_left = np.exp(np.cumsum(logs, axis=-1, out=logs), out=logs).astype(float)
     surv_f.flags.writeable = False
     surv_g_left.flags.writeable = False
     return KaplanMeierCurves(surv_f_at_order=surv_f, surv_g_left_at_order=surv_g_left)
@@ -66,8 +74,11 @@ def survival_f_at(s: CensoredSample, t: float) -> float:
     """Step-function value 1 - Fhat(t) for t < Z_(n).
 
     The product-limit estimator is undefined from the largest observation
-    onward, so t >= Z_(n) raises rather than extrapolating.
+    onward, so t >= Z_(n) raises rather than extrapolating.  ``s`` is one
+    sample, not a batch.
     """
+    if s.z.ndim != 1:
+        raise ValueError(f"survival_f_at takes one sample, got shape {s.z.shape}")
     if t >= s.z[-1]:
         raise ValueError(f"1-Fhat is undefined at t >= Z_(n) = {s.z[-1]!r}")
     idx = int(np.searchsorted(s.z, t, side="right")) - 1

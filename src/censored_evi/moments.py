@@ -20,10 +20,13 @@ Every top-k tail is a prefix of the sample read from the largest value
 down, so the tails of a k-grid are laid end to end in one flat (ragged)
 array and each k's segment is summed with ``np.add.reduceat``.  A
 segment's sum depends on its own terms only, so a moment does not depend
-on which other k share its pass.  The grid is cut into chunks of at most
-``max(largest k, 2**14)`` terms; a chunk of one k is a view of the
-sample, so the pass never holds more than about that many terms per
-array, however long the grid.
+on which other k share its pass.  A batch sample ``(R, n)`` lays the
+same segments out along the last axis of a block of rows and sums them
+with ``np.add.reduceat(..., axis=-1)``, which sums each row's segment as
+the one-sample pass does.  The rows and the grid are cut into blocks of
+at most ``max(largest k, 2**13)`` terms; a block of one k is a view of
+the sample, so the pass never holds more than about that many terms per
+array, however long the grid or the batch.
 
 ``limit_l_alpha`` gives the constant these weighted moments approach
 after division by a_nk^alpha, and ``scale_a_nk`` computes that
@@ -51,8 +54,9 @@ __all__ = [
     "scale_a_nk",
 ]
 
-# Smallest cap on the number of tail terms one chunk of the k-grid holds.
-_CHUNK_TERMS = 2 ** 14
+# Smallest cap on the number of tail terms one block of the pass holds;
+# the Monte Carlo engine also sizes its batches of samples by it.
+_CHUNK_TERMS = 2 ** 13
 
 
 def _check_order(alpha: float) -> None:
@@ -60,10 +64,9 @@ def _check_order(alpha: float) -> None:
         raise ValueError(f"alpha must be >= 1 and finite, got {alpha}")
 
 
-def _chunks(ks: np.ndarray):
-    """Consecutive runs of ks whose tails hold at most
-    max(largest k, _CHUNK_TERMS) terms together, as slices."""
-    cap = max(int(ks.max(initial=0)), _CHUNK_TERMS)
+def _chunks(ks: np.ndarray, cap: int):
+    """Consecutive runs of ks whose tails hold at most ``cap`` terms
+    together, as slices; no k exceeds ``cap``."""
     start, total = 0, 0
     for i, k in enumerate(ks.tolist()):
         if total + k > cap:
@@ -72,6 +75,19 @@ def _chunks(ks: np.ndarray):
         total += k
     if start < len(ks):
         yield slice(start, len(ks))
+
+
+def _blocks(rows: int, ks: np.ndarray):
+    """(row slice, k slice) blocks of at most max(largest k, _CHUNK_TERMS)
+    tail terms each: the rows go as many at a time as the cap holds tails
+    of the largest k, and the grid is cut into runs that fit one row's
+    share of the cap."""
+    largest = max(int(ks.max(initial=0)), 1)
+    cap = max(largest, _CHUNK_TERMS)
+    step = max(1, min(rows, cap // largest))
+    for chunk in _chunks(ks, cap // step):
+        for start in range(0, rows, step):
+            yield slice(start, start + step), chunk
 
 
 def _powers(base: np.ndarray, orders: Sequence[float]):
@@ -97,29 +113,45 @@ def _powers(base: np.ndarray, orders: Sequence[float]):
 def _chunk_sums(top: np.ndarray, weight: np.ndarray, threshold: np.ndarray,
                 kc: np.ndarray, orders: Sequence[float]):
     """For each order p, over the top-k tail of every k in kc: the sum of
-    L^p, the sum of w * L^p and the first term L_1^p, each an array over kc.
+    L^p, the sum of w * L^p and the first term L_1^p, each an array
+    ``(rows, len(kc))``.
 
-    ``top`` and ``weight`` run from the largest observation down, and
-    ``threshold`` holds each k's threshold (NaN when not positive).  The
-    tails are laid end to end and each k's segment is summed with
-    ``np.add.reduceat``; a single k reads its tail as a view of ``top``.
+    ``top`` and ``weight`` are ``(rows, n)`` and run from the largest
+    observation down, and ``threshold`` holds each row's threshold of
+    each k (NaN when not positive).  The tails are laid end to end along
+    the last axis and each k's segment is summed with
+    ``np.add.reduceat``; a single k reads its tails as a view of ``top``.
     """
     if len(kc) == 1:
         k = int(kc[0])
-        base, w = top[:k] / threshold, weight[:k]
+        base, w = top[:, :k] / threshold, weight[:, :k]
     else:
-        base = np.concatenate([top[:k] for k in kc.tolist()])
-        base /= np.repeat(threshold, kc)
-        w = np.concatenate([weight[:k] for k in kc.tolist()])
+        base = np.concatenate([top[:, :k] for k in kc.tolist()], axis=-1)
+        base /= np.repeat(threshold, kc, axis=-1)
+        w = np.concatenate([weight[:, :k] for k in kc.tolist()], axis=-1)
     np.log(base, out=base)
     starts = np.cumsum(kc) - kc
     weighted = np.empty_like(base)
     return {
-        p: (np.add.reduceat(power, starts),
-            np.add.reduceat(np.multiply(w, power, out=weighted), starts),
-            power[starts])
+        p: (np.add.reduceat(power, starts, axis=-1),
+            np.add.reduceat(np.multiply(w, power, out=weighted), starts, axis=-1),
+            power[:, starts])
         for p, power in _powers(base, orders)
     }
+
+
+def _weights(s: CensoredSample, ks: np.ndarray):
+    """From the product-limit curves of ``s``, fitted here, one row per
+    sample: the km weight delta/(1-Ghat(Z^-)) of each observation from the
+    largest down, the normaliser N = n*(1-Fhat(Z_(n-k))) of each k, and
+    N*(1-Ghat(Z_(n)^-)), the normaliser of l's top term.  The curves
+    themselves are dropped on return."""
+    n = s.n
+    curves = fit(s)
+    g_left = curves.surv_g_left_at_order.reshape(-1, n)
+    weight = s.delta.reshape(-1, n)[:, ::-1] * (1.0 / g_left[:, ::-1])
+    norm = n * curves.surv_f_at_order.reshape(-1, n)[:, n - ks - 1]
+    return weight, norm, norm * g_left[:, n - 1:]
 
 
 def tail_moments(
@@ -129,9 +161,10 @@ def tail_moments(
     ``ks`` and every order in ``orders``.
 
     Returns three dicts ``(unweighted, km, l)``, each mapping an order to
-    the array of its moments, one per k in ``ks``.  The moments at a k
-    whose threshold Z_(n-k) is not positive are NaN.  The weights come
-    from the product-limit curves of ``s``, fitted here.
+    the array of its moments: shape ``(len(ks),)`` for one sample and
+    ``(R, len(ks))`` for a batch.  The moments at a k whose threshold
+    Z_(n-k) is not positive are NaN.  The weights come from the
+    product-limit curves of ``s``, fitted here.
     """
     ks = checked_ks(s, ks)
     if ks.ndim != 1:
@@ -139,26 +172,28 @@ def tail_moments(
     for alpha in orders:
         _check_order(alpha)
     n = s.n
-    curves = fit(s)
-    top = s.z[::-1]  # largest first: the top-k tail is top[:k], its threshold top[k]
-    g_left = curves.surv_g_left_at_order
-    weight = s.delta[::-1] * (1.0 / g_left[::-1])
+    weight, norm, top_norm = _weights(s, ks)
+    # Rows of the batch, largest first: the top-k tail is top[:, :k], its
+    # threshold top[:, k].
+    top = s.z.reshape(-1, n)[:, ::-1]
     # A NaN threshold turns every term of its tail into NaN, silently.
-    threshold = np.where(top[ks] > 0, top[ks], np.nan)
-    unweighted, km, first = ({p: np.empty(len(ks)) for p in orders} for _ in range(3))
-    for chunk in _chunks(ks):
-        sums = _chunk_sums(top, weight, threshold[chunk], ks[chunk], orders)
+    threshold = np.where(top[:, ks] > 0, top[:, ks], np.nan)
+    unweighted, km, first = ({p: np.empty((len(top), len(ks))) for p in orders}
+                             for _ in range(3))
+    for rows, chunk in _blocks(len(top), ks):
+        sums = _chunk_sums(top[rows], weight[rows], threshold[rows, chunk], ks[chunk], orders)
         for p, (total, weighted_total, head) in sums.items():
-            unweighted[p][chunk], km[p][chunk], first[p][chunk] = total, weighted_total, head
-    norm = n * curves.surv_f_at_order[n - ks - 1]
-    top_censored = 1 - int(s.delta[n - 1])
-    top_norm = norm * float(g_left[n - 1])
+            block = (rows, chunk)
+            unweighted[p][block], km[p][block], first[p][block] = total, weighted_total, head
+    top_censored = 1 - s.delta.reshape(-1, n)[:, n - 1:]
     l = {}
     for p in unweighted:
         unweighted[p] /= ks
         km[p] /= norm
         l[p] = km[p] + top_censored * first[p] / top_norm
-    return unweighted, km, l
+    shape = s.z.shape[:-1] + ks.shape
+    return tuple({p: m.reshape(shape) for p, m in moments.items()}
+                 for moments in (unweighted, km, l))
 
 
 def beta_function(a: float, b: float) -> float:

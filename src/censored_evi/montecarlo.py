@@ -6,21 +6,27 @@ grid, and aggregates per (k, estimator) cell: median bias, MSE about the
 true index of X, mean, variance and the count of degenerate replicates
 (which are excluded from the statistics).
 
-Each replicate is one ``estimate`` call over the whole k-grid, which
-yields a ``(len(k_grid), len(specs))`` value array; ``run_study`` stacks
-them into one ``(reps, len(k_grid), len(specs))`` array and ``aggregate``
-reduces it along the replicate axis.  ``StudyResult`` keeps each
-statistic as a ``(len(k_grid), len(specs))`` column and builds its
-per-cell ``cells`` view on demand.  ``run_replicate`` is the per-record
-view of one replicate's arrays.
+Replicates run in batches of ``R = max(1, 2**13 // n)`` consecutive
+indices (16 at n = 500), so a batch's sample arrays hold at most about
+2**13 values.  ``_batch_values`` maps the batch's uniforms through each
+family's quantile once, builds one ``(R, n)`` censored sample and makes
+one ``estimate`` call over the whole k-grid, which yields the batch's
+``(R, len(k_grid), len(specs))`` value array; every library call on the
+way acts along the last axis, so a row of the batch gets the bits its
+sample gets on its own.  ``run_study`` stores each batch at its rows of
+one ``(reps, len(k_grid), len(specs))`` array, and a pool task is one
+batch.  ``aggregate`` reduces that array along the replicate axis.
+``StudyResult`` keeps each statistic as a ``(len(k_grid), len(specs))``
+column and builds its per-cell ``cells`` view on demand.
+``run_replicate`` is the per-record view of the batch of one replicate.
 
 Reproducibility contract: replicate r uses a fresh generator seeded by
-SeedSequence(entropy=(seed, r)) and draws the X block first, then the C
-block.  Replicates are therefore independent of scheduling, each lands
-at its own index, and the aggregation sums in replicate order, so the
-result is bitwise identical for any worker count.  The worker count
-comes from the CENSORED_EVI_THREADS environment variable when not given
-explicitly.
+SeedSequence(entropy=(seed, r)) and draws its X uniforms first, then its
+C uniforms.  Replicates are therefore independent of scheduling, each
+lands at its own index, and the aggregation sums in replicate order, so
+the result is bitwise identical for any batch size and any worker count.
+The worker count comes from the CENSORED_EVI_THREADS environment
+variable when not given explicitly.
 """
 
 from __future__ import annotations
@@ -32,9 +38,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .censoring import make_censored
-from .distributions import DistributionSpec
+from .censoring import CensoredSample, make_censored
+from .distributions import DistributionSpec, _uniform_open
 from .estimators import EstimateRecord, EstimatorSpec, Family, Method, estimate
+from .moments import _CHUNK_TERMS
 
 __all__ = [
     "StudyDesign",
@@ -155,28 +162,35 @@ class StudyResult:
         )
 
 
-def _replicate_estimates(design: StudyDesign, replicate_index: int) -> tuple[np.ndarray, np.ndarray]:
-    """(p_hat, values) of ``estimate`` over the whole k-grid on replicate
-    ``replicate_index``'s sample; deterministic in (design.seed,
-    replicate_index) alone."""
-    if not 0 <= replicate_index < design.reps:
-        raise ValueError(f"replicate_index out of range: {replicate_index}")
-    rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=(design.seed, replicate_index))
-    )
-    x = design.dist_x.sample(rng, design.n)
-    c = design.dist_c.sample(rng, design.n)
+def _batch_sample(design: StudyDesign, start: int, stop: int) -> CensoredSample:
+    """The censored samples of replicates ``start`` to ``stop - 1``, one
+    row each; deterministic in design.seed and the replicate indices."""
+    n = design.n
+    # The uniforms of each row, replaced by their quantiles below.
+    x, c = np.empty((stop - start, n)), np.empty((stop - start, n))
+    for row, r in enumerate(range(start, stop)):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=(design.seed, r)))
+        x[row] = _uniform_open(rng, n)  # X first, then C
+        c[row] = _uniform_open(rng, n)
+    x, c = design.dist_x.quantile(x), design.dist_c.quantile(c)
     # Positivity is not enforced here: endpoint-anchored families may put
     # mass below zero, while only the top-k statistics enter any formula.
-    s = make_censored(x, c, require_positive=False)
-    return estimate(s, design.k_grid, design.specs)
+    return make_censored(x, c, require_positive=False)
+
+
+def _batch_values(design: StudyDesign, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """(p_hat, values) of ``estimate`` over the whole k-grid on the
+    samples of replicates ``start`` to ``stop - 1``, one row each."""
+    return estimate(_batch_sample(design, start, stop), design.k_grid, design.specs)
 
 
 def run_replicate(design: StudyDesign, replicate_index: int) -> list[EstimateRecord]:
     """All (k, spec) estimates on one fresh sample, k-major in design
     order; deterministic in (design.seed, replicate_index) alone."""
-    p_hat, values = _replicate_estimates(design, replicate_index)
-    p_hat, values = p_hat.tolist(), values.tolist()
+    if not 0 <= replicate_index < design.reps:
+        raise ValueError(f"replicate_index out of range: {replicate_index}")
+    p_hat, values = _batch_values(design, replicate_index, replicate_index + 1)
+    p_hat, values = p_hat[0].tolist(), values[0].tolist()
     return [
         EstimateRecord(k=k, spec=spec, value=value, p_hat=p_hat[i],
                        degenerate=not math.isfinite(value))
@@ -237,26 +251,28 @@ def resolve_workers(workers: int | None, reps: int) -> int:
     return min(workers, reps)
 
 
-def _replicate_values(args: tuple[StudyDesign, int]) -> np.ndarray:
-    return _replicate_estimates(*args)[1]
-
-
 def run_study(design: StudyDesign, workers: int | None = None) -> StudyResult:
-    """Run all replicates (in parallel when workers > 1) and aggregate.
+    """Run all replicates in batches (in parallel when workers > 1) and
+    aggregate.
 
-    The output is independent of the worker count: replicates are pure
-    functions of (seed, index), stored at their index and reduced in
-    index order.
+    The output is independent of the worker count and of the batch
+    size: replicates are pure functions of (seed, index), stored at their
+    index and reduced in index order.
     """
     workers = resolve_workers(workers, design.reps)
-    tasks = [(design, r) for r in range(design.reps)]
+    rows = max(1, _CHUNK_TERMS // design.n)
+    starts = range(0, design.reps, rows)
+    stops = [min(start + rows, design.reps) for start in starts]
     values = np.empty((design.reps, len(design.k_grid), len(design.specs)))
+
+    def store(batches):
+        for start, stop, (_, batch) in zip(starts, stops, batches):
+            values[start:stop] = batch
+
+    tasks = ([design] * len(starts), starts, stops)
     if workers == 1:
-        for r, task in enumerate(tasks):
-            values[r] = _replicate_values(task)
+        store(map(_batch_values, *tasks))
     else:
-        chunk = max(1, design.reps // (workers * 4))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for r, rep in enumerate(pool.map(_replicate_values, tasks, chunksize=chunk)):
-                values[r] = rep
+            store(pool.map(_batch_values, *tasks))
     return aggregate(values, design)

@@ -46,6 +46,33 @@ class TestMakeCensored:
         with pytest.raises(ValueError):
             make_censored([1], [2])
 
+    @pytest.mark.parametrize("x,c", [
+        ([1.0, float("nan")], [2.0, 3.0]),
+        ([1.0, 2.0], [float("nan"), 3.0]),
+        ([[1.0, 2.0], [3.0, float("nan")]], [[2.0, 3.0], [4.0, 5.0]]),
+    ])
+    def test_rejects_nan(self, x, c):
+        # NaN compares false with everything, so it would land at the top
+        # of the sort as if it were the sample maximum
+        for require_positive in (True, False):
+            with pytest.raises(ValueError, match="NaN"):
+                make_censored(x, c, require_positive=require_positive)
+
+    def test_lenient_path_keeps_infinities(self):
+        # a sampler may legitimately produce -inf far in the left tail, and
+        # a sweep must not abort on it
+        s = make_censored([-np.inf, 2.0, 3.0], [1.0, np.inf, 2.5], require_positive=False)
+        assert s.z.tolist() == [-np.inf, 2.0, 2.5]
+        assert s.delta.tolist() == [1, 1, 0]
+
+    def test_rejects_bad_shapes(self):
+        with pytest.raises(ValueError, match="equal shape"):
+            make_censored([[1.0, 2.0]], [1.0, 2.0])
+        with pytest.raises(ValueError, match="two-dimensional"):
+            make_censored(np.ones((2, 2, 2)), np.ones((2, 2, 2)))
+        with pytest.raises(ValueError, match="at least 2"):
+            make_censored([[1.0], [2.0]], [[1.0], [2.0]])
+
     def test_tie_warning_and_uncensored_first(self):
         with pytest.warns(UserWarning, match="tied"):
             s = make_censored([2.0, 3.0], [3.0, 2.0])
@@ -82,6 +109,13 @@ class TestFromObservations:
             from_observations([1], [1])
         with pytest.raises(ValueError):
             from_observations([1, 2], [1])
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite_z(self, bad):
+        # NaN passed the old z <= 0 test and sorted to the top as the
+        # sample maximum; inf made every estimate degenerate
+        with pytest.raises(ValueError, match="finite"):
+            from_observations([1.0, bad, 2.0], [1, 1, 0])
 
 
 class TestTailUncensoredProportion:

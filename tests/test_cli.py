@@ -129,6 +129,17 @@ class TestEstimateCommand:
         assert proc.returncode == 1
         assert "line 3: delta must be 0 or 1" in proc.stderr
 
+    @pytest.mark.parametrize("raw", ["inf", "-inf", "nan", "0", "-1.5"])
+    def test_non_finite_or_non_positive_z_names_the_line(self, tmp_path, raw):
+        # before, an inf row exited 0 with every row degenerate and leaked
+        # a RuntimeWarning from the moment pass
+        data = tmp_path / "data.csv"
+        data.write_text(f"z,delta\n1.0,1\n2.0,0\n{raw},1\n")
+        proc = run_cli("estimate", "--input", str(data))
+        assert proc.returncode == 1
+        assert f"line 4: z must be a finite positive number, got '{raw}'" in proc.stderr
+        assert "Warning" not in proc.stderr
+
     def test_missing_file(self, tmp_path):
         proc = run_cli("estimate", "--input", str(tmp_path / "nope.csv"))
         assert proc.returncode == 1

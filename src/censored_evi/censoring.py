@@ -53,11 +53,15 @@ class CensoredSample:
 def _sort_with_tiebreak(z: np.ndarray, delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # Ties are a null event for continuous data; if they occur anyway,
     # uncensored observations are placed first (events before censorings).
-    order = np.lexsort((delta == 0, z), axis=-1)
-    z, delta = np.take_along_axis(z, order, -1), np.take_along_axis(delta, order, -1)
-    if np.any(z[..., 1:] == z[..., :-1]):
+    # Without a tie the sorting permutation is unique, so sorting by z
+    # alone gives the bits the tie-breaking sort would.
+    order = np.argsort(z, axis=-1)
+    z_sorted = np.take_along_axis(z, order, -1)
+    if np.any(z_sorted[..., 1:] == z_sorted[..., :-1]):
         warnings.warn("tied observation values; uncensored ordered first", stacklevel=3)
-    return z, delta
+        order = np.lexsort((delta == 0, z), axis=-1)
+        z_sorted = np.take_along_axis(z, order, -1)
+    return z_sorted, np.take_along_axis(delta, order, -1)
 
 
 def _freeze(z: np.ndarray, delta: np.ndarray) -> CensoredSample:

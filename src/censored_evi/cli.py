@@ -120,15 +120,24 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     specs = [EstimatorSpec(f, m, args.alpha) for f in families for m in methods]
     ks = range(k_min, k_max + 1, args.k_step)
     p_hat, values = estimate(s, ks, specs)
-    names = [f"{spec.family.value},{spec.method.value},{_fmt(args.alpha)}" for spec in specs]
-    lines = [ESTIMATES_HEADER]
-    for k, p, row in zip(ks, p_hat.tolist(), values.tolist()):
-        for name, value in zip(names, row):
-            lines.append(
-                f"{k},{name},{_fmt(value)},{_fmt(p)},{int(not math.isfinite(value))}"
-            )
-    _write_atomic(args.out, "\n".join(lines) + "\n")
+    _write_atomic(args.out, estimates_csv_text(ks, specs, p_hat, values))
     return 0
+
+
+def estimates_csv_text(ks, specs, p_hat, values) -> str:
+    """The estimate CSV: one line per (k, spec), k-major, from ``estimate``'s
+    ``(len(ks),)`` p_hat and ``(len(ks), len(specs))`` values.
+
+    The lines are assembled column by column, one ``repr`` per number,
+    which is what ``_fmt`` writes for each value row by row.
+    """
+    names = [f"{spec.family.value},{spec.method.value},{_fmt(spec.alpha)}," for spec in specs]
+    prefixes = [f"{k},{name}" for k in ks for name in names]
+    p_text = [text for text in (f",{p!r}," for p in p_hat.tolist()) for _ in names]
+    flat = values.ravel().tolist()
+    flags = ["0" if math.isfinite(value) else "1" for value in flat]
+    lines = map("".join, zip(prefixes, map(repr, flat), p_text, flags))
+    return "\n".join([ESTIMATES_HEADER, *lines]) + "\n"
 
 
 def results_csv_text(result: StudyResult) -> str:

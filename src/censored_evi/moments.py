@@ -7,7 +7,8 @@ whole grid of k and every requested order in one pass:
 
 * unweighted: plain mean of the L_i (ignores censoring).
 * km: each L_i weighted by delta_(n-i+1)/(1-Ghat(Z_(n-i+1)^-)),
-  normalized by N = n*(1-Fhat(Z_(n-k))).
+  normalized by N = n*(1-Fhat(Z_(n-k))); the weights are read from the
+  F-curve alone through the telescoping identity (see ``_weights``).
 * l: Leurgans' increment weighting, defined by the exact identity
 
       m_l = m_km + (1 - delta_(n)) * L_1 / (N * (1-Ghat(Z_(n)^-))),
@@ -141,17 +142,31 @@ def _chunk_sums(top: np.ndarray, weight: np.ndarray, threshold: np.ndarray,
 
 
 def _weights(s: CensoredSample, ks: np.ndarray):
-    """From the product-limit curves of ``s``, fitted here, one row per
-    sample: the km weight delta/(1-Ghat(Z^-)) of each observation from the
-    largest down, the normaliser N = n*(1-Fhat(Z_(n-k))) of each k, and
-    N*(1-Ghat(Z_(n)^-)), the normaliser of l's top term.  The curves
-    themselves are dropped on return."""
+    """From the F-curve of ``s``, fitted here, one row per sample: the km
+    weight delta/(1-Ghat(Z^-)) of each observation from the largest down,
+    the normaliser N = n*(1-Fhat(Z_(n-k))) of each k, and
+    N*(1-Ghat(Z_(n)^-)), the normaliser of l's top term.
+
+    The G-curve enters only through the telescoping identity
+    (1-Fhat(Z_(i)))*(1-Ghat(Z_(i))) = (n-i)/n, read at Z_(i-1):
+
+        1/(1-Ghat(Z_(i)^-)) = n*(1-Fhat(Z_(i-1)))/(n-i+1),  and 1 at i = 1.
+
+    So every weight and every normaliser comes from one array,
+    n*(1-Fhat), and at i = n the divisor is 1: the top weight is the very
+    float that normalises k = 1, and l's top normaliser at k = 1 is
+    exactly 1.  A one-point tail's weighted moment is then its power times
+    w and divided by the same w, so its pole ratios stay within a few
+    roundings of 1 at any n.
+    """
     n = s.n
-    curves = fit(s)
-    g_left = curves.surv_g_left_at_order.reshape(-1, n)
-    weight = s.delta.reshape(-1, n)[:, ::-1] * (1.0 / g_left[:, ::-1])
-    norm = n * curves.surv_f_at_order.reshape(-1, n)[:, n - ks - 1]
-    return weight, norm, norm * g_left[:, n - 1:]
+    scaled = n * fit(s).surv_f_at_order.reshape(-1, n)
+    inv_g = np.empty_like(scaled)
+    inv_g[:, 0] = 1.0
+    np.divide(scaled[:, :-1], n - np.arange(1, n), out=inv_g[:, 1:])
+    weight = s.delta.reshape(-1, n)[:, ::-1] * inv_g[:, ::-1]
+    norm = scaled[:, n - ks - 1]
+    return weight, norm, norm / inv_g[:, n - 1:]
 
 
 def tail_moments(
@@ -164,7 +179,7 @@ def tail_moments(
     the array of its moments: shape ``(len(ks),)`` for one sample and
     ``(R, len(ks))`` for a batch.  The moments at a k whose threshold
     Z_(n-k) is not positive are NaN.  The weights come from the
-    product-limit curves of ``s``, fitted here.
+    product-limit F-curve of ``s``, fitted here.
     """
     ks = checked_ks(s, ks)
     if ks.ndim != 1:

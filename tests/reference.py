@@ -3,7 +3,9 @@
 Everything here recomputes products and sums directly from the raw
 definitions with 1-based index arithmetic, pure Python floats and no
 log-space tricks or precomputation.  Slow on purpose; used only to
-validate the optimized library paths on small samples.
+validate the optimized library paths on small samples.  The product-limit
+curves also have a high-precision version (``mp_product_limit``, in
+mpmath), which checks the float64 curves at large n.
 """
 
 import math
@@ -33,6 +35,64 @@ def naive_survival_g(z, delta, i):
 def naive_survival_g_left(z, delta, i):
     """1 - Ghat(Z_(i)^-): product over j <= i-1 only."""
     return naive_survival_g(z, delta, i - 1) if i >= 2 else 1.0
+
+
+def mp_product_limit(delta, dps=40):
+    """Both product-limit curves to ``dps`` digits, by direct
+    multiplication of the factors (n-i)/(n-i+1) in mpmath.
+
+    Returns ``(surv_f, surv_g_left, km_weight)``, lists of mpf over
+    i = 1..n: 1 - Fhat(Z_(i)), 1 - Ghat(Z_(i)^-) and the km weight
+    delta_(i)/(1 - Ghat(Z_(i)^-)), the last taken from the G-curve itself
+    and not through the telescoping identity.
+    """
+    import mpmath
+
+    n = len(delta)
+    surv_f, surv_g_left, km_weight = [], [], []
+    with mpmath.workdps(dps):
+        f = g = mpmath.mpf(1)
+        for i in range(1, n + 1):
+            surv_g_left.append(g)
+            km_weight.append(delta[i - 1] / g)
+            factor = mpmath.mpf(n - i) / (n - i + 1)
+            if delta[i - 1] == 1:
+                f *= factor
+            else:
+                g *= factor
+            surv_f.append(f)
+    return surv_f, surv_g_left, km_weight
+
+
+def product_limit_error_bound(surv, steps):
+    """First-order bound on the relative error of a float64 product-limit
+    curve computed as exp(cumsum(log1p(-1/(n-j)))), from its exact values.
+
+    ``surv`` holds the exact curve values and ``steps`` marks the indices
+    whose factor enters the running sum.  With u = 2**-53, each term
+    log1p(-1/m) carries at most 1.5u relative from rounding -1/m (m >= 2)
+    plus 4u from log1p (2 ulp), each addition of a nonzero term rounds
+    once, by at most u times the new partial sum, and exp adds 4u
+    (2 ulp) relative.  The terms share one sign, so their magnitudes add
+    up to |s_m| = |log surv_m|, and the bound at index m is
+
+        u * (sum over steps j <= m of |s_j| + 5.5 |s_m| + 4),
+
+    relative, to first order in u.  Entries whose exact value is 0 get NaN.
+    """
+    import mpmath
+
+    u = 2.0 ** -53
+    bound, running = [], 0.0
+    for value, step in zip(surv, steps):
+        if value == 0:
+            bound.append(math.nan)
+            continue
+        s_m = -float(mpmath.log(value))
+        if step:
+            running += s_m
+        bound.append(u * (running + 5.5 * s_m + 4.0))
+    return bound
 
 
 def naive_p_hat(delta, k):

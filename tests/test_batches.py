@@ -108,6 +108,37 @@ class TestLayersOnBatches:
             for p in (1.0, 2.0):
                 np.testing.assert_array_equal(bits(got[p][row]), bits(want[p]))
 
+    def test_tied_and_untied_rows_keep_their_standalone_bits(self):
+        # One tie anywhere sends the whole batch through the tie-breaking
+        # sort; untied rows must still get the order they get alone.  Row
+        # 1 ties a censored and an uncensored value at its maximum Z_(n),
+        # row 3 ties inside the sample.
+        rng = np.random.default_rng(5)
+        x = rng.uniform(1.0, 9.0, (4, 6))
+        c = rng.uniform(1.0, 9.0, (4, 6))
+        x[1, 2], c[1, 2] = 9.75, 9.5     # censored 9.5 first in input order,
+        x[1, 4], c[1, 4] = 9.5, 9.75     # tied with an uncensored 9.5
+        c[1, [0, 1, 3, 5]] = 9.9
+        x[3, 0] = x[3, 5] = c[3, 0] = c[3, 5] = 3.0
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            batch = make_censored(x, c)
+        assert len(caught) == 1
+        assert str(caught[0].message) == "tied observation values; uncensored ordered first"
+        assert batch.z[1, -2:].tolist() == [9.5, 9.5]
+        assert batch.delta[1, -2:].tolist() == [1, 0]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            singles = [make_censored(a, b) for a, b in zip(x, c)]
+        assert len(caught) == 2  # rows 1 and 3 alone
+        assert_rows_equal(batch.z, [s.z for s in singles])
+        np.testing.assert_array_equal(batch.delta, [s.delta for s in singles])
+        ks = np.arange(1, 6)
+        p_hat, values = estimate(batch, ks, ALL_SPECS)
+        want = [estimate(s, ks, ALL_SPECS) for s in singles]
+        assert_rows_equal(p_hat, [w[0] for w in want])
+        assert_rows_equal(values, [w[1] for w in want])
+
     def test_ties_keep_uncensored_first_per_row_and_warn_once(self):
         x = np.array([[2.0, 3.0, 1.0], [1.0, 5.0, 4.0]])
         c = np.array([[3.0, 2.0, 9.0], [1.0, 4.0, 9.0]])

@@ -13,7 +13,7 @@ import pytest
 
 import censored_evi
 from censored_evi import GPD, EstimatorSpec, Family, Method, estimate, from_observations
-from censored_evi.cli import ESTIMATES_HEADER, RESULTS_HEADER, main
+from censored_evi.cli import ESTIMATES_HEADER, RESULTS_HEADER, _fmt, estimates_csv_text, main
 
 PACKAGE_ROOT = str(Path(censored_evi.__file__).resolve().parent.parent)
 DATA_DIR = Path(__file__).parent / "data"
@@ -114,6 +114,24 @@ class TestEstimateCommand:
                 assert got == value
             assert float(row["p_hat"]) == p_hat
             assert row["degenerate"] == str(int(not math.isfinite(value)))
+
+    def test_column_writer_matches_row_by_row_formatting(self):
+        # the writer builds its lines column by column; its bytes are those
+        # of formatting each (k, spec) row with _fmt, non-finite rows too
+        specs = [EstimatorSpec(f, m, 2.5) for f in Family for m in Method]
+        ks = [1, 7, 50, 51]
+        special = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e16, 0.1, -2.0]
+        rng = np.random.default_rng(3)
+        values = np.array([special, special[::-1],
+                           rng.normal(size=9).tolist(), rng.uniform(-1e-3, 1e3, 9).tolist()])
+        p_hat = np.array([1.0, 0.0, 1.0 / 3.0, 0.98])
+        lines = [ESTIMATES_HEADER]
+        for k, p, row in zip(ks, p_hat.tolist(), values.tolist()):
+            for spec, value in zip(specs, row):
+                lines.append(f"{k},{spec.family.value},{spec.method.value},{_fmt(spec.alpha)},"
+                             f"{_fmt(value)},{_fmt(p)},{int(not math.isfinite(value))}")
+        want = "\n".join(lines) + "\n"
+        assert estimates_csv_text(ks, specs, p_hat, values).encode() == want.encode()
 
     def test_stdout_by_default(self, tmp_path):
         data = tmp_path / "data.csv"

@@ -218,6 +218,20 @@ class TestOnePointTail:
             assert math.isnan(combine_type1(m[alpha], m[alpha + 1.0], m[alpha + 2.0], alpha))
             assert math.isnan(combine_type2(m[1.0], m[alpha], m[alpha + 1.0], alpha))
 
+    # The weights are rounded products of up to n factors, so a check at
+    # small n says little about large n: draw n log-uniformly up to 2e5.
+    @given(seed=st.integers(0, 2**32 - 1),
+           log_n=st.floats(math.log(5.0), math.log(2e5), allow_nan=False))
+    @settings(max_examples=40, deadline=None)
+    def test_estimate_gives_nan_at_every_n(self, seed, log_n):
+        rng = np.random.default_rng(seed)
+        s, k = draw_sample_with_k(rng, int(round(math.exp(log_n))), k_hi=1)
+        specs = [EstimatorSpec(f, m, alpha)
+                 for alpha in (1.0, 2.0, 2.5, 3.0) for f in Family for m in Method]
+        _, (values,) = estimate(s, [k], specs)
+        assert [spec.label for spec, v in zip(specs, values.tolist())
+                if not math.isnan(v)] == []
+
 
 class TestEstimatorSpec:
     def test_label(self):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from censored_evi import fit, survival_f_at
 
+import reference as ref
 from conftest import DESIGNS, draw_sample, sample_from
 
 
@@ -98,6 +99,31 @@ class TestProductIdentity:
         prod = cur.surv_f_at_order[:-1] * cur.surv_g_left_at_order[1:]
         want = (n - 1.0 - np.arange(n - 1)) / n
         assert np.max(np.abs(prod / want - 1.0)) < 1e-12
+
+
+class TestAgainstHighPrecision:
+    # The float64 curves against 40-digit products, within the error bound
+    # of their float64 running sums (``ref.product_limit_error_bound``),
+    # which grows with n: about 2e-12 relative at the top of an
+    # n = 20 000 sample.
+    @pytest.mark.parametrize("n", [2000, 20000])
+    def test_curves_within_cumsum_bound(self, n):
+        pytest.importorskip("mpmath")
+        rng = np.random.default_rng(n)
+        s = draw_sample(rng, n, DESIGNS[0])
+        delta = s.delta.tolist()
+        exact_f, exact_g, _ = ref.mp_product_limit(delta)
+        cur = fit(s)
+        for got, exact, steps in (
+            (cur.surv_f_at_order, exact_f, [d == 1 for d in delta]),
+            (cur.surv_g_left_at_order, exact_g, [False] + [d == 0 for d in delta[:-1]]),
+        ):
+            bound = ref.product_limit_error_bound(exact, steps)
+            for value, want, most in zip(got.tolist(), exact, bound):
+                if want == 0:
+                    assert value == 0.0
+                else:
+                    assert abs(value / want - 1) <= most
 
 
 class TestJumpWeightIdentity:

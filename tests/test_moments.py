@@ -18,8 +18,11 @@ from censored_evi import (
     theory_from_indices,
 )
 
+from censored_evi.moments import _weights
+
 import reference as ref
-from conftest import DESIGNS, FIGURE1_C, FIGURE1_X, draw_sample_with_k, sample_from
+from conftest import (DESIGNS, FIGURE1_C, FIGURE1_X, draw_sample, draw_sample_with_k,
+                      sample_from)
 
 # Pooled upper quantile of the Figure-1 pair, solved to 40 digits with
 # mpmath and frozen here (t = n/k).
@@ -145,6 +148,40 @@ class TestWeightedMoments:
             s = sample_from([1.0, 1.0], [1, 0])
         assert s.delta[-1] == 0
         assert moments_at(s, 1, 1.0) == (0.0, 0.0, 0.0)
+
+
+class TestWeightsAgainstHighPrecision:
+    # The km weights come from the F-curve through the telescoping
+    # identity, n*(1-Fhat(Z_(i-1)))/(n-i+1); checked against
+    # delta_(i)/(1-Ghat(Z_(i)^-)) taken from a 40-digit G-curve.  The
+    # F-curve value carries its cumsum bound, and the product with n and
+    # the quotient by n-i+1 round once each.
+    @pytest.mark.parametrize("n", [2000, 20000])
+    def test_identity_weights_within_cumsum_bound(self, n):
+        pytest.importorskip("mpmath")
+        rng = np.random.default_rng(n + 1)
+        s = draw_sample(rng, n, DESIGNS[3])
+        delta = s.delta.tolist()
+        exact_f, exact_g, exact_w = ref.mp_product_limit(delta)
+        bound_f = ref.product_limit_error_bound(exact_f, [d == 1 for d in delta])
+        ks = np.arange(1, n)
+        weight, norm, top_norm = (a[0].tolist() for a in _weights(s, ks))
+        u = 2.0 ** -53
+        weight = weight[::-1]
+        assert weight[0] == delta[0]
+        for i in range(1, n):
+            if delta[i]:
+                assert abs(weight[i] / exact_w[i] - 1) <= bound_f[i - 1] + 2 * u
+            else:
+                assert weight[i] == 0.0
+        # N = n*(1-Fhat(Z_(n-k))) and l's top normaliser N*(1-Ghat(Z_(n)^-))
+        for k, got, top in zip(ks.tolist(), norm, top_norm):
+            i = n - k - 1
+            assert abs(got / (n * exact_f[i]) - 1) <= bound_f[i] + u
+            want_top = n * exact_f[i] * exact_g[n - 1]
+            assert abs(top / want_top - 1) <= bound_f[i] + bound_f[n - 2] + 3 * u
+        # at k = 1 the top weight and the normaliser are one float
+        assert top_norm[0] == 1.0
 
 
 class TestTopCorrectionIdentity:

@@ -23,9 +23,10 @@ import sys
 import tempfile
 
 from .censoring import from_observations
-from .config import parse_config
-from .estimators import EstimatorSpec, Family, Method, estimate
-from .montecarlo import StudyResult, run_study
+from .config import _names, _parse_list, parse_config
+from .distributions import _fmt
+from .estimators import Family, Method, estimate
+from .montecarlo import StudyResult, build_specs, run_study
 from .svg import Series, render_chart
 
 __all__ = ["main"]
@@ -35,11 +36,6 @@ RESULTS_HEADER = (
     "k,family,method,alpha,median_bias,mse,mean,variance,"
     "degenerate_count,reps,n,gamma_x,gamma_c"
 )
-
-
-def _fmt(v: float) -> str:
-    """Shortest decimal that round-trips to the same float."""
-    return repr(float(v))
 
 
 def _write_atomic(path: str | None, text: str) -> None:
@@ -88,22 +84,6 @@ def _read_data_csv(path: str):
     return z, delta
 
 
-def _names(enum_cls) -> list[str]:
-    """Member values in declaration order, the order of every listing."""
-    return [member.value for member in enum_cls]
-
-
-def _parse_name_list(raw: str, enum_cls, flag: str) -> list:
-    known = _names(enum_cls)
-    names = [p.strip() for p in raw.split(",")]
-    for i, name in enumerate(names):
-        if name not in known:
-            raise ValueError(f"{flag}: unknown entry {name!r} (expected one of {', '.join(known)})")
-        if name in names[:i]:
-            raise ValueError(f"{flag}: repeated entry {name!r}")
-    return [enum_cls(name) for name in names]
-
-
 def cmd_estimate(args: argparse.Namespace) -> int:
     z, delta = _read_data_csv(args.input)
     s = from_observations(z, delta)
@@ -113,11 +93,12 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         raise ValueError(f"k range [{k_min}, {k_max}] invalid for n={s.n}")
     if args.k_step < 1:
         raise ValueError(f"--k-step must be >= 1, got {args.k_step}")
-    families = _parse_name_list(args.families, Family, "--families")
-    methods = _parse_name_list(args.methods, Method, "--methods")
-    if not 1 <= args.alpha < math.inf:
-        raise ValueError(f"--alpha must be >= 1 and finite, got {args.alpha}")
-    specs = [EstimatorSpec(f, m, args.alpha) for f in families for m in methods]
+    families = _parse_list("--families", args.families, Family)
+    methods = _parse_list("--methods", args.methods, Method)
+    try:  # EstimatorSpec holds the rule for alpha
+        specs = build_specs(families, methods, (args.alpha,))
+    except ValueError as exc:
+        raise ValueError(f"--alpha: {exc}") from None
     ks = range(k_min, k_max + 1, args.k_step)
     p_hat, values = estimate(s, ks, specs)
     _write_atomic(args.out, estimates_csv_text(ks, specs, p_hat, values))

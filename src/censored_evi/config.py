@@ -24,12 +24,11 @@ number and key name.  ``config_text`` is its lossless inverse.
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass
 
-from .distributions import DistributionSpec, distribution_literal, parse_distribution
+from .distributions import DistributionSpec, _fmt, distribution_literal, parse_distribution
 from .estimators import Family, Method
-from .montecarlo import StudyDesign, build_specs
+from .montecarlo import StudyDesign, _first_repeat, build_specs
 
 __all__ = ["RunConfig", "parse_config", "config_text"]
 
@@ -96,36 +95,28 @@ def _parse_int(key: str, raw: str, lineno: int) -> int:
         raise ValueError(f"line {lineno}: key {key!r} expects an integer, got {raw!r}") from None
 
 
-def _check_no_repeat(key: str, parts: list[str], values: tuple, lineno: int) -> None:
-    for i, value in enumerate(values):
-        if value in values[:i]:
-            raise ValueError(f"line {lineno}: key {key!r} repeats entry {parts[i]!r}")
+def _names(enum_cls) -> list[str]:
+    """Member values in declaration order, the order of every listing."""
+    return [member.value for member in enum_cls]
 
 
-def _parse_alphas(raw: str, lineno: int) -> tuple[float, ...]:
-    parts = [p.strip() for p in raw.split(",")]
-    try:
-        values = tuple(float(p) for p in parts)
-    except ValueError:
-        raise ValueError(f"line {lineno}: key 'alpha' expects numbers, got {raw!r}") from None
-    if not all(1 <= a < math.inf for a in values):
-        raise ValueError(f"line {lineno}: every alpha must be >= 1 and finite")
-    _check_no_repeat("alpha", parts, values, lineno)
-    return values
-
-
-def _parse_enum_list(enum_cls, key: str, raw: str, lineno: int):
-    known = {member.value: member for member in enum_cls}
-    parts = [p.strip() for p in raw.split(",")]
-    for name in parts:
-        if name not in known:
-            raise ValueError(
-                f"line {lineno}: key {key!r} has unknown entry {name!r} "
-                f"(expected one of {', '.join(known)})"
-            )
-    values = tuple(known[name] for name in parts)
-    _check_no_repeat(key, parts, values, lineno)
-    return values
+def _parse_list(where: str, raw: str, kind) -> tuple:
+    """The entries of a comma list, stripped and mapped through ``kind``,
+    an enum (by member value) or ``float``; the one list grammar of the
+    config keys and the CLI flags.  A ValueError names ``where`` (a line
+    and key, or a flag) and the first unknown or repeated entry."""
+    parts = [part.strip() for part in raw.split(",")]
+    values = []
+    for part in parts:
+        try:
+            values.append(kind(part))
+        except ValueError:
+            expected = "a number" if kind is float else f"one of {', '.join(_names(kind))}"
+            raise ValueError(f"{where} has unknown entry {part!r} (expected {expected})") from None
+    i = _first_repeat(values)
+    if i is not None:
+        raise ValueError(f"{where} repeats entry {parts[i]!r}")
+    return tuple(values)
 
 
 def parse_config(text: str) -> RunConfig:
@@ -148,9 +139,6 @@ def parse_config(text: str) -> RunConfig:
         if key not in raw:
             raise ValueError(f"missing required key {key!r}")
 
-    def take(key: str) -> tuple[str, int] | None:
-        return raw.get(key)
-
     kwargs = {}
     for key in ("dist_x", "dist_c"):
         value, lineno = raw[key]
@@ -158,22 +146,21 @@ def parse_config(text: str) -> RunConfig:
             kwargs[key] = parse_distribution(value)
         except ValueError as exc:
             raise ValueError(f"line {lineno}: key {key!r}: {exc}") from None
-    for key in ("n", "reps", "seed", "k_min", "k_max"):
-        value, lineno = raw[key]
-        kwargs[key] = _parse_int(key, value, lineno)
-    if take("k_step"):
-        value, lineno = raw["k_step"]
-        kwargs["k_step"] = _parse_int("k_step", value, lineno)
-    if take("alpha"):
-        value, lineno = raw["alpha"]
-        kwargs["alphas"] = _parse_alphas(value, lineno)
-    if take("families"):
-        value, lineno = raw["families"]
-        kwargs["families"] = _parse_enum_list(Family, "families", value, lineno)
-    if take("methods"):
-        value, lineno = raw["methods"]
-        kwargs["methods"] = _parse_enum_list(Method, "methods", value, lineno)
-    if take("out"):
+    for key in ("n", "reps", "seed", "k_min", "k_max", "k_step"):
+        if key in raw:
+            value, lineno = raw[key]
+            kwargs[key] = _parse_int(key, value, lineno)
+    for key, field, kind in (("alpha", "alphas", float), ("families", "families", Family),
+                             ("methods", "methods", Method)):
+        if key in raw:
+            value, lineno = raw[key]
+            kwargs[field] = _parse_list(f"line {lineno}: key {key!r}", value, kind)
+    if "alpha" in raw:
+        try:  # EstimatorSpec holds the rule for alpha
+            build_specs(Family, Method, kwargs["alphas"])
+        except ValueError as exc:
+            raise ValueError(f"line {raw['alpha'][1]}: key 'alpha': {exc}") from None
+    if "out" in raw:
         kwargs["out"] = raw["out"][0]
     return RunConfig(**kwargs)
 
@@ -189,7 +176,7 @@ def config_text(cfg: RunConfig) -> str:
         f"k_min = {cfg.k_min}",
         f"k_max = {cfg.k_max}",
         f"k_step = {cfg.k_step}",
-        f"alpha = {','.join(repr(a) for a in cfg.alphas)}",
+        f"alpha = {','.join(map(_fmt, cfg.alphas))}",
         f"families = {','.join(f.value for f in cfg.families)}",
         f"methods = {','.join(m.value for m in cfg.methods)}",
     ]

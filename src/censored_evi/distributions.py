@@ -20,8 +20,9 @@ convert to and from the textual form used in config files, e.g.
 
 from __future__ import annotations
 
+import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Union
 
 import numpy as np
@@ -61,8 +62,17 @@ def _uniform_open(rng: np.random.Generator, n: int) -> np.ndarray:
         u[zero] = rng.random(int(zero.sum()))
 
 
+class _Law:
+    """What every family shares: draws through its own quantile."""
+
+    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        if n < 1:
+            raise ValueError("sample size must be >= 1")
+        return np.asarray(self.quantile(_uniform_open(rng, n)))
+
+
 @dataclass(frozen=True)
-class ReverseBurr:
+class ReverseBurr(_Law):
     """Reverse Burr law: P(X > x) = (1 + (xstar - x)^(-tau)/beta)^(-lam)."""
 
     beta: float
@@ -97,14 +107,9 @@ class ReverseBurr:
             self.xstar - (self.beta * (s ** (-1.0 / self.lam) - 1.0)) ** (-1.0 / self.tau)
         )
 
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        if n < 1:
-            raise ValueError("sample size must be >= 1")
-        return np.asarray(self.quantile(_uniform_open(rng, n)))
-
 
 @dataclass(frozen=True)
-class GPD:
+class GPD(_Law):
     """Generalized Pareto with strictly negative shape (finite endpoint)."""
 
     gamma: float
@@ -135,14 +140,9 @@ class GPD:
             self.sigma * ((1.0 - u) ** (-self.gamma) - 1.0) / self.gamma
         )
 
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        if n < 1:
-            raise ValueError("sample size must be >= 1")
-        return np.asarray(self.quantile(_uniform_open(rng, n)))
-
 
 @dataclass(frozen=True)
-class BetaDist:
+class BetaDist(_Law):
     """Beta(a, b) law on [0, 1]; right-tail index -1/b."""
 
     a: float
@@ -173,17 +173,29 @@ class BetaDist:
         u = _check_unit_open(u)
         return _scalar_or_array(betaincinv(self.a, self.b, u))
 
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        if n < 1:
-            raise ValueError("sample size must be >= 1")
-        return np.asarray(self.quantile(_uniform_open(rng, n)))
-
 
 DistributionSpec = Union[ReverseBurr, GPD, BetaDist]
 
 _LITERAL_RE = re.compile(r"^\s*([a-z]+)\s*\(([^()]*)\)\s*$")
 
-_ARITY = {"revburr": 4, "gpd": 2, "beta": 2}
+# The name of each family in a literal; its parameters are the
+# dataclass fields, in order.
+_FAMILIES = {"revburr": ReverseBurr, "gpd": GPD, "beta": BetaDist}
+
+
+def _fmt(v: float) -> str:
+    """Shortest decimal that round-trips to the same float."""
+    return repr(float(v))
+
+
+def _common_endpoint(fx: DistributionSpec, gc: DistributionSpec) -> float:
+    """The right endpoint that X and C share.  They must agree within a
+    relative 1e-12, a rule that does not depend on the endpoint's scale;
+    otherwise ValueError."""
+    ex, ec = fx.endpoint, gc.endpoint
+    if not math.isclose(ex, ec, rel_tol=1e-12, abs_tol=0.0):
+        raise ValueError(f"endpoint mismatch: {ex!r} vs {ec!r} (common endpoint required)")
+    return ex
 
 
 def parse_distribution(text: str) -> DistributionSpec:
@@ -196,34 +208,22 @@ def parse_distribution(text: str) -> DistributionSpec:
     if m is None:
         raise ValueError(f"malformed distribution literal: {text!r}")
     name, argtext = m.group(1), m.group(2)
-    if name not in _ARITY:
-        raise ValueError(f"unknown distribution {name!r} (expected revburr, gpd or beta)")
+    if name not in _FAMILIES:
+        raise ValueError(f"unknown distribution {name!r} (expected one of {', '.join(_FAMILIES)})")
+    arity = len(fields(_FAMILIES[name]))
     parts = [p.strip() for p in argtext.split(",")] if argtext.strip() else []
-    if len(parts) != _ARITY[name]:
-        raise ValueError(
-            f"{name} takes {_ARITY[name]} parameters, got {len(parts)} in {text!r}"
-        )
+    if len(parts) != arity:
+        raise ValueError(f"{name} takes {arity} parameters, got {len(parts)} in {text!r}")
     try:
         args = [float(p) for p in parts]
     except ValueError as exc:
         raise ValueError(f"non-numeric parameter in {text!r}: {exc}") from None
-    if name == "revburr":
-        return ReverseBurr(*args)
-    if name == "gpd":
-        return GPD(*args)
-    return BetaDist(*args)
-
-
-def _fmt(v: float) -> str:
-    return repr(float(v))
+    return _FAMILIES[name](*args)
 
 
 def distribution_literal(spec: DistributionSpec) -> str:
     """Inverse of parse_distribution (lossless float round-trip)."""
-    if isinstance(spec, ReverseBurr):
-        return f"revburr({_fmt(spec.beta)},{_fmt(spec.tau)},{_fmt(spec.lam)},{_fmt(spec.xstar)})"
-    if isinstance(spec, GPD):
-        return f"gpd({_fmt(spec.gamma)},{_fmt(spec.sigma)})"
-    if isinstance(spec, BetaDist):
-        return f"beta({_fmt(spec.a)},{_fmt(spec.b)})"
+    for name, cls in _FAMILIES.items():
+        if isinstance(spec, cls):
+            return f"{name}({','.join(_fmt(getattr(spec, f.name)) for f in fields(cls))})"
     raise ValueError(f"not a distribution spec: {spec!r}")

@@ -22,12 +22,15 @@ down, so the tails of a k-grid are laid end to end in one flat (ragged)
 array and each k's segment is summed with ``np.add.reduceat``.  A
 segment's sum depends on its own terms only, so a moment does not depend
 on which other k share its pass.  A batch sample ``(R, n)`` lays the
-same segments out along the last axis of a block of rows and sums them
+same segments out along the last axis of its rows and sums them
 with ``np.add.reduceat(..., axis=-1)``, which sums each row's segment as
-the one-sample pass does.  The rows and the grid are cut into blocks of
-at most ``max(largest k, 2**13)`` terms; a block of one k is a view of
-the sample, so the pass never holds more than about that many terms per
-array, however long the grid or the batch.
+the one-sample pass does.  The grid is cut into runs of k whose tails
+hold at most ``max(largest k, 2**13 // rows)`` terms per row, so an array
+of the pass holds at most ``max(2**13, rows * largest k)`` terms however
+long the grid; the second bound is never more than the sample itself
+holds, and a run of one k reads its tails as a view of the sample.  The
+Monte Carlo engine's batches of ``max(1, 2**13 // n)`` rows keep
+``rows * largest k`` below 2**13 whenever n is.
 
 ``limit_l_alpha`` gives the constant these weighted moments approach
 after division by a_nk^alpha, and ``scale_a_nk`` computes that
@@ -44,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .censoring import CensoredSample, checked_ks, theory_from_indices
-from .distributions import DistributionSpec
+from .distributions import DistributionSpec, _common_endpoint
 from .kaplan_meier import fit
 
 __all__ = [
@@ -55,8 +58,9 @@ __all__ = [
     "scale_a_nk",
 ]
 
-# Smallest cap on the number of tail terms one block of the pass holds;
-# the Monte Carlo engine also sizes its batches of samples by it.
+# Cap on the number of tail terms one array of the pass holds, unless the
+# batch's tails of its largest k alone hold more; the Monte Carlo engine
+# also sizes its batches of samples by it.
 _CHUNK_TERMS = 2 ** 13
 
 
@@ -65,9 +69,11 @@ def _check_order(alpha: float) -> None:
         raise ValueError(f"alpha must be >= 1 and finite, got {alpha}")
 
 
-def _chunks(ks: np.ndarray, cap: int):
-    """Consecutive runs of ks whose tails hold at most ``cap`` terms
-    together, as slices; no k exceeds ``cap``."""
+def _chunks(ks: np.ndarray, rows: int):
+    """Consecutive runs of ks, as slices, whose tails hold at most
+    max(largest k, _CHUNK_TERMS // rows) terms together per row, so a run
+    of ``rows`` rows holds at most max(_CHUNK_TERMS, rows * largest k)."""
+    cap = max(int(ks.max(initial=0)), _CHUNK_TERMS // max(rows, 1))
     start, total = 0, 0
     for i, k in enumerate(ks.tolist()):
         if total + k > cap:
@@ -76,19 +82,6 @@ def _chunks(ks: np.ndarray, cap: int):
         total += k
     if start < len(ks):
         yield slice(start, len(ks))
-
-
-def _blocks(rows: int, ks: np.ndarray):
-    """(row slice, k slice) blocks of at most max(largest k, _CHUNK_TERMS)
-    tail terms each: the rows go as many at a time as the cap holds tails
-    of the largest k, and the grid is cut into runs that fit one row's
-    share of the cap."""
-    largest = max(int(ks.max(initial=0)), 1)
-    cap = max(largest, _CHUNK_TERMS)
-    step = max(1, min(rows, cap // largest))
-    for chunk in _chunks(ks, cap // step):
-        for start in range(0, rows, step):
-            yield slice(start, start + step), chunk
 
 
 def _powers(base: np.ndarray, orders: Sequence[float]):
@@ -195,11 +188,11 @@ def tail_moments(
     threshold = np.where(top[:, ks] > 0, top[:, ks], np.nan)
     unweighted, km, first = ({p: np.empty((len(top), len(ks))) for p in orders}
                              for _ in range(3))
-    for rows, chunk in _blocks(len(top), ks):
-        sums = _chunk_sums(top[rows], weight[rows], threshold[rows, chunk], ks[chunk], orders)
+    for chunk in _chunks(ks, len(top)):
+        sums = _chunk_sums(top, weight, threshold[:, chunk], ks[chunk], orders)
         for p, (total, weighted_total, head) in sums.items():
-            block = (rows, chunk)
-            unweighted[p][block], km[p][block], first[p][block] = total, weighted_total, head
+            unweighted[p][:, chunk], km[p][:, chunk], first[p][:, chunk] = (
+                total, weighted_total, head)
     top_censored = 1 - s.delta.reshape(-1, n)[:, n - 1:]
     l = {}
     for p in unweighted:
@@ -252,11 +245,7 @@ def scale_a_nk(fx: DistributionSpec, gc: DistributionSpec, n: int, k: int) -> As
     survival (1-F(u))*(1-G(u)) = k/n over (lo, xstar)."""
     if not 1 <= k < n:
         raise ValueError(f"k must satisfy 1 <= k < n, got k={k}, n={n}")
-    xstar = fx.endpoint
-    if not math.isclose(xstar, gc.endpoint, rel_tol=1e-12, abs_tol=0.0):
-        raise ValueError(
-            f"endpoint mismatch: {fx.endpoint!r} vs {gc.endpoint!r} (common endpoint required)"
-        )
+    xstar = _common_endpoint(fx, gc)
     t = n / k
     target = 1.0 / t
 

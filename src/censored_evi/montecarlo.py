@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .censoring import CensoredSample, make_censored
-from .distributions import DistributionSpec, _uniform_open
+from .distributions import DistributionSpec, _common_endpoint, _uniform_open
 from .estimators import EstimateRecord, EstimatorSpec, Family, Method, estimate
 from .moments import _CHUNK_TERMS
 
@@ -66,11 +66,12 @@ def build_specs(families, methods, alphas) -> tuple[EstimatorSpec, ...]:
 
 
 def _first_repeat(entries):
-    """The first entry that occurs earlier in ``entries``, or None."""
+    """The index of the first entry that occurs earlier in ``entries``,
+    or None."""
     seen = set()
-    for entry in entries:
+    for i, entry in enumerate(entries):
         if entry in seen:
-            return entry
+            return i
         seen.add(entry)
     return None
 
@@ -96,15 +97,16 @@ class StudyDesign:
             raise ValueError(f"every k must satisfy 1 <= k < n={self.n}")
         if not self.specs:
             raise ValueError("at least one estimator spec is required")
-        k = _first_repeat(self.k_grid)
-        if k is not None:
-            raise ValueError(f"k grid repeats k={k}")
-        spec = _first_repeat(self.specs)
-        if spec is not None:
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        i = _first_repeat(self.k_grid)
+        if i is not None:
+            raise ValueError(f"k grid repeats k={self.k_grid[i]}")
+        i = _first_repeat(self.specs)
+        if i is not None:
+            spec = self.specs[i]
             raise ValueError(f"specs repeat {spec.label} at alpha {spec.alpha!r}")
-        ex, ec = self.dist_x.endpoint, self.dist_c.endpoint
-        if abs(ex - ec) > 1e-12 * max(1.0, abs(ex)):
-            raise ValueError(f"endpoint mismatch: {ex!r} vs {ec!r}")
+        _common_endpoint(self.dist_x, self.dist_c)
 
     @property
     def gamma_x(self) -> float:

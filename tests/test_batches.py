@@ -108,6 +108,11 @@ class TestLayersOnBatches:
             for p in (1.0, 2.0):
                 np.testing.assert_array_equal(bits(got[p][row]), bits(want[p]))
 
+    def test_batch_of_no_rows(self):
+        batch = make_censored(np.ones((0, 5)), np.ones((0, 5)))
+        p_hat, values = estimate(batch, [1, 2], ALL_SPECS)
+        assert p_hat.shape == (0, 2) and values.shape == (0, 2, len(ALL_SPECS))
+
     def test_tied_and_untied_rows_keep_their_standalone_bits(self):
         # One tie anywhere sends the whole batch through the tie-breaking
         # sort; untied rows must still get the order they get alone.  Row

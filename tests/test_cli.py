@@ -14,6 +14,7 @@ import pytest
 import censored_evi
 from censored_evi import GPD, EstimatorSpec, Family, Method, estimate, from_observations
 from censored_evi.cli import ESTIMATES_HEADER, RESULTS_HEADER, _fmt, estimates_csv_text, main
+from censored_evi.config import parse_config
 
 PACKAGE_ROOT = str(Path(censored_evi.__file__).resolve().parent.parent)
 DATA_DIR = Path(__file__).parent / "data"
@@ -187,7 +188,7 @@ class TestEstimateCommand:
         data = tmp_path / "data.csv"
         data.write_text(DEMO)
         assert main(["estimate", "--input", str(data), flag, raw]) == 1
-        assert f"error: {flag}: repeated entry {entry!r}" in capsys.readouterr().err
+        assert f"error: {flag} repeats entry {entry!r}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("k", [51, 400])
     def test_single_k_row_matches_full_sweep(self, tmp_path, k):
@@ -288,6 +289,17 @@ class TestSimulateCommand:
         proc = run_cli("simulate", "--config", str(cfg))
         assert proc.returncode == 1
         assert "key 'n' expects an integer" in proc.stderr
+
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_negative_seed_names_the_seed(self, config, tmp_path, capsys, where):
+        # SeedSequence would reject it later without naming the key
+        if where == "config":
+            config.write_text(CONFIG_SMALL.replace("seed = 3", "seed = -5"))
+        extra = ["--seed", "-5"] if where == "flag" else []
+        out = tmp_path / "r.csv"
+        assert main(["simulate", "--config", str(config), "--out", str(out), *extra]) == 1
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -5\n"
+        assert not out.exists()
 
     def test_bad_thread_count_names_the_variable(self, config, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("CENSORED_EVI_THREADS", "abc")
@@ -440,3 +452,69 @@ class TestEntryPoints:
             if ep.group == "console_scripts"
         }
         assert installed == declared_scripts()
+
+
+# The estimator selection as the config keys and the estimate flags take it:
+# (config key, flag, list text, what the error names or None if accepted).
+# The flag takes one alpha, so alpha cases are single values.
+SELECTIONS = [
+    ("families", "--families", "mom,type1,type2", None),
+    ("families", "--families", "type2,mom", None),
+    ("families", "--families", " type1 ,  mom ", None),
+    ("families", "--families", "mom,hill", "unknown entry 'hill'"),
+    ("families", "--families", "Mom", "unknown entry 'Mom'"),
+    ("families", "--families", "mom,,type1", "unknown entry ''"),
+    ("families", "--families", "mom,type1,mom", "repeats entry 'mom'"),
+    ("families", "--families", "type1, type1", "repeats entry 'type1'"),
+    ("methods", "--methods", "efg,km", None),
+    ("methods", "--methods", "km , l", None),
+    ("methods", "--methods", "km,bootstrap", "unknown entry 'bootstrap'"),
+    ("methods", "--methods", "km, l ,km", "repeats entry 'km'"),
+    ("alpha", "--alpha", "2.5", None),
+    ("alpha", "--alpha", " 1 ", None),
+    ("alpha", "--alpha", "1e1", None),
+    ("alpha", "--alpha", "0.5", "got 0.5"),
+    ("alpha", "--alpha", "nan", "got nan"),
+    ("alpha", "--alpha", "inf", "got inf"),
+    ("alpha", "--alpha", "-inf", "got -inf"),
+]
+
+
+def _config_outcome(key, raw):
+    """("specs", spec tuple) or ("error", message after 'line N: key K')."""
+    text = CONFIG_SMALL.replace("alpha = 2\nfamilies = mom\nmethods = km,l\n", "")
+    lineno = len(text.splitlines()) + 1
+    try:
+        return "specs", parse_config(text + f"{key} = {raw}\n").to_design().specs
+    except ValueError as exc:
+        prefix = f"line {lineno}: key {key!r}"
+        assert str(exc).startswith(prefix), str(exc)
+        return "error", str(exc)[len(prefix):]
+
+
+def _cli_outcome(flag, raw, tmp_path, capsys):
+    """("specs", spec tuple) or ("error", message after 'error: FLAG')."""
+    data, out = tmp_path / "data.csv", tmp_path / "out.csv"
+    data.write_text(DEMO)
+    code = main(["estimate", "--input", str(data), "--out", str(out),
+                 "--k-min", "1", "--k-max", "1", f"{flag}={raw}"])
+    err = capsys.readouterr().err
+    if code == 0:
+        return "specs", tuple(
+            EstimatorSpec(Family(row["family"]), Method(row["method"]), float(row["alpha"]))
+            for row in read_rows(out))
+    assert code == 1 and err.startswith(f"error: {flag}") and err.endswith("\n"), err
+    return "error", err[len(f"error: {flag}"):-1]
+
+
+class TestOneGrammar:
+    @pytest.mark.parametrize("key,flag,raw,named", SELECTIONS)
+    def test_config_and_flags_agree(self, key, flag, raw, named, tmp_path, capsys):
+        # one list grammar: the same specs in the same order, or the same
+        # message naming the same entry
+        outcome, detail = _config_outcome(key, raw)
+        assert (outcome, detail) == _cli_outcome(flag, raw, tmp_path, capsys)
+        if named is None:
+            assert outcome == "specs"
+        else:
+            assert outcome == "error" and named in detail

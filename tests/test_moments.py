@@ -8,8 +8,12 @@ from hypothesis import strategies as st
 
 from censored_evi import (
     GPD,
+    Family,
+    Method,
     ReverseBurr,
+    StudyDesign,
     beta_function,
+    build_specs,
     from_observations,
     limit_l_alpha,
     make_censored,
@@ -333,6 +337,26 @@ class TestScaleANk:
     def test_endpoint_mismatch(self):
         with pytest.raises(ValueError, match="endpoint"):
             scale_a_nk(ReverseBurr(1, 1, 1, 10), ReverseBurr(1, 1, 1, 9), 100, 10)
+
+    @pytest.mark.parametrize("rel,accepted", [(5e-12, False), (5e-13, True)])
+    def test_one_endpoint_rule_for_designs_and_scales(self, rel, accepted):
+        # endpoints 2e-4 and 2e-4*(1 + rel): the relative rule does not
+        # depend on the endpoint's scale, and a design and the limit
+        # theory apply the same one
+        fx, gc = GPD(-0.5, 1e-4), GPD(-0.25, 5e-5 * (1 + rel))
+        specs = build_specs([Family.MOMENT], [Method.KM], [2.0])
+
+        def design():
+            return StudyDesign(fx, gc, n=100, reps=1, k_grid=(10,), specs=specs, seed=0)
+
+        if accepted:
+            design()
+            scale_a_nk(fx, gc, 100, 10)
+        else:
+            with pytest.raises(ValueError, match="endpoint mismatch"):
+                design()
+            with pytest.raises(ValueError, match="endpoint mismatch"):
+                scale_a_nk(fx, gc, 100, 10)
 
     @pytest.mark.parametrize("n,k", [(100, 0), (100, 100), (100, -3)])
     def test_k_domain(self, n, k):

@@ -74,6 +74,7 @@ class TestStudyDesignValidation:
             (dict(k_grid=(10, 20, 10)), "k grid repeats k=10"),
             (dict(specs=build_specs([Family.MOMENT] * 2, [Method.KM], (2.0,))),
              "specs repeat mom/km at alpha 2.0"),
+            (dict(seed=-5), "seed must be >= 0, got -5"),
         ],
     )
     def test_invalid_designs_raise(self, overrides, pattern):

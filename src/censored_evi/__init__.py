@@ -2,8 +2,8 @@
 short-tailed (negative extreme value index) regime.
 
 The pipeline: build a ``CensoredSample`` from (x, c) pairs or (z, delta)
-observations, form tail log-moments weighted by its product-limit
-survival curves (``fit``), and combine them with one of nine estimators
+observations, form tail log-moments weighted through its product-limit
+survival curve (``fit``), and combine them with one of nine estimators
 (three combination families crossed with three weighting methods).  A
 deterministic Monte Carlo engine reproduces simulation studies, and the
 ``censored-evi`` CLI wraps estimation, simulation and SVG plotting.
@@ -11,11 +11,9 @@ deterministic Monte Carlo engine reproduces simulation studies, and the
 
 from .censoring import (
     CensoredSample,
-    TailTheory,
     from_observations,
     make_censored,
     tail_uncensored_proportion,
-    theory_from_indices,
 )
 from .distributions import (
     BetaDist,
@@ -34,14 +32,8 @@ from .estimators import (
     combine_type2,
     estimate,
 )
-from .kaplan_meier import KaplanMeierCurves, fit, survival_f_at
-from .moments import (
-    AsymptoticScale,
-    beta_function,
-    limit_l_alpha,
-    scale_a_nk,
-    tail_moments,
-)
+from .kaplan_meier import fit
+from .moments import tail_moments
 from .montecarlo import (
     StudyCell,
     StudyDesign,
@@ -62,19 +54,11 @@ __all__ = [
     "parse_distribution",
     "distribution_literal",
     "CensoredSample",
-    "TailTheory",
     "make_censored",
     "from_observations",
     "tail_uncensored_proportion",
-    "theory_from_indices",
-    "KaplanMeierCurves",
     "fit",
-    "survival_f_at",
-    "AsymptoticScale",
     "tail_moments",
-    "beta_function",
-    "limit_l_alpha",
-    "scale_a_nk",
     "Family",
     "Method",
     "EstimatorSpec",

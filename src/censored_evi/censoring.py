@@ -1,17 +1,13 @@
-"""Censored samples and the tail censoring theory.
+"""Censored samples.
 
 Observation model: instead of the variable of interest X one records
 Z = min(X, C) together with the indicator delta = 1 when X <= C (the
 observation is uncensored).  A ``CensoredSample`` keeps the order
 statistics Z_(1) <= ... <= Z_(n) and their concomitant indicators.
 
-When X and C both have a negative tail index and share their right
-endpoint, the pooled variable Z has index
-``gamma = gamma_x*gamma_c/(gamma_x + gamma_c)`` and a fraction
-``p = gamma_c/(gamma_x + gamma_c)`` of the extreme observations stays
-uncensored in the limit.  ``theory_from_indices`` packages those derived
-quantities; ``tail_uncensored_proportion`` is their empirical counterpart
-(mean of the top-k indicators, for a whole grid of k at once).
+``tail_uncensored_proportion`` is the fraction of uncensored
+observations among the top k (mean of the top-k indicators, for a whole
+grid of k at once).
 
 A sample is one row ``(n,)`` or a batch of independent rows ``(R, n)``;
 every function here acts along the last axis, so a batch row gives the
@@ -27,11 +23,9 @@ import numpy as np
 
 __all__ = [
     "CensoredSample",
-    "TailTheory",
     "make_censored",
     "from_observations",
     "tail_uncensored_proportion",
-    "theory_from_indices",
 ]
 
 
@@ -145,28 +139,3 @@ def tail_uncensored_proportion(s: CensoredSample, ks):
     """
     ks = checked_ks(s, ks)
     return np.cumsum(s.delta[..., ::-1], axis=-1)[..., ks - 1] / ks
-
-
-@dataclass(frozen=True)
-class TailTheory:
-    """Derived tail quantities for a censoring pair with common endpoint."""
-
-    gamma_x: float
-    gamma_c: float
-    gamma: float
-    p: float
-
-    @property
-    def strong_censoring(self) -> bool:
-        """True when more than half of the extreme observations are
-        censored in the limit (equivalently gamma_x < gamma_c)."""
-        return 1.0 - self.p > 0.5
-
-
-def theory_from_indices(gamma_x: float, gamma_c: float) -> TailTheory:
-    """Pooled index and limit uncensored proportion for negative indices."""
-    if not (gamma_x < 0 and gamma_c < 0):
-        raise ValueError("both tail indices must be strictly negative")
-    gamma = gamma_x * gamma_c / (gamma_x + gamma_c)
-    p = gamma_c / (gamma_x + gamma_c)
-    return TailTheory(gamma_x=gamma_x, gamma_c=gamma_c, gamma=gamma, p=p)

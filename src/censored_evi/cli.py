@@ -47,11 +47,25 @@ def _write_atomic(path: str | None, text: str) -> None:
     try:
         with os.fdopen(fd, "w", newline="") as handle:
             handle.write(text)
+        # mkstemp creates the file 0600; give it the mode open(path, "w")
+        # would, which the umask decides.
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _decimal(text: str, kind=float):
+    """``kind(text)`` for ASCII text without '_': ``float`` and ``int``
+    also read digit separators (``1_5``) and non-ASCII digits (``２``),
+    which are not plain decimals."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"not a plain decimal: {text!r}")
+    return kind(text)
 
 
 def _read_data_csv(path: str):
@@ -69,7 +83,7 @@ def _read_data_csv(path: str):
         if len(parts) != 2:
             raise ValueError(f"{path}: line {lineno}: expected 2 fields, got {len(parts)}")
         try:
-            zv = float(parts[0])
+            zv = _decimal(parts[0])
         except ValueError:
             raise ValueError(f"{path}: line {lineno}: z must be a number, got {parts[0]!r}") from None
         if not 0 < zv < math.inf:
@@ -159,12 +173,12 @@ def _read_results_csv(path: str):
             raise ValueError(f"{path}: line {lineno}: expected {ncols} fields, got {len(parts)}")
         try:
             rows.append({
-                "k": int(parts[0]),
+                "k": _decimal(parts[0], int),
                 "family": parts[1],
                 "method": parts[2],
-                "alpha": float(parts[3]),
-                "median_bias": float(parts[4]),
-                "mse": float(parts[5]),
+                "alpha": _decimal(parts[3]),
+                "median_bias": _decimal(parts[4]),
+                "mse": _decimal(parts[5]),
             })
         except ValueError:
             raise ValueError(f"{path}: line {lineno}: malformed numeric field") from None

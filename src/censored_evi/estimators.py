@@ -200,7 +200,7 @@ def estimate(s: CensoredSample, ks,
 
     All moments come from one ``tail_moments`` pass over the k-grid at
     the union of the specs' orders, which fits the sample's product-limit
-    curves once.  The efg method combines the
+    curve once.  The efg method combines the
     unweighted moments (which target the pooled index of Z) and divides
     by p_hat; km and l feed their weighted moments straight through.
     """

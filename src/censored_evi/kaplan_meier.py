@@ -1,96 +1,53 @@
-"""Product-limit survival estimators under right censoring.
+"""Product-limit survival estimator under right censoring.
 
 For a censored sample, the survival function of the variable of interest
 is estimated by
 
-    1 - Fhat(t) = prod over {i : Z_(i) <= t} of ((n-i)/(n-i+1))^delta_(i)
+    1 - Fhat(t) = prod over {i : Z_(i) <= t} of ((n-i)/(n-i+1))^delta_(i),
 
-and the censoring survival 1 - Ghat uses the complementary exponents
-1 - delta_(i).  Both are step functions, defined for t < Z_(n).
+a step function defined for t < Z_(n).  ``fit`` evaluates it at every
+order statistic.  This is the one curve the package computes: the
+censoring survival 1 - Ghat, the same product with the complementary
+exponents 1 - delta_(i), enters the weighted tail moments only through
+the telescoping identity (1-Fhat(Z_(i)))*(1-Ghat(Z_(i))) = (n-i)/n
+(``moments._weights``).
 
-``fit`` evaluates the curves at every order statistic: the F-curve at
-Z_(i) itself and the G-curve as the left limit at Z_(i) (the product over
-strictly earlier indices).  The weighted tail moments read the F-curve
-alone and reach the G-curve through the telescoping identity
-(1-Fhat(Z_(i)))*(1-Ghat(Z_(i))) = (n-i)/n (``moments._weights``).
-
-Products are accumulated as float64 running sums of the log-factors and
-exponentiated once.  The terms of a sum share one sign, so the value
-after m factors is off by at most u*(S_m + 5.5*s_m + 4) relative, to
-first order, with u = 2**-53, s_j the magnitude of the j-th partial sum
-and S_m the sum of the s_j at the steps up to m that add a factor; as
-s_j <= log(n/(n-j)), that is at most about n*u.  Against 40-digit
-products the curves were within 7.8e-15 relative at n = 20 000 and
-5.3e-14 at n = 200 000.  No extended-precision type is used, so the
-bits of a result do not depend on the platform's ``long double`` (80-bit
-on x86-64 Linux, plain double on Windows and macOS arm64).  Both curves
-stay exactly as defined: with no censoring the G-curve is exactly 1,
-and both are at most 1 everywhere.  For a batch sample ``(R, n)`` every
-row is fitted along the last axis, bit for bit as on its own.
+The product is accumulated as a float64 running sum of the log-factors
+and exponentiated once.  The terms of the sum share one sign, so the
+value after m factors is off by at most u*(S_m + 5.5*s_m + 4) relative,
+to first order, with u = 2**-53, s_j the magnitude of the j-th partial
+sum and S_m the sum of the s_j at the steps up to m that add a factor;
+as s_j <= log(n/(n-j)), that is at most about n*u.  Against 40-digit
+products the curve was within 7.8e-15 relative at n = 20 000 and 5.3e-14
+at n = 200 000.  No extended-precision type is used, so the bits of a
+result do not depend on the platform's ``long double`` (80-bit on x86-64
+Linux, plain double on Windows and macOS arm64).  The curve is at most 1
+everywhere.  For a batch sample ``(R, n)`` every row is fitted along the
+last axis, bit for bit as on its own.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .censoring import CensoredSample
 
-__all__ = ["KaplanMeierCurves", "fit", "survival_f_at"]
+__all__ = ["fit"]
 
 
-@dataclass(frozen=True)
-class KaplanMeierCurves:
-    """Survival curves evaluated on the order statistics.
-
-    surv_f_at_order[..., i]      = 1 - Fhat(Z_(i+1))   (0-based storage)
-    surv_g_left_at_order[..., i] = 1 - Ghat(Z_(i+1)^-) (product over the
-                                   first i factors; entry 0 is the empty
-                                   product 1)
-
-    Both have the shape of the sample's ``z``.
-    """
-
-    surv_f_at_order: np.ndarray
-    surv_g_left_at_order: np.ndarray
-
-
-def fit(s: CensoredSample) -> KaplanMeierCurves:
-    """Evaluate both product-limit curves on the order statistics of s."""
+def fit(s: CensoredSample) -> np.ndarray:
+    """1 - Fhat(Z_(i+1)) at index i (0-based) of each row of ``s``: a
+    read-only array of the shape of the sample's ``z``."""
     n = s.n
     if n < 2:
         raise ValueError("need at least 2 observations")
     j = np.arange(n, dtype=np.int64)
     # log((n-1-j)/(n-j)) for 0-based j; the last factor is log 0 = -inf,
-    # reached only by the F-curve at Z_(n) when delta_(n) = 1.
+    # reached only at Z_(n) when delta_(n) = 1.
     with np.errstate(divide="ignore"):
         base = np.log1p(-1.0 / (n - j))
-    # One buffer holds both curves' log-steps, which are summed and
-    # exponentiated in place.  The left limit of the G-curve at Z_(i)
-    # excludes the factor of index i itself: its steps are shifted one
-    # place right.
-    logs = np.zeros((2,) + s.z.shape)
-    np.copyto(logs[0], base, where=s.delta == 1)
-    np.copyto(logs[1, ..., 1:], base[:-1], where=s.delta[..., :-1] == 0)
-    surv_f, surv_g_left = np.exp(np.cumsum(logs, axis=-1, out=logs), out=logs)
+    logs = np.zeros(s.z.shape)
+    np.copyto(logs, base, where=s.delta == 1)
+    surv_f = np.exp(np.cumsum(logs, axis=-1, out=logs), out=logs)
     surv_f.flags.writeable = False
-    surv_g_left.flags.writeable = False
-    return KaplanMeierCurves(surv_f_at_order=surv_f, surv_g_left_at_order=surv_g_left)
-
-
-def survival_f_at(s: CensoredSample, t: float) -> float:
-    """Step-function value 1 - Fhat(t) for t < Z_(n).
-
-    The product-limit estimator is undefined from the largest observation
-    onward, so t >= Z_(n) raises rather than extrapolating.  ``s`` is one
-    sample, not a batch.
-    """
-    if s.z.ndim != 1:
-        raise ValueError(f"survival_f_at takes one sample, got shape {s.z.shape}")
-    if t >= s.z[-1]:
-        raise ValueError(f"1-Fhat is undefined at t >= Z_(n) = {s.z[-1]!r}")
-    idx = int(np.searchsorted(s.z, t, side="right")) - 1
-    if idx < 0:
-        return 1.0
-    return float(fit(s).surv_f_at_order[idx])
+    return surv_f

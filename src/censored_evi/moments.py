@@ -1,4 +1,4 @@
-"""Tail log-moments of a censored sample and their limit theory.
+"""Tail log-moments of a censored sample.
 
 For threshold Z_(n-k) and order alpha >= 1 the building block is the
 vector of powered log-excesses  L_i = log^alpha(Z_(n-i+1)/Z_(n-k)),
@@ -31,32 +31,19 @@ long the grid; the second bound is never more than the sample itself
 holds, and a run of one k reads its tails as a view of the sample.  The
 Monte Carlo engine's batches of ``max(1, 2**13 // n)`` rows keep
 ``rows * largest k`` below 2**13 whenever n is.
-
-``limit_l_alpha`` gives the constant these weighted moments approach
-after division by a_nk^alpha, and ``scale_a_nk`` computes that
-normalizing scale for a known censoring pair by solving for the pooled
-upper quantile numerically.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
-from .censoring import CensoredSample, checked_ks, theory_from_indices
-from .distributions import DistributionSpec, _common_endpoint
+from .censoring import CensoredSample, checked_ks
 from .kaplan_meier import fit
 
-__all__ = [
-    "AsymptoticScale",
-    "tail_moments",
-    "beta_function",
-    "limit_l_alpha",
-    "scale_a_nk",
-]
+__all__ = ["tail_moments"]
 
 # Cap on the number of tail terms one array of the pass holds, unless the
 # batch's tails of its largest k alone hold more; the Monte Carlo engine
@@ -153,7 +140,7 @@ def _weights(s: CensoredSample, ks: np.ndarray):
     roundings of 1 at any n.
     """
     n = s.n
-    scaled = n * fit(s).surv_f_at_order.reshape(-1, n)
+    scaled = n * fit(s).reshape(-1, n)
     inv_g = np.empty_like(scaled)
     inv_g[:, 0] = 1.0
     np.divide(scaled[:, :-1], n - np.arange(1, n), out=inv_g[:, 1:])
@@ -202,77 +189,3 @@ def tail_moments(
     shape = s.z.shape[:-1] + ks.shape
     return tuple({p: m.reshape(shape) for p, m in moments.items()}
                  for moments in (unweighted, km, l))
-
-
-def beta_function(a: float, b: float) -> float:
-    """Euler Beta via log-gamma: exp(lnG(a) + lnG(b) - lnG(a+b))."""
-    if not (a > 0 and b > 0):
-        raise ValueError("beta_function requires a, b > 0")
-    return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
-
-
-def limit_l_alpha(gamma_x: float, gamma_c: float, alpha: float) -> float:
-    """Limit constant of the weighted moments after a_nk^alpha scaling:
-
-        l_alpha = |gamma_x|^-1 * |gamma|^-alpha * Beta(1/|gamma_x|, alpha+1)
-
-    with gamma the pooled index of the censoring pair.
-    """
-    _check_order(alpha)
-    theory = theory_from_indices(gamma_x, gamma_c)
-    bx = 1.0 / abs(gamma_x)
-    return bx * abs(theory.gamma) ** (-alpha) * beta_function(bx, alpha + 1.0)
-
-
-@dataclass(frozen=True)
-class AsymptoticScale:
-    """Normalizing scale at threshold fraction k/n.
-
-    u_of_t is the upper 1/t quantile of the pooled variable (the value z
-    with (1-F(z))*(1-G(z)) = 1/t), a_of_t = |gamma|*(xstar - u_of_t), and
-    a_nk = a_of_t/u_of_t is the scale that normalizes the tail moments.
-    """
-
-    t: float
-    u_of_t: float
-    a_of_t: float
-    a_nk: float
-    xstar: float
-
-
-def scale_a_nk(fx: DistributionSpec, gc: DistributionSpec, n: int, k: int) -> AsymptoticScale:
-    """Normalizing scale for a known pair, by bisection on the pooled
-    survival (1-F(u))*(1-G(u)) = k/n over (lo, xstar)."""
-    if not 1 <= k < n:
-        raise ValueError(f"k must satisfy 1 <= k < n, got k={k}, n={n}")
-    xstar = _common_endpoint(fx, gc)
-    t = n / k
-    target = 1.0 / t
-
-    def pooled_survival(u: float) -> float:
-        return float(fx.survival(u)) * float(gc.survival(u))
-
-    # Bracket downward from the endpoint; the pooled survival rises to 1
-    # as u decreases, so a finite expansion always brackets target < 1.
-    width = max(1.0, abs(xstar))
-    lo = xstar - width
-    for _ in range(60):
-        if pooled_survival(lo) > target:
-            break
-        width *= 2.0
-        lo = xstar - width
-    else:
-        raise ValueError("bisection bracket not found for the pooled quantile")
-    hi = xstar
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if pooled_survival(mid) > target:
-            lo = mid
-        else:
-            hi = mid
-    u = 0.5 * (lo + hi)
-    if not u > 0:
-        raise ValueError("pooled upper quantile is non-positive; increase n/k")
-    theory = theory_from_indices(fx.theoretical_evi(), gc.theoretical_evi())
-    a_t = abs(theory.gamma) * (xstar - u)
-    return AsymptoticScale(t=t, u_of_t=u, a_of_t=a_t, a_nk=a_t / u, xstar=xstar)

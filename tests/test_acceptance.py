@@ -25,17 +25,17 @@ from censored_evi import (
     combine_type1,
     combine_type2,
     fit,
-    limit_l_alpha,
     make_censored,
     run_replicate,
     run_study,
-    scale_a_nk,
     tail_moments,
     tail_uncensored_proportion,
 )
 from censored_evi.cli import main as cli_main
+from censored_evi.moments import _weights
 
 import reference as ref
+from theory import limit_l_alpha, scale_a_nk
 from conftest import DESIGNS, FIGURE1_C, FIGURE1_X, draw_sample, draw_sample_with_k
 
 
@@ -106,12 +106,15 @@ def test_criterion_2_reduction_identities():
 
 def test_criterion_3_product_limit_identity():
     with gate(3, "survival product telescopes to (n-i)/n up to n = 10^4"):
+        # the program's F-curve against a 40-digit G-curve computed
+        # directly from the censoring indicators
+        pytest.importorskip("mpmath")
         rng = np.random.default_rng(303)
         for n in (100, 1000, 10000):
             for design in (DESIGNS[0], DESIGNS[3]):
                 s = draw_sample(rng, n, design)
-                cur = fit(s)
-                prod = cur.surv_f_at_order[:-1] * cur.surv_g_left_at_order[1:]
+                _, surv_g_left, _ = ref.mp_product_limit(s.delta.tolist())
+                prod = fit(s)[:-1] * np.array(surv_g_left[1:], dtype=float)
                 want = (n - 1.0 - np.arange(n - 1)) / n
                 assert np.max(np.abs(prod / want - 1.0)) <= 1e-12
 
@@ -257,13 +260,15 @@ def test_criterion_8_brute_force_oracle():
             s, k = draw_sample_with_k(rng, n, DESIGNS[i % len(DESIGNS)], k_hi=40)
             z = [float(v) for v in s.z]
             delta = [int(v) for v in s.delta]
-            cur = fit(s)
+            surv_f = fit(s)
+            # km weights delta_(i)/(1-Ghat(Z_(i)^-)), from the largest down
+            weight = _weights(s, np.array([k]))[0][0]
             for idx in rng.integers(1, n + 1, size=5):
                 idx = int(idx)
                 f_ref = ref.naive_survival_f(z, delta, idx)
-                g_ref = ref.naive_survival_g_left(z, delta, idx)
-                assert abs(cur.surv_f_at_order[idx - 1] - f_ref) <= 1e-10 * max(1.0, f_ref)
-                assert abs(cur.surv_g_left_at_order[idx - 1] - g_ref) <= 1e-10 * max(1.0, g_ref)
+                w_ref = delta[idx - 1] / ref.naive_survival_g_left(z, delta, idx)
+                assert abs(surv_f[idx - 1] - f_ref) <= 1e-10 * max(1.0, f_ref)
+                assert abs(weight[n - idx] - w_ref) <= 1e-10 * max(1.0, w_ref)
             assert tail_uncensored_proportion(s, k) == ref.naive_p_hat(delta, k)
             unweighted, km, l = moments_at_k(s, k, (1.0, 2.0))
             for alpha in (1.0, 2.0):

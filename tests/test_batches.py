@@ -28,6 +28,7 @@ from censored_evi import (
     tail_uncensored_proportion,
 )
 from censored_evi.estimators import Family, Method
+from censored_evi.moments import _weights
 from censored_evi.montecarlo import _batch_values
 
 from conftest import DESIGNS, FIGURE1_C, FIGURE1_X
@@ -68,10 +69,10 @@ class TestLayersOnBatches:
         singles = [make_censored(a, b, require_positive=False) for a, b in zip(x, c)]
         assert_rows_equal(batch.z, [s.z for s in singles])
         assert_rows_equal(batch.delta, [s.delta for s in singles])
-        curves = fit(batch)
-        assert_rows_equal(curves.surv_f_at_order, [fit(s).surv_f_at_order for s in singles])
-        assert_rows_equal(curves.surv_g_left_at_order,
-                          [fit(s).surv_g_left_at_order for s in singles])
+        assert_rows_equal(fit(batch), [fit(s) for s in singles])
+        # the km weights, normalisers and l's top normalisers read from it
+        for got, want in zip(_weights(batch, ks), zip(*(_weights(s, ks) for s in singles))):
+            assert_rows_equal(got, [w[0] for w in want])
         assert_rows_equal(tail_uncensored_proportion(batch, ks),
                           [tail_uncensored_proportion(s, ks) for s in singles])
 

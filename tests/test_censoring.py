@@ -7,8 +7,9 @@ from censored_evi import (
     from_observations,
     make_censored,
     tail_uncensored_proportion,
-    theory_from_indices,
 )
+
+from theory import theory_from_indices
 
 negative_index = st.floats(min_value=-5.0, max_value=-0.05, allow_nan=False)
 
@@ -149,12 +150,12 @@ class TestTheoryFromIndices:
         th = theory_from_indices(-1.0, -1.5)
         assert th.gamma == pytest.approx(-0.6, rel=1e-14)
         assert th.p == pytest.approx(0.6, rel=1e-14)
-        assert not th.strong_censoring
+        assert 1.0 - th.p <= 0.5  # weak censoring
 
     def test_strong_censoring_design(self):
         th = theory_from_indices(-0.25, -0.2)
         assert th.p == pytest.approx(4.0 / 9.0, rel=1e-14)
-        assert th.strong_censoring  # censored fraction 5/9 > 1/2
+        assert 1.0 - th.p > 0.5  # strong censoring: censored fraction 5/9 > 1/2
 
     @given(g=st.floats(0.05, 5.0))
     @settings(max_examples=40)
@@ -166,7 +167,7 @@ class TestTheoryFromIndices:
     def test_strong_censoring_iff_x_not_shorter(self, gx, gc):
         th = theory_from_indices(gx, gc)
         # 1-p > 1/2 exactly when X has the heavier (shorter) tail
-        assert th.strong_censoring == (gx < gc)
+        assert (1.0 - th.p > 0.5) == (gx < gc)
         assert th.gamma < 0
         assert 0.0 < th.p < 1.0
 

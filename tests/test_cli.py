@@ -159,6 +159,14 @@ class TestEstimateCommand:
         assert f"line 4: z must be a finite positive number, got '{raw}'" in proc.stderr
         assert "Warning" not in proc.stderr
 
+    @pytest.mark.parametrize("raw", ["1_5", "\uff11", "\u0663", "1e1_0"])
+    def test_non_decimal_z_names_the_line(self, tmp_path, capsys, raw):
+        # float() reads digit separators and non-ASCII digits
+        data = tmp_path / "data.csv"
+        data.write_text(f"z,delta\n1.0,1\n2.0,0\n{raw},1\n", encoding="utf-8")
+        assert main(["estimate", "--input", str(data)]) == 1
+        assert f"line 4: z must be a number, got {raw!r}" in capsys.readouterr().err
+
     def test_missing_file(self, tmp_path):
         proc = run_cli("estimate", "--input", str(tmp_path / "nope.csv"))
         assert proc.returncode == 1
@@ -403,14 +411,54 @@ class TestPlotCommand:
                 RESULTS_HEADER + "\nten,mom,km,2.0,-0.05,0.01,-1.05,0.0075,0,100,400,-1.0,-1.5\n",
                 "malformed numeric field",
             ),
+            # int() and float() read digit separators and non-ASCII digits
+            (
+                RESULTS_HEADER + "\n1_0,mom,km,2.0,-0.05,0.01,-1.05,0.0075,0,100,400,-1.0,-1.5\n",
+                "line 2: malformed numeric field",
+            ),
+            (
+                RESULTS_HEADER + "\n10,mom,km,\uff12,-0.05,0.01,-1.05,0.0075,0,100,400,-1.0,-1.5\n",
+                "line 2: malformed numeric field",
+            ),
+            (
+                RESULTS_HEADER + "\n10,mom,km,2.0,-0.0\u0665,0.01,-1.05,0.0075,0,100,400,-1.0,-1.5\n",
+                "line 2: malformed numeric field",
+            ),
+            (
+                RESULTS_HEADER + "\n10,mom,km,2.0,-0.05,1e1_0,-1.05,0.0075,0,100,400,-1.0,-1.5\n",
+                "line 2: malformed numeric field",
+            ),
         ],
     )
     def test_malformed_results_csv(self, tmp_path, body, message):
         src = tmp_path / "bad.csv"
-        src.write_text(body)
+        src.write_text(body, encoding="utf-8")
         proc = run_cli("plot", "--input", str(src), "--metric", "mse")
         assert proc.returncode == 1
         assert message in proc.stderr
+
+
+class TestFileModes:
+    # Output files get the mode open(path, "w") would give them, whatever
+    # the temporary file they are renamed from was created with.
+    @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)],
+                             ids=["umask-022", "umask-077"])
+    @pytest.mark.parametrize("command", ["estimate", "plot"])
+    def test_out_follows_the_umask(self, tmp_path, command, umask, mode):
+        data = tmp_path / "data.csv"
+        data.write_text(DEMO)
+        argv = {
+            "estimate": ["estimate", "--input", str(data)],
+            "plot": ["plot", "--input", str(DATA_DIR / "results_small.csv"),
+                     "--metric", "mse"],
+        }[command]
+        out = tmp_path / "out"
+        saved = os.umask(umask)
+        try:
+            assert main([*argv, "--out", str(out)]) == 0
+        finally:
+            os.umask(saved)
+        assert out.stat().st_mode & 0o777 == mode
 
 
 class TestEntryPoints:

@@ -16,7 +16,6 @@ from censored_evi import (
     combine_type2,
     estimate,
     from_observations,
-    limit_l_alpha,
     make_censored,
     tail_moments,
     tail_uncensored_proportion,
@@ -25,6 +24,7 @@ from censored_evi import (
 from censored_evi.estimators import _POLE_TOL
 
 import reference as ref
+from theory import limit_l_alpha
 from conftest import DESIGNS, draw_sample, draw_sample_with_k, sample_from
 
 ALL_SPECS = [

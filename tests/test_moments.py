@@ -12,19 +12,16 @@ from censored_evi import (
     Method,
     ReverseBurr,
     StudyDesign,
-    beta_function,
     build_specs,
     from_observations,
-    limit_l_alpha,
     make_censored,
-    scale_a_nk,
     tail_moments,
-    theory_from_indices,
 )
 
 from censored_evi.moments import _weights
 
 import reference as ref
+from theory import beta_function, limit_l_alpha, scale_a_nk, theory_from_indices
 from conftest import (DESIGNS, FIGURE1_C, FIGURE1_X, draw_sample, draw_sample_with_k,
                       sample_from)
 

@@ -41,7 +41,10 @@ class CensoredSample:
 
     z: np.ndarray
     delta: np.ndarray
-    n: int
+
+    @property
+    def n(self) -> int:
+        return self.z.shape[-1]
 
 
 def _sort_with_tiebreak(z: np.ndarray, delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -63,7 +66,7 @@ def _freeze(z: np.ndarray, delta: np.ndarray) -> CensoredSample:
     delta = np.ascontiguousarray(delta, dtype=np.int64)
     z.flags.writeable = False
     delta.flags.writeable = False
-    return CensoredSample(z=z, delta=delta, n=z.shape[-1])
+    return CensoredSample(z=z, delta=delta)
 
 
 def make_censored(x, c, *, require_positive: bool = True) -> CensoredSample:
@@ -116,16 +119,18 @@ def from_observations(z, delta) -> CensoredSample:
     return _freeze(*_sort_with_tiebreak(z, delta.astype(np.int64)))
 
 
-def checked_ks(s: CensoredSample, ks) -> np.ndarray:
-    """``ks`` (one k or an array of them) as an integer array, each k
-    checked against 1 <= k < n."""
+def checked_ks(ks, n: int) -> np.ndarray:
+    """``ks`` (one k or a sequence of them) as an integer array, each k
+    checked against 1 <= k < n: the one check of that rule."""
+    if isinstance(ks, range) and ks:  # its ends, before a long range becomes an array
+        checked_ks([ks[0], ks[-1]], n)
     ks = np.asarray(ks)
     if ks.size and ks.dtype.kind not in "iu":
         raise ValueError(f"k must be an integer, got {ks.dtype} values")
     ks = ks.astype(np.intp)
-    bad = (ks < 1) | (ks >= s.n)
+    bad = (ks < 1) | (ks >= n)
     if bad.any():
-        raise ValueError(f"k must satisfy 1 <= k < n, got k={ks[bad].flat[0]}, n={s.n}")
+        raise ValueError(f"every k must satisfy 1 <= k < n, got k={ks[bad].flat[0]}, n={n}")
     return ks
 
 
@@ -137,5 +142,5 @@ def tail_uncensored_proportion(s: CensoredSample, ks):
     count of uncensored observations from the top, and the result has
     the shape of ``ks``, after the batch axis of a batch sample.
     """
-    ks = checked_ks(s, ks)
+    ks = checked_ks(ks, s.n)
     return np.cumsum(s.delta[..., ::-1], axis=-1)[..., ks - 1] / ks

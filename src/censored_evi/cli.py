@@ -17,15 +17,16 @@ success, 1 on data/config errors, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
 import tempfile
 
 from .censoring import from_observations
-from .config import _names, _parse_list, parse_config
-from .distributions import _fmt
-from .estimators import Family, Method, estimate
+from .config import _k_range, _names, _parse_list, parse_config
+from .distributions import _decimal, _fmt
+from .estimators import EstimatorSpec, Family, Method, _rank, estimate
 from .montecarlo import StudyResult, build_specs, run_study
 from .svg import Series, render_chart
 
@@ -59,13 +60,13 @@ def _write_atomic(path: str | None, text: str) -> None:
         raise
 
 
-def _decimal(text: str, kind=float):
-    """``kind(text)`` for ASCII text without '_': ``float`` and ``int``
-    also read digit separators (``1_5``) and non-ASCII digits (``２``),
-    which are not plain decimals."""
-    if not text.isascii() or "_" in text:
-        raise ValueError(f"not a plain decimal: {text!r}")
-    return kind(text)
+# The numeric flags' types, named in argparse's "invalid integer value".
+def integer(text: str) -> int:
+    return _decimal(text, int)
+
+
+def number(text: str) -> float:
+    return _decimal(text)
 
 
 def _read_data_csv(path: str):
@@ -92,28 +93,20 @@ def _read_data_csv(path: str):
         if parts[1] not in ("0", "1"):
             raise ValueError(f"{path}: line {lineno}: delta must be 0 or 1, got {parts[1]!r}")
         z.append(zv)
-        delta.append(int(parts[1]))
-    if len(z) < 2:
-        raise ValueError(f"{path}: need at least 2 data rows")
+        delta.append(parts[1] == "1")
     return z, delta
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
     z, delta = _read_data_csv(args.input)
     s = from_observations(z, delta)
-    k_min = args.k_min if args.k_min is not None else 1
-    k_max = args.k_max if args.k_max is not None else s.n - 1
-    if not (1 <= k_min <= k_max < s.n):
-        raise ValueError(f"k range [{k_min}, {k_max}] invalid for n={s.n}")
-    if args.k_step < 1:
-        raise ValueError(f"--k-step must be >= 1, got {args.k_step}")
+    ks = _k_range(args.k_min, s.n - 1 if args.k_max is None else args.k_max, args.k_step)
     families = _parse_list("--families", args.families, Family)
     methods = _parse_list("--methods", args.methods, Method)
     try:  # EstimatorSpec holds the rule for alpha
         specs = build_specs(families, methods, (args.alpha,))
     except ValueError as exc:
         raise ValueError(f"--alpha: {exc}") from None
-    ks = range(k_min, k_max + 1, args.k_step)
     p_hat, values = estimate(s, ks, specs)
     _write_atomic(args.out, estimates_csv_text(ks, specs, p_hat, values))
     return 0
@@ -151,8 +144,10 @@ def results_csv_text(result: StudyResult) -> str:
 def cmd_simulate(args: argparse.Namespace) -> int:
     with open(args.config, "r") as handle:
         cfg = parse_config(handle.read())
-    cfg = cfg.with_overrides(seed=args.seed, reps=args.reps, n=args.n)
-    result = run_study(cfg.to_design())
+    # Overridden before the design, which checks each value, is built.
+    overrides = {key: getattr(args, key) for key in ("seed", "reps", "n")
+                 if getattr(args, key) is not None}
+    result = run_study(dataclasses.replace(cfg, **overrides).to_design())
     out = args.out if args.out is not None else cfg.out
     _write_atomic(out, results_csv_text(result))
     return 0
@@ -172,20 +167,19 @@ def _read_results_csv(path: str):
         if len(parts) != ncols:
             raise ValueError(f"{path}: line {lineno}: expected {ncols} fields, got {len(parts)}")
         try:
-            rows.append({
-                "k": _decimal(parts[0], int),
-                "family": parts[1],
-                "method": parts[2],
-                "alpha": _decimal(parts[3]),
-                "median_bias": _decimal(parts[4]),
-                "mse": _decimal(parts[5]),
-            })
+            k, alpha, median_bias, mse = (_decimal(parts[0], int), *map(_decimal, parts[3:6]))
         except ValueError:
             raise ValueError(f"{path}: line {lineno}: malformed numeric field") from None
-        if parts[1] not in _names(Family) or parts[2] not in _names(Method):
-            raise ValueError(
-                f"{path}: line {lineno}: unknown estimator {parts[1]!r}/{parts[2]!r}"
-            )
+        try:
+            family, method = Family(parts[1]), Method(parts[2])
+        except ValueError:
+            raise ValueError(f"{path}: line {lineno}: unknown estimator "
+                             f"{parts[1]!r}/{parts[2]!r}") from None
+        try:
+            spec = EstimatorSpec(family, method, alpha)
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {lineno}: {exc}") from None
+        rows.append({"k": k, "spec": spec, "median_bias": median_bias, "mse": mse})
     if not rows:
         raise ValueError(f"{path}: no data rows")
     return rows
@@ -194,23 +188,14 @@ def _read_results_csv(path: str):
 def cmd_plot(args: argparse.Namespace) -> int:
     rows = _read_results_csv(args.input)
     metric = args.metric
-    family_names, method_names = _names(Family), _names(Method)
-    groups: dict[tuple[int, int, float], list[tuple[float, float]]] = {}
+    groups: dict[EstimatorSpec, list[tuple[float, float]]] = {}
     for row in rows:
-        key = (
-            family_names.index(row["family"]),
-            method_names.index(row["method"]),
-            row["alpha"],
-        )
-        groups.setdefault(key, []).append((float(row["k"]), row[metric]))
-    multi_alpha = len({key[2] for key in groups}) > 1
+        groups.setdefault(row["spec"], []).append((float(row["k"]), row[metric]))
+    multi_alpha = len({spec.alpha for spec in groups}) > 1
     series = []
-    for key in sorted(groups):
-        fam, meth, alpha = family_names[key[0]], method_names[key[1]], key[2]
-        label = f"{fam}/{meth}" + (f" a={alpha:g}" if multi_alpha else "")
-        pts = tuple(
-            (x, y) for x, y in sorted(groups[key]) if math.isfinite(y)
-        )
+    for spec in sorted(groups, key=_rank):
+        label = spec.label + (f" a={spec.alpha:g}" if multi_alpha else "")
+        pts = tuple((x, y) for x, y in sorted(groups[spec]) if math.isfinite(y))
         series.append(Series(label=label, points=pts))
     text = render_chart(series, x_label="k", y_label=metric)
     _write_atomic(args.out, text)
@@ -228,10 +213,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_est = sub.add_parser("estimate", help="estimate the tail index from a z,delta CSV")
     p_est.add_argument("--input", required=True, help="input CSV with header z,delta")
     p_est.add_argument("--out", default=None, help="output CSV path (default: stdout)")
-    p_est.add_argument("--k-min", type=int, default=None, help="smallest k (default 1)")
-    p_est.add_argument("--k-max", type=int, default=None, help="largest k (default n-1)")
-    p_est.add_argument("--k-step", type=int, default=1, help="k stride (default 1)")
-    p_est.add_argument("--alpha", type=float, default=2.0, help="moment order (default 2)")
+    p_est.add_argument("--k-min", type=integer, default=1, help="smallest k (default 1)")
+    p_est.add_argument("--k-max", type=integer, default=None, help="largest k (default n-1)")
+    p_est.add_argument("--k-step", type=integer, default=1, help="k stride (default 1)")
+    p_est.add_argument("--alpha", type=number, default=2.0, help="moment order (default 2)")
     p_est.add_argument("--families", default=",".join(_names(Family)),
                        help="comma list of mom,type1,type2")
     p_est.add_argument("--methods", default=",".join(_names(Method)),
@@ -241,9 +226,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="run a Monte Carlo study from a config file")
     p_sim.add_argument("--config", required=True, help="key-value config file")
     p_sim.add_argument("--out", default=None, help="output CSV (default: config 'out' or stdout)")
-    p_sim.add_argument("--seed", type=int, default=None, help="override config seed")
-    p_sim.add_argument("--reps", type=int, default=None, help="override config reps")
-    p_sim.add_argument("--n", type=int, default=None, help="override config n")
+    p_sim.add_argument("--seed", type=integer, default=None, help="override config seed")
+    p_sim.add_argument("--reps", type=integer, default=None, help="override config reps")
+    p_sim.add_argument("--n", type=integer, default=None, help="override config n")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_plot = sub.add_parser("plot", help="render a results CSV as an SVG chart")

@@ -23,10 +23,9 @@ number and key name.  ``config_text`` is its lossless inverse.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
-from .distributions import DistributionSpec, _fmt, distribution_literal, parse_distribution
+from .distributions import DistributionSpec, _decimal, _fmt, distribution_literal, parse_distribution
 from .estimators import Family, Method
 from .montecarlo import StudyDesign, _first_repeat, build_specs
 
@@ -52,10 +51,7 @@ class RunConfig:
     out: str | None = None
 
     def __post_init__(self):
-        if self.k_step < 1:
-            raise ValueError("k_step must be >= 1")
-        if self.k_min > self.k_max:
-            raise ValueError("k_min must not exceed k_max")
+        _k_range(self.k_min, self.k_max, self.k_step)
         if not self.alphas:
             raise ValueError("alpha list must not be empty")
         if not self.families or not self.methods:
@@ -63,18 +59,7 @@ class RunConfig:
 
     @property
     def k_grid(self) -> tuple[int, ...]:
-        return tuple(range(self.k_min, self.k_max + 1, self.k_step))
-
-    def with_overrides(self, *, seed: int | None = None, reps: int | None = None,
-                       n: int | None = None) -> "RunConfig":
-        cfg = self
-        if seed is not None:
-            cfg = dataclasses.replace(cfg, seed=seed)
-        if reps is not None:
-            cfg = dataclasses.replace(cfg, reps=reps)
-        if n is not None:
-            cfg = dataclasses.replace(cfg, n=n)
-        return cfg
+        return tuple(_k_range(self.k_min, self.k_max, self.k_step))
 
     def to_design(self) -> StudyDesign:
         return StudyDesign(
@@ -88,9 +73,19 @@ class RunConfig:
         )
 
 
+def _k_range(k_min: int, k_max: int, k_step: int) -> range:
+    """k_min, k_min + k_step, ... up to k_max: the k-grid of the config
+    keys and the estimate flags alike (``checked_ks`` checks it on n)."""
+    if k_step < 1:
+        raise ValueError(f"k_step must be >= 1, got {k_step}")
+    if k_min > k_max:
+        raise ValueError(f"k_min must not exceed k_max, got {k_min} > {k_max}")
+    return range(k_min, k_max + 1, k_step)
+
+
 def _parse_int(key: str, raw: str, lineno: int) -> int:
     try:
-        return int(raw)
+        return _decimal(raw, int)
     except ValueError:
         raise ValueError(f"line {lineno}: key {key!r} expects an integer, got {raw!r}") from None
 
@@ -102,7 +97,7 @@ def _names(enum_cls) -> list[str]:
 
 def _parse_list(where: str, raw: str, kind) -> tuple:
     """The entries of a comma list, stripped and mapped through ``kind``,
-    an enum (by member value) or ``float``; the one list grammar of the
+    an enum (by member value) or ``_decimal``; the one list grammar of the
     config keys and the CLI flags.  A ValueError names ``where`` (a line
     and key, or a flag) and the first unknown or repeated entry."""
     parts = [part.strip() for part in raw.split(",")]
@@ -111,7 +106,7 @@ def _parse_list(where: str, raw: str, kind) -> tuple:
         try:
             values.append(kind(part))
         except ValueError:
-            expected = "a number" if kind is float else f"one of {', '.join(_names(kind))}"
+            expected = "a number" if kind is _decimal else f"one of {', '.join(_names(kind))}"
             raise ValueError(f"{where} has unknown entry {part!r} (expected {expected})") from None
     i = _first_repeat(values)
     if i is not None:
@@ -150,7 +145,7 @@ def parse_config(text: str) -> RunConfig:
         if key in raw:
             value, lineno = raw[key]
             kwargs[key] = _parse_int(key, value, lineno)
-    for key, field, kind in (("alpha", "alphas", float), ("families", "families", Family),
+    for key, field, kind in (("alpha", "alphas", _decimal), ("families", "families", Family),
                              ("methods", "methods", Method)):
         if key in raw:
             value, lineno = raw[key]

@@ -188,6 +188,16 @@ def _fmt(v: float) -> str:
     return repr(float(v))
 
 
+def _decimal(text: str, kind=float):
+    """``kind(text)`` for ASCII text without '_': the one reader of numbers
+    in text (config values, literal parameters, flags, CSV fields).
+    ``float`` and ``int`` alone also read digit separators (``1_5``) and
+    non-ASCII digits (``２``), which are not plain decimals."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"not a plain decimal: {text!r}")
+    return kind(text)
+
+
 def _common_endpoint(fx: DistributionSpec, gc: DistributionSpec) -> float:
     """The right endpoint that X and C share.  They must agree within a
     relative 1e-12, a rule that does not depend on the endpoint's scale;
@@ -215,7 +225,7 @@ def parse_distribution(text: str) -> DistributionSpec:
     if len(parts) != arity:
         raise ValueError(f"{name} takes {arity} parameters, got {len(parts)} in {text!r}")
     try:
-        args = [float(p) for p in parts]
+        args = [_decimal(p) for p in parts]
     except ValueError as exc:
         raise ValueError(f"non-numeric parameter in {text!r}: {exc}") from None
     return _FAMILIES[name](*args)

@@ -112,6 +112,12 @@ class EstimatorSpec:
         return f"{self.family.value}/{self.method.value}"
 
 
+def _rank(spec: EstimatorSpec) -> tuple[int, int, float]:
+    """The sort key of every listing of estimators: family, then method,
+    each in declaration order, then alpha."""
+    return list(Family).index(spec.family), list(Method).index(spec.method), spec.alpha
+
+
 @dataclass(frozen=True)
 class EstimateRecord:
     k: int

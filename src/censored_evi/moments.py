@@ -161,7 +161,7 @@ def tail_moments(
     Z_(n-k) is not positive are NaN.  The weights come from the
     product-limit F-curve of ``s``, fitted here.
     """
-    ks = checked_ks(s, ks)
+    ks = checked_ks(ks, s.n)
     if ks.ndim != 1:
         raise ValueError(f"ks must be one-dimensional, got shape {ks.shape}")
     for alpha in orders:

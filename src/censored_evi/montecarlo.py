@@ -26,7 +26,8 @@ C uniforms.  Replicates are therefore independent of scheduling, each
 lands at its own index, and the aggregation sums in replicate order, so
 the result is bitwise identical for any batch size and any worker count.
 The worker count comes from the CENSORED_EVI_THREADS environment
-variable when not given explicitly.
+variable when not given explicitly and is at most the batch count: a
+pool starts all its workers up front, and one batch runs in-process.
 """
 
 from __future__ import annotations
@@ -38,9 +39,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .censoring import CensoredSample, make_censored
-from .distributions import DistributionSpec, _common_endpoint, _uniform_open
-from .estimators import EstimateRecord, EstimatorSpec, Family, Method, estimate
+from .censoring import CensoredSample, checked_ks, make_censored
+from .distributions import DistributionSpec, _common_endpoint, _decimal, _uniform_open
+from .estimators import EstimateRecord, EstimatorSpec, _rank, estimate
 from .moments import _CHUNK_TERMS
 
 __all__ = [
@@ -93,8 +94,7 @@ class StudyDesign:
             raise ValueError("reps must be >= 1")
         if not self.k_grid:
             raise ValueError("k grid must not be empty")
-        if not all(1 <= k < self.n for k in self.k_grid):
-            raise ValueError(f"every k must satisfy 1 <= k < n={self.n}")
+        checked_ks(self.k_grid, self.n)
         if not self.specs:
             raise ValueError("at least one estimator spec is required")
         if self.seed < 0:
@@ -151,9 +151,7 @@ class StudyResult:
         """One StudyCell per (k, spec), sorted by (k, family, method, alpha);
         built from the arrays on each access."""
         design = self.design
-        families, methods = list(Family), list(Method)
-        rank = [(families.index(spec.family), methods.index(spec.method), spec.alpha)
-                for spec in design.specs]
+        rank = [_rank(spec) for spec in design.specs]
         order = sorted((k, rank[j], i, j)
                        for i, k in enumerate(design.k_grid) for j in range(len(rank)))
         columns = [getattr(self, name).tolist() for name in _STATISTICS]
@@ -236,21 +234,21 @@ def aggregate(values, design: StudyDesign) -> StudyResult:
     return StudyResult(design=design, **columns)
 
 
-def resolve_workers(workers: int | None, reps: int) -> int:
+def resolve_workers(workers: int | None, tasks: int) -> int:
     if workers is None:
         env = os.environ.get(ENV_THREADS)
         if not env:
             workers = os.cpu_count() or 1
         else:
             try:
-                workers = int(env)
+                workers = _decimal(env, int)
             except ValueError:
                 workers = 0  # reported below, like any non-positive value
             if workers < 1:
                 raise ValueError(f"{ENV_THREADS} must be a positive integer, got {env!r}")
     if workers < 1:
         raise ValueError(f"worker count must be >= 1, got {workers}")
-    return min(workers, reps)
+    return min(workers, tasks)
 
 
 def run_study(design: StudyDesign, workers: int | None = None) -> StudyResult:
@@ -261,9 +259,9 @@ def run_study(design: StudyDesign, workers: int | None = None) -> StudyResult:
     size: replicates are pure functions of (seed, index), stored at their
     index and reduced in index order.
     """
-    workers = resolve_workers(workers, design.reps)
     rows = max(1, _CHUNK_TERMS // design.n)
     starts = range(0, design.reps, rows)
+    workers = resolve_workers(workers, len(starts))
     stops = [min(start + rows, design.reps) for start in starts]
     values = np.empty((design.reps, len(design.k_grid), len(design.specs)))
 

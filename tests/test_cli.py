@@ -21,6 +21,8 @@ DATA_DIR = Path(__file__).parent / "data"
 PYPROJECT = Path(__file__).parent.parent / "pyproject.toml"
 
 DEMO = "z,delta\n1.0,1\n2.0,0\n3.0,1\n"
+# int() and float() read these as 25, 1 and 101; the program does not
+NOT_DECIMAL = ["2_5", "\uff11", "\u0661\u0660\u0661"]
 UNCENSORED = "z,delta\n" + "".join(f"{v}.0,1\n" for v in range(1, 9))
 
 CONFIG_SMALL = """\
@@ -215,6 +217,22 @@ class TestEstimateCommand:
         assert len(want) == 9
         assert single.read_text().splitlines()[1:] == want
 
+    @pytest.mark.parametrize("extra,code,message", [
+        # the grid is [1]: points, not the bound, are checked against n = 3
+        (["--k-max", "3", "--k-step", "5"], 0, ""),
+        (["--k-max", "3"], 1, "error: every k must satisfy 1 <= k < n, got k=3, n=3\n"),
+        (["--k-min", "0"], 1, "error: every k must satisfy 1 <= k < n, got k=0, n=3\n"),
+        # checked at the grid's ends before it becomes an array
+        (["--k-max", str(10**15)], 1,
+         f"error: every k must satisfy 1 <= k < n, got k={10**15}, n=3\n"),
+    ])
+    def test_grid_points_are_checked_against_n(self, tmp_path, capsys, extra, code, message):
+        data = tmp_path / "data.csv"
+        data.write_text(DEMO)
+        assert main(["estimate", "--input", str(data), "--out", str(tmp_path / "o.csv"),
+                     *extra]) == code
+        assert capsys.readouterr().err == message
+
     def test_too_few_rows(self, tmp_path):
         data = tmp_path / "data.csv"
         data.write_text("z,delta\n1.0,1\n")
@@ -285,6 +303,26 @@ class TestSimulateCommand:
         # n override makes k = 20 invalid, so the run dies before writing
         assert main(["simulate", "--config", str(config), "--out", str(out), "--n", "15"]) == 1
         assert out.read_text() == "sentinel\n"
+
+    def test_override_applies_before_the_design_is_checked(self, config, tmp_path):
+        # k = 20 needs n > 20; the config alone is not a valid design
+        config.write_text(CONFIG_SMALL.replace("n = 60", "n = 15"))
+        out = tmp_path / "res.csv"
+        assert main(["simulate", "--config", str(config), "--out", str(out), "--n", "60"]) == 0
+        assert all(r["n"] == "60" for r in read_rows(out))
+
+    @pytest.mark.parametrize("raw", NOT_DECIMAL)
+    @pytest.mark.parametrize("key", ["n", "seed", "k_min", "alpha", "dist_x"])
+    def test_non_decimal_config_value_names_line_and_key(self, config, tmp_path, capsys,
+                                                         key, raw):
+        lines = CONFIG_SMALL.splitlines()
+        lineno = next(i for i, line in enumerate(lines, 1) if line.startswith(f"{key} ="))
+        lines[lineno - 1] = f"{key} = " + (f"revburr({raw},1,1,10)" if key == "dist_x" else raw)
+        config.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / "r.csv"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: line {lineno}: key {key!r}")
+        assert not out.exists()
 
     def test_stdout_when_no_out(self, config):
         proc = run_cli("simulate", "--config", str(config))
@@ -428,6 +466,11 @@ class TestPlotCommand:
                 RESULTS_HEADER + "\n10,mom,km,2.0,-0.05,1e1_0,-1.05,0.0075,0,100,400,-1.0,-1.5\n",
                 "line 2: malformed numeric field",
             ),
+            # EstimatorSpec's rule for alpha
+            (
+                RESULTS_HEADER + "\n10,mom,km,0.5,-0.05,0.01,-1.05,0.0075,0,100,400,-1.0,-1.5\n",
+                "line 2: alpha must be >= 1 and finite, got 0.5",
+            ),
         ],
     )
     def test_malformed_results_csv(self, tmp_path, body, message):
@@ -465,6 +508,22 @@ class TestEntryPoints:
     def test_usage_error_exit_code(self):
         proc = run_cli("frobnicate")
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize("raw", NOT_DECIMAL)
+    @pytest.mark.parametrize("command,flag", [
+        ("estimate", "--alpha"), ("estimate", "--k-max"), ("simulate", "--seed"),
+        ("simulate", "--n"),
+    ])
+    def test_non_decimal_flag_is_a_usage_error(self, tmp_path, capsys, command, flag, raw):
+        data, config = tmp_path / "data.csv", tmp_path / "study.cfg"
+        data.write_text(UNCENSORED)
+        config.write_text(CONFIG_SMALL)
+        source = ["--input", str(data)] if command == "estimate" else ["--config", str(config)]
+        with pytest.raises(SystemExit) as exc:
+            main([command, *source, "--out", str(tmp_path / "o.csv"), flag, raw])
+        assert exc.value.code == 2
+        kind = "number" if flag == "--alpha" else "integer"
+        assert f"argument {flag}: invalid {kind} value: {raw!r}" in capsys.readouterr().err
 
     def test_module_help(self):
         proc = run_cli("--help")

@@ -125,14 +125,6 @@ class TestRunConfig:
         single = parse_config(MINIMAL.replace("k_max = 250", "k_max = 50"))
         assert single.k_grid == (50,)
 
-    def test_with_overrides(self):
-        cfg = parse_config(MINIMAL)
-        new = cfg.with_overrides(seed=99, reps=10, n=60)
-        assert (new.seed, new.reps, new.n) == (99, 10, 60)
-        assert new.dist_x == cfg.dist_x and new.k_grid == cfg.k_grid
-        assert (cfg.seed, cfg.reps, cfg.n) == (2014, 200, 500)
-        assert cfg.with_overrides() == cfg
-
     def test_to_design(self):
         cfg = parse_config(FULL)
         design = cfg.to_design()

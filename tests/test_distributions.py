@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -176,6 +174,9 @@ class TestLiterals:
         "revburr(1,1,1)",       # wrong arity
         "gpd(-0.5,1,2)",        # wrong arity
         "gpd(-0.5,x)",          # non-numeric
+        "revburr(2_5,1,1,10)",  # not plain decimals, which float() reads
+        "gpd(-0.5,\uff11)",
+        "gpd(-0.5,\u0661\u0660\u0661)",
         "gpd(0.5,1)",           # invalid parameter (positive index)
         "revburr 1,1,1,10",     # malformed
         "",                     # empty

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from censored_evi import fit
+from censored_evi import CensoredSample, fit
 from censored_evi.moments import _weights
 
 import reference as ref
@@ -78,8 +78,9 @@ class TestDegenerateCensoringPatterns:
         assert top_norm == pytest.approx(norm / n, rel=1e-14)
 
     def test_needs_two_observations(self):
+        # built directly: the validating builders reject one point first
         with pytest.raises(ValueError, match="at least 2"):
-            fit(sample_from([1.0], [1]))
+            fit(CensoredSample(z=np.array([1.0]), delta=np.array([1])))
 
 
 class TestProductIdentity:

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from censored_evi import (
-    GPD,
     EstimatorSpec,
     Family,
     Method,
@@ -20,6 +19,7 @@ from censored_evi import (
     run_replicate,
     run_study,
 )
+from censored_evi import montecarlo
 
 from conftest import FIGURE1_C, FIGURE1_X
 
@@ -192,13 +192,42 @@ class TestResolveWorkers:
         with pytest.raises(ValueError, match="worker count"):
             resolve_workers(0, 10)
 
-    @pytest.mark.parametrize("raw", ["abc", "0"])
+    @pytest.mark.parametrize("raw", ["abc", "0", "1_0", "\uff12"])
     def test_bad_environment_value_names_the_variable(self, monkeypatch, raw):
         monkeypatch.setenv("CENSORED_EVI_THREADS", raw)
         message = f"CENSORED_EVI_THREADS must be a positive integer, got '{raw}'"
         with pytest.raises(ValueError) as info:
             resolve_workers(None, 10)
         assert str(info.value) == message
+
+
+class TestPoolSize:
+    # A pool starts all its workers up front and a task is one batch of
+    # 2**13 // n replicates (16 at n = 500), so the pool is capped at the
+    # batch count and one batch runs in-process.
+    @pytest.mark.parametrize("reps,workers,pool", [(16, 4, None), (40, 8, 3), (40, 2, 2)])
+    def test_pool_has_at_most_one_worker_per_batch(self, monkeypatch, reps, workers, pool):
+        sizes = []
+
+        class Recorder:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        design = small_design(n=500, reps=reps)
+        expected = run_study(design, workers=1)
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", Recorder)
+        result = run_study(design, workers=workers)
+        assert sizes == ([] if pool is None else [pool])
+        assert np.array_equal(result.mse, expected.mse, equal_nan=True)
 
 
 class TestWorkerIndependence:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .censoring import checked_ks
 from .distributions import DistributionSpec, _decimal, _fmt, distribution_literal, parse_distribution
 from .estimators import Family, Method
 from .montecarlo import StudyDesign, _first_repeat, build_specs
@@ -62,6 +63,8 @@ class RunConfig:
         return tuple(_k_range(self.k_min, self.k_max, self.k_step))
 
     def to_design(self) -> StudyDesign:
+        # the range's ends against n, before k_grid builds the whole tuple
+        checked_ks(_k_range(self.k_min, self.k_max, self.k_step), self.n)
         return StudyDesign(
             dist_x=self.dist_x,
             dist_c=self.dist_c,

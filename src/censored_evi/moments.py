@@ -18,19 +18,48 @@ whole grid of k and every requested order in one pass:
   over N, is kept as the naive reference the tests check it against.
 
 Every top-k tail is a prefix of the sample read from the largest value
-down, so the tails of a k-grid are laid end to end in one flat (ragged)
-array and each k's segment is summed with ``np.add.reduceat``.  A
-segment's sum depends on its own terms only, so a moment does not depend
-on which other k share its pass.  A batch sample ``(R, n)`` lays the
-same segments out along the last axis of its rows and sums them
-with ``np.add.reduceat(..., axis=-1)``, which sums each row's segment as
-the one-sample pass does.  The grid is cut into runs of k whose tails
-hold at most ``max(largest k, 2**13 // rows)`` terms per row, so an array
-of the pass holds at most ``max(2**13, rows * largest k)`` terms however
-long the grid; the second bound is never more than the sample itself
-holds, and a run of one k reads its tails as a view of the sample.  The
-Monte Carlo engine's batches of ``max(1, 2**13 // n)`` rows keep
-``rows * largest k`` below 2**13 whenever n is.
+down (point 0 is the top).  An integer order p up to 16 takes each
+observation's log once per block of 64, not once per k:
+
+* Blocks.  Below the top point the sample is cut into blocks of 64 at
+  fixed positions [1 + 64b, 1 + 64(b+1)); block b's threshold t_b is the
+  point at 1 + 64(b+1), the threshold of k = 1 + 64(b+1).  Once per
+  sample, the pass sums l^q and w * l^q over each block, l = log(Z/t_b),
+  q = 0..p.
+* Shift.  A k holds nb = (k-1)//64 full blocks, and each is shifted once,
+  straight to the k's threshold t_k.  With D = log(t_b/t_k) >= 0, taken
+  as the log of the ratio (a difference of two logs would cancel), every
+  L = l + D and sum of w (l + D)^p = sum over q of C(p,q) D^(p-q) sum of
+  w l^q.  Every term is non-negative, so the shift loses no digits to
+  cancellation.
+* Direct segment.  The top point and the points [1 + 64 nb, k) are read
+  directly: the segments of a k-grid are laid end to end in one flat
+  (ragged) array and each k's is summed with ``np.add.reduceat``.  The
+  same pass reads whole tails for the other orders, which have no finite
+  shift (non-integer p) or whose shift costs more than it saves (p > 16).
+
+The top point is never shifted, so l's correction reads L_1^p from the
+direct segment, and in a tail whose only weighted point is the top one
+the zero km weights add exact zeros to the block sums and their shifts:
+its km and l sums are exactly w_1 * L_1^p, as in a direct pass, and the
+pole band ``estimators._POLE_TOL`` holds as measured.  A k <= 64 has
+no full block, so its moments are those of a ragged pass over its whole
+tail, bit for bit; at k > 64 the shifted sums differ from such a pass in
+the last bits and stay within the first-order bound that the tests
+check against a 40-digit oracle.
+
+Block positions depend on k alone, and a block's, a segment's and a
+shift's sums on their own terms, so a moment does not depend on which
+other k share its pass, nor on which other orders (order p takes p shift
+steps whatever the largest order).  A batch sample ``(R, n)`` lays the
+same blocks and segments out along the last axis of its rows, so each
+row gets the bits of its sample alone.  The direct pass cuts the grid
+into runs of k whose segments hold at most ``max(largest segment,
+2**13 // rows)`` terms per row, so an array of it holds at most
+``max(2**13, rows * largest k)`` terms however long the grid; the block
+sums and the shifted (k, block) pairs, cut likewise, hold no more than
+twice that.  The Monte Carlo engine's batches of ``max(1, 2**13 // n)``
+rows keep ``rows * largest k`` below 2**13 whenever n is.
 """
 
 from __future__ import annotations
@@ -50,25 +79,37 @@ __all__ = ["tail_moments"]
 # also sizes its batches of samples by it.
 _CHUNK_TERMS = 2 ** 13
 
+# Observations per block of the shifted pass: block b holds the points
+# 1 + b*_BLOCK .. (b+1)*_BLOCK of the sample read from the largest down,
+# the top point being point 0.
+_BLOCK = 64
+
+# The largest order the pass shifts.  Shifting costs about p**2 operations
+# per (k, block) pair and holds p + 1 sums per pair, against about 64 p
+# for reading the block's points directly, so higher integer orders, like
+# non-integer ones, read whole tails.
+_MAX_SHIFTED_ORDER = 16
+
 
 def _check_order(alpha: float) -> None:
     if not 1 <= alpha < math.inf:
         raise ValueError(f"alpha must be >= 1 and finite, got {alpha}")
 
 
-def _chunks(ks: np.ndarray, rows: int):
-    """Consecutive runs of ks, as slices, whose tails hold at most
-    max(largest k, _CHUNK_TERMS // rows) terms together per row, so a run
-    of ``rows`` rows holds at most max(_CHUNK_TERMS, rows * largest k)."""
-    cap = max(int(ks.max(initial=0)), _CHUNK_TERMS // max(rows, 1))
+def _chunks(cost: np.ndarray, rows: int):
+    """Consecutive runs of the k-grid, as slices, whose ks cost at most
+    max(largest cost, _CHUNK_TERMS // rows) terms together per row, so a
+    run of ``rows`` rows holds at most max(_CHUNK_TERMS, rows * largest
+    cost)."""
+    cap = max(int(cost.max(initial=0)), _CHUNK_TERMS // max(rows, 1))
     start, total = 0, 0
-    for i, k in enumerate(ks.tolist()):
-        if total + k > cap:
+    for i, c in enumerate(cost.tolist()):
+        if total + c > cap:
             yield slice(start, i)
             start, total = i, 0
-        total += k
-    if start < len(ks):
-        yield slice(start, len(ks))
+        total += c
+    if start < len(cost):
+        yield slice(start, len(cost))
 
 
 def _powers(base: np.ndarray, orders: Sequence[float]):
@@ -92,26 +133,27 @@ def _powers(base: np.ndarray, orders: Sequence[float]):
 
 
 def _chunk_sums(top: np.ndarray, weight: np.ndarray, threshold: np.ndarray,
-                kc: np.ndarray, orders: Sequence[float]):
-    """For each order p, over the top-k tail of every k in kc: the sum of
-    L^p, the sum of w * L^p and the first term L_1^p, each an array
-    ``(rows, len(kc))``.
+                kc: np.ndarray, lo: np.ndarray, orders: Sequence[float]):
+    """For each order p, over the segment of every k in kc, the top point
+    and the points lo..k-1 below it: the sum of L^p, the sum of w * L^p
+    and the first term L_1^p, each an array ``(rows, len(kc))``.
 
     ``top`` and ``weight`` are ``(rows, n)`` and run from the largest
     observation down, and ``threshold`` holds each row's threshold of
-    each k (NaN when not positive).  The tails are laid end to end along
-    the last axis and each k's segment is summed with
-    ``np.add.reduceat``; a single k reads its tails as a view of ``top``.
+    each k (NaN when not positive).  The segments are laid end to end
+    along the last axis and each one is summed with ``np.add.reduceat``;
+    a single whole tail (lo = 1) is read as a view of ``top``.
     """
-    if len(kc) == 1:
+    if len(kc) == 1 and lo[0] == 1:
         k = int(kc[0])
         base, w = top[:, :k] / threshold, weight[:, :k]
     else:
-        base = np.concatenate([top[:, :k] for k in kc.tolist()], axis=-1)
-        base /= np.repeat(threshold, kc, axis=-1)
-        w = np.concatenate([weight[:, :k] for k in kc.tolist()], axis=-1)
+        spans = [span for k, l in zip(kc.tolist(), lo.tolist()) for span in ((0, 1), (l, k))]
+        base = np.concatenate([top[:, i:j] for i, j in spans], axis=-1)
+        base /= np.repeat(threshold, kc - lo + 1, axis=-1)
+        w = np.concatenate([weight[:, i:j] for i, j in spans], axis=-1)
     np.log(base, out=base)
-    starts = np.cumsum(kc) - kc
+    starts = np.cumsum(kc - lo + 1) - (kc - lo + 1)
     weighted = np.empty_like(base)
     return {
         p: (np.add.reduceat(power, starts, axis=-1),
@@ -119,6 +161,71 @@ def _chunk_sums(top: np.ndarray, weight: np.ndarray, threshold: np.ndarray,
             power[:, starts])
         for p, power in _powers(base, orders)
     }
+
+
+def _block_sums(top: np.ndarray, weight: np.ndarray, count: int, p_max: int):
+    """The sums of each full block below the top point, once per sample.
+
+    Returns ``(sums, thresholds)``: ``sums[q, 0]`` and ``sums[q, 1]``,
+    each ``(rows, count)``, hold the sums of l^q and of w * l^q over
+    block b, q = 0..p_max, with l = log(Z/t_b) and t_b = top[1 +
+    (b+1)*_BLOCK], the threshold of k = 1 + (b+1)*_BLOCK; ``thresholds``
+    holds t_b, NaN when not positive.  A block's sums read its own points
+    and threshold only.
+    """
+    rows = len(top)
+    t = top[:, 1 + _BLOCK:2 + count * _BLOCK:_BLOCK]
+    t = np.where(t > 0, t, np.nan)
+    ell = top[:, 1:1 + count * _BLOCK].reshape(rows, count, _BLOCK) / t[..., None]
+    np.log(ell, out=ell)
+    w = weight[:, 1:1 + count * _BLOCK].reshape(rows, count, _BLOCK)
+    sums = np.empty((p_max + 1, 2, rows, count))
+    sums[0, 0], sums[0, 1] = _BLOCK, w.sum(axis=-1)
+    weighted = np.empty_like(ell)
+    for q, power in _powers(ell, range(1, p_max + 1)):
+        sums[q, 0] = power.sum(axis=-1)
+        sums[q, 1] = np.multiply(w, power, out=weighted).sum(axis=-1)
+    return sums, t
+
+
+def _shifted_sums(top: np.ndarray, weight: np.ndarray, threshold: np.ndarray,
+                  blocks: np.ndarray, p_max: int) -> np.ndarray:
+    """Over the first ``blocks[j]`` full blocks of each k of the grid: the
+    sums of L^p (``[p, 0]``) and of w * L^p (``[p, 1]``), p = 0..p_max,
+    as an array ``(p_max + 1, 2, rows, len(blocks))``, 0 where a k has no
+    full block.
+
+    Each block's sums are shifted once, straight to the k's threshold
+    t_k: with D = log(t_b / t_k) >= 0, every L = l + D and
+
+        sum of w (l + D)^p = sum over q <= p of C(p,q) D^(p-q) sum of w l^q.
+
+    The binomial (Pascal) matrix is the product of p_max bidiagonal
+    steps, step j = 1..p_max adding D times order p-1 to order p for
+    every p >= j, so each order takes p multiply-adds of non-negative
+    terms and its bits do not depend on p_max.  The (k, block) pairs are
+    laid end to end and each k's are summed with ``np.add.reduceat``, in
+    runs of the grid whose pairs hold at most max(largest cost,
+    _CHUNK_TERMS // rows) plain sums, and as many weighted ones, per
+    row; a pair costs its p_max + 1 orders.
+    """
+    out = np.zeros((p_max + 1, 2) + threshold.shape)
+    sums, block_threshold = _block_sums(top, weight, int(blocks.max(initial=0)), p_max)
+    for chunk in _chunks(blocks * (p_max + 1), len(top)):
+        nb = blocks[chunk]
+        has = np.flatnonzero(nb) + chunk.start
+        if not len(has):
+            continue
+        shift = np.concatenate([block_threshold[:, :m] for m in nb.tolist()], axis=-1)
+        shift /= np.repeat(threshold[:, chunk], nb, axis=-1)
+        np.log(shift, out=shift)
+        moments = np.concatenate([sums[..., :m] for m in nb.tolist()], axis=-1)
+        step = np.empty_like(moments[0])
+        for j in range(1, p_max + 1):
+            for p in range(p_max, j - 1, -1):  # down, so order p-1 is the one before step j
+                moments[p] += np.multiply(shift, moments[p - 1], out=step)
+        out[..., has] = np.add.reduceat(moments, (np.cumsum(nb) - nb)[nb > 0], axis=-1)
+    return out
 
 
 def _weights(s: CensoredSample, ks: np.ndarray):
@@ -173,13 +280,28 @@ def tail_moments(
     top = s.z.reshape(-1, n)[:, ::-1]
     # A NaN threshold turns every term of its tail into NaN, silently.
     threshold = np.where(top[:, ks] > 0, top[:, ks], np.nan)
+    # The integer orders up to _MAX_SHIFTED_ORDER shift each k's full
+    # blocks and read the top point and the points lo..k-1 directly; the
+    # other orders read whole tails.
+    shifted = {p for p in orders if p <= _MAX_SHIFTED_ORDER and not p % 1}
+    whole = [p for p in orders if p not in shifted]
+    blocks = (ks - 1) // _BLOCK if shifted else np.zeros_like(ks)
+    lo = 1 + blocks * _BLOCK
     unweighted, km, first = ({p: np.empty((len(top), len(ks))) for p in orders}
                              for _ in range(3))
-    for chunk in _chunks(ks, len(top)):
-        sums = _chunk_sums(top, weight, threshold[:, chunk], ks[chunk], orders)
-        for p, (total, weighted_total, head) in sums.items():
-            unweighted[p][:, chunk], km[p][:, chunk], first[p][:, chunk] = (
-                total, weighted_total, head)
+    for group, start in ((whole, np.ones_like(ks)), (shifted, lo)):
+        if not group:
+            continue
+        for chunk in _chunks(ks - start + 1, len(top)):
+            sums = _chunk_sums(top, weight, threshold[:, chunk], ks[chunk], start[chunk], group)
+            for p, (total, weighted_total, head) in sums.items():
+                unweighted[p][:, chunk], km[p][:, chunk], first[p][:, chunk] = (
+                    total, weighted_total, head)
+    if blocks.any():
+        shift = _shifted_sums(top, weight, threshold, blocks, int(max(shifted)))
+        for p in shifted:
+            unweighted[p] += shift[int(p), 0]
+            km[p] += shift[int(p), 1]
     top_censored = 1 - s.delta.reshape(-1, n)[:, n - 1:]
     l = {}
     for p in unweighted:

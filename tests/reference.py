@@ -95,6 +95,70 @@ def product_limit_error_bound(surv, steps):
     return bound
 
 
+def mp_tail_moments(z, delta, ks, orders, dps=40):
+    """Unweighted, km and l moments of the top-k tails, to ``dps`` digits.
+
+    ``z`` is the sample in ascending order, every value at or above a
+    threshold positive; ``ks`` are ascending and ``orders`` are positive
+    integers.  Straight from the definitions, with L_i = log(Z_(n-i+1)) -
+    log(Z_(n-k)) and the curves of ``mp_product_limit``:
+
+    * unweighted: sum of L_i^p over i <= k, divided by k;
+    * km: sum of delta_(n-i+1) L_i^p / (1 - Ghat(Z_(n-i+1)^-)), divided
+      by N = n (1 - Fhat(Z_(n-k)));
+    * l: Leurgans' increments, sum of i (L_i^p - L_(i+1)^p) /
+      (1 - Ghat(Z_(n-i+1)^-)) with L_(k+1) = 0, divided by N.
+
+    Each log is taken to 2**-256 absolute and rounded to a multiple of
+    2**-256, so every L_i, its powers and the weighted sums are exact in
+    Python integers; a sum over a tail is then the exact binomial
+    expansion sum over q of C(p,q) (-log Z_(n-k))^(p-q) times a running
+    sum of weighted log^q, which costs O(n) for all k together.  The only
+    roundings are the logs (relative 2**-256 / L_i) and the curves'
+    ``dps`` digits.  Returns three dicts mapping each order to a list of
+    mpf, one per k.
+    """
+    import mpmath
+
+    frac = 256
+    n, top_k = len(z), max(ks)
+    surv_f, surv_g_left, km_weight = mp_product_limit(delta, dps)
+
+    def fixed(x):
+        return int(mpmath.nint(mpmath.ldexp(x, frac)))
+
+    with mpmath.workprec(frac + 64):
+        logs = [fixed(mpmath.log(z[n - j])) for j in range(1, top_k + 2)]
+    # top-down, j = 1..top_k: the km weight and Leurgans' j/(1-Ghat(Z^-))
+    km_w = [fixed(km_weight[n - j]) for j in range(1, top_k + 1)]
+    l_w = [fixed(j / surv_g_left[n - j]) for j in range(1, top_k + 1)]
+    p_max = max(orders)
+    running = [[0] * (p_max + 1) for _ in range(4)]  # plain, km, l at L_j, l at L_(j+1)
+    out = ({p: [] for p in orders}, {p: [] for p in orders}, {p: [] for p in orders})
+    want = iter(ks)
+    k = next(want)
+    for j in range(1, top_k + 1):
+        x, below = logs[j - 1], logs[j]
+        for q in range(p_max + 1):
+            xq, bq = x ** q, below ** q
+            running[0][q] += xq
+            running[1][q] += km_w[j - 1] * xq
+            running[2][q] += l_w[j - 1] * xq
+            running[3][q] += l_w[j - 1] * bq
+        while k == j:
+            t = logs[k]
+            with mpmath.workdps(dps):
+                norm = n * surv_f[n - k - 1]
+                for p in orders:
+                    coef = [math.comb(p, q) * (-t) ** (p - q) for q in range(p + 1)]
+                    sums = [sum(c * r[q] for q, c in enumerate(coef)) for r in running]
+                    out[0][p].append(mpmath.ldexp(sums[0], -frac * p) / k)
+                    out[1][p].append(mpmath.ldexp(sums[1], -frac * (p + 1)) / norm)
+                    out[2][p].append(mpmath.ldexp(sums[2] - sums[3], -frac * (p + 1)) / norm)
+            k = next(want, None)
+    return out
+
+
 def naive_p_hat(delta, k):
     n = len(delta)
     return sum(delta[n - i] for i in range(1, k + 1)) / k

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from censored_evi import Family, GPD, Method, ReverseBurr
@@ -132,6 +134,19 @@ class TestRunConfig:
         assert design.k_grid == cfg.k_grid
         assert design.seed == cfg.seed
         assert len(design.specs) == len(cfg.families) * len(cfg.methods) * len(cfg.alphas)
+
+    def test_huge_k_max_fails_before_the_grid_is_built(self):
+        # k_max = 10**9 as a tuple would take tens of GiB; the range's
+        # ends are checked against n first
+        cfg = parse_config(MINIMAL.replace("k_max = 250", f"k_max = {10**9}"))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="1 <= k < n"):
+                cfg.to_design()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
     def test_direct_construction_validates(self):
         with pytest.raises(ValueError, match="alpha list"):

@@ -232,6 +232,23 @@ class TestOnePointTail:
         assert [spec.label for spec, v in zip(specs, values.tolist())
                 if not math.isnan(v)] == []
 
+    # A censored run below an uncensored top point leaves one weighted
+    # log-excess in every tail that ends inside it, so km and l sit on the
+    # pole at each of those k, also where the tail holds full blocks that
+    # the moment pass shifts (k > 64): those blocks add exact zeros.
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(300, 3000),
+           run=st.integers(70, 250))
+    @settings(max_examples=40, deadline=None)
+    def test_estimate_gives_nan_beyond_a_block(self, seed, n, run):
+        drawn = draw_sample(np.random.default_rng(seed), n, DESIGNS[3])
+        delta = drawn.delta.copy()
+        delta[-1], delta[-1 - run:-1] = 1, 0
+        s = from_observations(drawn.z, delta)
+        specs = [EstimatorSpec(f, m, alpha) for alpha in (1.0, 2.0, 3.0)
+                 for f in Family for m in (Method.KM, Method.LEURGANS)]
+        _, values = estimate(s, range(1, run + 2), specs)
+        assert np.isnan(values).all()
+
 
 class TestEstimatorSpec:
     def test_label(self):

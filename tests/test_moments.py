@@ -81,11 +81,19 @@ class TestTailMomentsArguments:
                 assert all(np.isnan(v).all() for v in by_order.values())
 
     def test_one_pass_equals_separate_passes(self, rng):
-        # moments of an order do not depend on which other orders are asked for
-        s, k = draw_sample_with_k(rng, 80, DESIGNS[0])
-        together = tail_moments(s, [k], (1.0, 2.0, 3.0, 4.0))
-        for alpha in (1.0, 2.0, 3.0, 4.0):
-            assert moments_at(s, k, alpha) == tuple(float(m[alpha][0]) for m in together)
+        # moments of an order do not depend on which other orders are asked
+        # for, also past the first block, where a non-integer order reads
+        # whole tails and the integer orders shift blocks
+        for n, k_lo, orders in ((80, 1, (1.0, 2.0, 3.0, 4.0)),
+                                (400, 65, (1.0, 2.0, 2.5, 3.0, 4.0))):
+            s, k = draw_sample_with_k(rng, n, DESIGNS[0])
+            while k < k_lo:
+                s, k = draw_sample_with_k(rng, n, DESIGNS[0])
+            together = tail_moments(s, [k], orders)
+            for alpha in orders:
+                assert moments_at(s, k, alpha) == tuple(float(m[alpha][0]) for m in together)
+            # an order asked for twice is one order
+            assert tail_moments(s, [k], orders + orders) == together
 
 
 class TestMomentUnweighted:
@@ -183,6 +191,73 @@ class TestWeightsAgainstHighPrecision:
             assert abs(top / want_top - 1) <= bound_f[i] + bound_f[n - 2] + 3 * u
         # at k = 1 the top weight and the normaliser are one float
         assert top_norm[0] == 1.0
+
+
+def moment_error_bound(n, k, p, exact, bound_f, delta_top, top_log):
+    """First-order bound on |float64 - exact| of the (unweighted, km, l)
+    moments of order p at k, from the exact moments of orders p-1 and p.
+
+    With u = 2**-53 and nb = (k-1)//64 shifted blocks, per log-excess L:
+    the quotient inside the log rounds once per log taken (once for a
+    point read directly, twice for a shifted one, l and D), so the log
+    is off by a*u absolute, a = 1 or 2, plus 4u*L from two logs within
+    2 ulp; the power moves by p*L^(p-1)*(a*u) + 4p*u*L^p.  Every other
+    operation multiplies or adds non-negative terms and adds at most u
+    relative per rounding along a term's path: a shifted term passes p-1
+    (power chain), 1 (weight), 63 (a block's sum), 2p (p shift steps),
+    nb-1 (the sum over blocks), 1 (direct plus shifted) and 1 (division),
+    a direct term p-1, 1, 63 (a segment of at most 64 terms) and 2, so
+    at most 3p+66+nb in all.  The km
+    weights and normaliser carry their product-limit bounds: e_w at the
+    top of the sample and e_N at N.  The l moment adds the top term
+    L_1^p / (N (1-Ghat(Z_(n)^-))), one direct point whose normaliser
+    carries e_N plus the G-curve's e_w, and one rounding for the sum.
+    The km weights have mass at most 1, which bounds the order-0 moment.
+    """
+    u = 2.0 ** -53
+    a = 2 if k > 64 else 1
+    rounding = (7 * p + 66 + (k - 1) // 64) * u
+    e_w, e_n = bound_f[n - 2] + 2 * u, bound_f[n - k - 1] + u
+    (mu, mu_prev), (mk, mk_prev), (ml, _) = exact
+    bound_u = p * a * u * mu_prev + rounding * mu
+    bound_km = p * a * u * mk_prev + (rounding + e_w + e_n) * mk
+    top = ml - mk  # exact: l is km plus the top term
+    bound_top = 0.0
+    if not delta_top and top > 0:
+        bound_top = top * (p * u / top_log + (5 * p + 1) * u + e_n + e_w + 2 * u)
+    return bound_u, bound_km, bound_km + bound_top + u * ml
+
+
+class TestMomentsAgainstHighPrecision:
+    # Float64 moments of orders 1-4 against ``ref.mp_tail_moments`` (40
+    # digits), within ``moment_error_bound``.  The sample is scaled by
+    # 2**300: its ratios to every threshold, and so its float64 and exact
+    # moments, are those of the unscaled sample, but log Z is about 208,
+    # so a shift D taken as log(t_b) - log(t_k) instead of log(t_b/t_k)
+    # loses about 1e-13 absolute to cancellation and leaves the bound.
+    @pytest.mark.parametrize("n,ks", [(2000, None),
+                                      (20000, (64, 65, 66, 128, 129, 1000, 19999))])
+    def test_within_first_order_bound(self, n, ks):
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(n + 7)
+        drawn = draw_sample(rng, n, DESIGNS[3])
+        s = from_observations(drawn.z * 2.0 ** 300, drawn.delta)
+        ks = list(ks or range(1, n))
+        z, delta = as_lists(s)
+        orders = (1, 2, 3, 4)
+        got = tail_moments(s, ks, [float(p) for p in orders])
+        exact = ref.mp_tail_moments(z, delta, ks, orders)
+        exact_f, _, _ = ref.mp_product_limit(delta)
+        bound_f = ref.product_limit_error_bound(exact_f, [d == 1 for d in delta])
+        for j, k in enumerate(ks):
+            top_log = float(mpmath.log(mpmath.mpf(z[-1]) / z[n - k - 1]))
+            for p in orders:
+                exact_p = [(float(m[p][j]), float(m[p - 1][j]) if p > 1 else 1.0)
+                           for m in exact]
+                bounds = moment_error_bound(n, k, p, exact_p, bound_f, delta[-1], top_log)
+                for by_order, want, bound in zip(got, exact, bounds):
+                    error = abs(float(mpmath.mpf(float(by_order[p][j])) - want[p][j]))
+                    assert error <= bound, (k, p, error, bound)
 
 
 class TestTopCorrectionIdentity:

@@ -19,9 +19,13 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import math
+import operator
 import os
 import sys
 import tempfile
+from itertools import repeat
+
+import numpy as np
 
 from .censoring import from_observations
 from .config import _k_range, _names, _parse_list, parse_config
@@ -69,32 +73,105 @@ def number(text: str) -> float:
     return _decimal(text)
 
 
+def _first(items, broken):
+    """Index of the first item for which ``broken`` holds, or None."""
+    return next((i for i, item in enumerate(items) if broken(item)), None)
+
+
+def _not_decimal(text: str) -> bool:
+    try:
+        _decimal(text)
+    except ValueError:
+        return True
+    return False
+
+
 def _read_data_csv(path: str):
+    """The ``z,delta`` data file as a float64 array of z and a bool array
+    of delta, in file order.
+
+    The grammar (README, "Command line"): the first line is ``z,delta``
+    after ``str.strip``; the lines are those of ``str.splitlines``, and
+    the blank ones (empty or whitespace) are skipped; every other line
+    holds exactly 2 comma-separated fields, each stripped; z is a plain
+    decimal (``_decimal``) with 0 < z < inf, and delta is ``0`` or ``1``.
+
+    Each rule is checked on whole columns, so a file that keeps them all
+    costs a few passes in C and one ``float`` per z.  Only when a column
+    breaks a rule is its per-row test run, and the rows from the first
+    failure on are dropped, so that a later rule can only find an earlier
+    line: the error names the first failing line and the first rule it
+    breaks.
+    """
     with open(path, "r", newline="") as handle:
-        lines = handle.read().splitlines()
+        text = handle.read()
+    # _decimal's test passes on every field of ASCII text without '_'.
+    # float() strips every space that str.strip() does but '\x1c'-'\x1f',
+    # and all of those but '\x1f' break lines.
+    decimal_text = text.isascii() and "_" not in text
+    float_strips = decimal_text and "\x1f" not in text
+    lines = text.splitlines()
+    del text
     if not lines:
         raise ValueError(f"{path}: empty file (expected header 'z,delta')")
     if lines[0].strip() != "z,delta":
         raise ValueError(f"{path}: line 1: expected header 'z,delta', got {lines[0]!r}")
-    z, delta = [], []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = [p.strip() for p in line.split(",")]
-        if len(parts) != 2:
-            raise ValueError(f"{path}: line {lineno}: expected 2 fields, got {len(parts)}")
+    del lines[0]
+    # The rows are the lines that are not blank; a line with a comma is not.
+    numbers = None
+    if not all(map(operator.contains, lines, repeat(","))):
+        numbers = [i for i, line in enumerate(lines, start=2) if line.strip()]
+        lines = [lines[i - 2] for i in numbers]
+    error = None  # (row, message) of the first row found to break a rule
+
+    joined = ",".join(lines)
+    if numbers is not None or joined.count(",") != 2 * len(lines) - 1:
+        row = _first(lines, lambda line: line.count(",") != 1)
+        if row is not None:
+            error = row, f"expected 2 fields, got {lines[row].count(',') + 1}"
+            del lines[row:]
+            joined = ",".join(lines)
+    rows = len(lines)
+    del lines
+    fields = joined.split(",") if rows else []
+    del joined
+    z, delta = fields[0::2], fields[1::2]
+    del fields
+
+    if not float_strips:
+        z = list(map(str.strip, z))
+    values = None
+    if decimal_text:
         try:
-            zv = _decimal(parts[0])
+            values = np.fromiter(map(float, z), float, len(z))
         except ValueError:
-            raise ValueError(f"{path}: line {lineno}: z must be a number, got {parts[0]!r}") from None
-        if not 0 < zv < math.inf:
-            raise ValueError(
-                f"{path}: line {lineno}: z must be a finite positive number, got {parts[0]!r}")
-        if parts[1] not in ("0", "1"):
-            raise ValueError(f"{path}: line {lineno}: delta must be 0 or 1, got {parts[1]!r}")
-        z.append(zv)
-        delta.append(parts[1] == "1")
-    return z, delta
+            pass
+    if values is None:
+        row = _first(z, lambda field: _not_decimal(field.strip()))
+        if row is not None:
+            error = row, f"z must be a number, got {z[row].strip()!r}"
+            z, delta = z[:row], delta[:row]
+        values = np.fromiter(map(float, z), float, len(z))
+
+    outside = ~((values > 0) & (values < math.inf))
+    if outside.any():
+        row = int(outside.argmax())
+        error = row, f"z must be a finite positive number, got {z[row].strip()!r}"
+        delta = delta[:row]
+    del z
+
+    flags = "".join(delta)
+    if len(flags) != len(delta) or "" in delta or flags.count("0") + flags.count("1") != len(flags):
+        delta = list(map(str.strip, delta))
+        row = _first(delta, lambda field: field not in ("0", "1"))
+        if row is not None:
+            error = row, f"delta must be 0 or 1, got {delta[row]!r}"
+        flags = "".join(delta)
+    if error is not None:
+        row, message = error
+        line = row + 2 if numbers is None else numbers[row]
+        raise ValueError(f"{path}: line {line}: {message}")
+    return values, np.frombuffer(flags.encode(), np.uint8) == ord("1")
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:

@@ -90,6 +90,9 @@ _BLOCK = 64
 # non-integer ones, read whole tails.
 _MAX_SHIFTED_ORDER = 16
 
+# The most multiplications by the base that ``_powers`` spends on one order.
+_LONGEST_CHAIN = 64
+
 
 def _check_order(alpha: float) -> None:
     if not 1 <= alpha < math.inf:
@@ -115,14 +118,19 @@ def _chunks(cost: np.ndarray, rows: int):
 def _powers(base: np.ndarray, orders: Sequence[float]):
     """(order, base**order) for the orders in ascending order.
 
-    Each order p is reached from q = p - floor(p - 1), in [1, 2), by
-    floor(p - 1) multiplications by the base, L^(a+1) = L^a * L, so its
-    bits do not depend on which other orders are requested.  The powers
-    of one q share a buffer: each yielded array is overwritten when the
-    next order is drawn.
+    Each order p up to _LONGEST_CHAIN + 1 is reached from q = p -
+    floor(p - 1), in [1, 2), by floor(p - 1) multiplications by the base,
+    L^(a+1) = L^a * L, so its bits do not depend on which other orders
+    are requested.  The powers of one q share a buffer: each yielded
+    array is overwritten when the next order is drawn.  A higher order,
+    whose chain would be longer, is ``base ** p`` in one call, so an
+    order costs at most _LONGEST_CHAIN multiplications however large.
     """
     chains: dict[float, tuple[float, np.ndarray]] = {}
     for p in sorted(set(orders)):
+        if math.floor(p - 1.0) > _LONGEST_CHAIN:
+            yield p, base ** p
+            continue
         q = p - math.floor(p - 1.0)
         exponent, power = chains.get(q) or (q, base if q == 1.0 else base ** q)
         while exponent < p:
@@ -256,6 +264,10 @@ def _weights(s: CensoredSample, ks: np.ndarray):
     return weight, norm, norm / inv_g[:, n - 1:]
 
 
+# Infinite observations (inf/inf, 0 * inf) and powers beyond the float
+# range give NaN and inf moments, which the combiners mark degenerate;
+# they raise no warning, as a non-positive threshold's NaN does not.
+@np.errstate(invalid="ignore", over="ignore")
 def tail_moments(
     s: CensoredSample, ks, orders: Sequence[float]
 ) -> tuple[dict[float, np.ndarray], dict[float, np.ndarray], dict[float, np.ndarray]]:
@@ -265,7 +277,8 @@ def tail_moments(
     Returns three dicts ``(unweighted, km, l)``, each mapping an order to
     the array of its moments: shape ``(len(ks),)`` for one sample and
     ``(R, len(ks))`` for a batch.  The moments at a k whose threshold
-    Z_(n-k) is not positive are NaN.  The weights come from the
+    Z_(n-k) is not positive are NaN, and those of a tail that holds an
+    infinite observation are not finite.  The weights come from the
     product-limit F-curve of ``s``, fitted here.
     """
     ks = checked_ks(ks, s.n)

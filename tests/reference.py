@@ -5,10 +5,14 @@ definitions with 1-based index arithmetic, pure Python floats and no
 log-space tricks or precomputation.  Slow on purpose; used only to
 validate the optimized library paths on small samples.  The product-limit
 curves also have a high-precision version (``mp_product_limit``, in
-mpmath), which checks the float64 curves at large n.
+mpmath), which checks the float64 curves at large n.  The ``z,delta``
+reader has its line-by-line version (``read_data_csv_reference``), which
+the columnar ``cli._read_data_csv`` is checked against.
 """
 
 import math
+
+from censored_evi.distributions import _decimal
 
 
 def naive_survival_f(z, delta, i):
@@ -258,3 +262,33 @@ def combination_sensitivity(family, moments, alpha):
             return math.inf
         return 3.0 * abs(r) * (alpha / (alpha + 1.0)) / (1.0 - r) ** 2
     raise ValueError(f"unknown family {family!r}")
+
+
+def read_data_csv_reference(path):
+    """The ``z,delta`` data file read line by line: lists of z floats and
+    delta bools, or ValueError naming the first failing line."""
+    with open(path, "r", newline="") as handle:
+        lines = handle.read().splitlines()
+    if not lines:
+        raise ValueError(f"{path}: empty file (expected header 'z,delta')")
+    if lines[0].strip() != "z,delta":
+        raise ValueError(f"{path}: line 1: expected header 'z,delta', got {lines[0]!r}")
+    z, delta = [], []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        parts = [p.strip() for p in line.split(",")]
+        if len(parts) != 2:
+            raise ValueError(f"{path}: line {lineno}: expected 2 fields, got {len(parts)}")
+        try:
+            zv = _decimal(parts[0])
+        except ValueError:
+            raise ValueError(f"{path}: line {lineno}: z must be a number, got {parts[0]!r}") from None
+        if not 0 < zv < math.inf:
+            raise ValueError(
+                f"{path}: line {lineno}: z must be a finite positive number, got {parts[0]!r}")
+        if parts[1] not in ("0", "1"):
+            raise ValueError(f"{path}: line {lineno}: delta must be 0 or 1, got {parts[1]!r}")
+        z.append(zv)
+        delta.append(parts[1] == "1")
+    return z, delta

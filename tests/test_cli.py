@@ -6,15 +6,20 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import censored_evi
 from censored_evi import GPD, EstimatorSpec, Family, Method, estimate, from_observations
-from censored_evi.cli import ESTIMATES_HEADER, RESULTS_HEADER, _fmt, estimates_csv_text, main
+from censored_evi.cli import (ESTIMATES_HEADER, RESULTS_HEADER, _fmt, _read_data_csv,
+                              estimates_csv_text, main)
 from censored_evi.config import parse_config
+from reference import read_data_csv_reference
 
 PACKAGE_ROOT = str(Path(censored_evi.__file__).resolve().parent.parent)
 DATA_DIR = Path(__file__).parent / "data"
@@ -40,15 +45,18 @@ methods = km,l
 """
 
 
-def run_cli(*argv, cwd=None):
-    """Run the CLI module in a child interpreter that imports the same
-    censored_evi package as this process, installed or not."""
+def run_python(*args, cwd=None, timeout=None):
+    """Run a child interpreter that imports the same censored_evi package
+    as this process, installed or not."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [PACKAGE_ROOT, env.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, "-m", "censored_evi.cli", *argv],
-        capture_output=True, text=True, cwd=cwd, env=env,
-    )
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, cwd=cwd,
+                          env=env, timeout=timeout)
+
+
+def run_cli(*argv, cwd=None):
+    """Run the CLI module in a child interpreter (``run_python``)."""
+    return run_python("-m", "censored_evi.cli", *argv, cwd=cwd)
 
 
 def declared_scripts():
@@ -246,6 +254,150 @@ class TestEstimateCommand:
         proc = run_cli("estimate", "--input", str(data))
         assert proc.returncode == 1
         assert "expected header 'z,delta'" in proc.stderr
+
+
+def _read_outcome(reader, path):
+    """(z bits, delta) of a reader's columns, or its error message."""
+    try:
+        z, delta = reader(path)
+    except ValueError as exc:
+        return str(exc)
+    return [float(v).hex() for v in z], [bool(d) for d in delta]
+
+
+# Pieces of a z,delta file: number texts (signs, exponents, inf/nan, '_',
+# fullwidth and Arabic-Indic digits, empty), spaces around a field, and
+# every kind of line break that str.splitlines() counts.  Most lines keep
+# every rule, so that about a quarter of the files are read to the end; the
+# others break one of the rules.
+GOOD_Z = st.one_of(
+    st.floats(min_value=0, exclude_min=True, allow_infinity=False).map(repr),
+    st.integers(1, 10**20).map(str),
+    st.sampled_from(["+1.5e0", ".5", "5.", "1E-300"]),
+)
+BAD_Z = {
+    "range": st.one_of(st.floats(max_value=0).map(repr), st.sampled_from(
+        ["-0.0", "0", "0.000", "1e-400", "1e400", "inf", "-inf", "nan", "Infinity"])),
+    "number": st.sampled_from(["1_5", "1e1_0", "\uff11", "\u0663", "\u0661\u0660", "", "1 5",
+                               "abc", "0x10", "1.5e"]),
+}
+GOOD_D = st.sampled_from(["0", "1"])
+BAD_D = st.sampled_from(["01", "2", "", "00", "1.0", "\uff11", "true"])
+SPACES = st.sampled_from(["", "", "", "", " ", "\t", "  ", "\xa0", "\u3000", "\x1f", " \t"])
+BREAKS = st.sampled_from(["\n", "\n", "\n", "\n", "\r\n", "\r", "\x85", "\u2028", "\u2029",
+                          "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"])
+
+
+@st.composite
+def data_lines(draw):
+    pad = lambda text: draw(SPACES) + text + draw(SPACES)
+    fault = draw(st.sampled_from([None] * 12 + ["blank", "range", "number", "delta", "one",
+                                                 "three"]))
+    if fault == "blank":
+        return draw(SPACES)
+    z = pad(draw(BAD_Z[fault] if fault in BAD_Z else GOOD_Z))
+    d = pad(draw(BAD_D if fault == "delta" else GOOD_D))
+    return {"one": z, "three": f"{z},{d},{d}"}.get(fault, f"{z},{d}")
+
+
+@st.composite
+def data_files(draw):
+    header = draw(st.sampled_from(["z,delta"] * 20 + [" z,delta\t", "\ufeffz,delta",
+                                                       "z, delta", "time,event", ""]))
+    lines = [header, *draw(st.lists(data_lines(), max_size=12))]
+    text = "".join(line + draw(BREAKS) for line in lines)
+    return text if draw(st.booleans()) else text[:-1] if len(lines) > 1 else header
+
+
+class TestDataReader:
+    """The columnar ``z,delta`` reader against the line-by-line reference."""
+
+    def read(self, tmp_path, text):
+        path = tmp_path / "data.csv"
+        path.write_bytes(text.encode("utf-8"))
+        return path, _read_outcome(_read_data_csv, str(path))
+
+    @pytest.mark.parametrize("text,z,delta", [
+        ("z,delta\r\n1.5,1\r\n2.5,0\r\n", [1.5, 2.5], [True, False]),
+        ("z,delta\r1.5,1\r2.5,0", [1.5, 2.5], [True, False]),
+        ("z,delta\n\n1.5,1\n \t\n\n2.5,0\n\n", [1.5, 2.5], [True, False]),
+        ("z,delta\n 1.5 ,\t1 \n", [1.5], [True]),
+        ("z,delta\n 1.5\u3000,1\n", [1.5], [True]),
+        ("z,delta\n1.5, 1\n", [1.5], [True]),
+        ("z,delta\n+1.5e0,1\n.5,0\n", [1.5, 0.5], [True, False]),
+        ("z,delta\n", [], []),
+    ])
+    def test_accepted(self, tmp_path, text, z, delta):
+        path, outcome = self.read(tmp_path, text)
+        assert outcome == ([v.hex() for v in z], delta)
+        got_z, got_delta = _read_data_csv(str(path))
+        assert got_z.dtype == np.float64 and got_delta.dtype == bool
+
+    @pytest.mark.parametrize("text,message", [
+        ("\ufeffz,delta\n1.5,1\n", "line 1: expected header 'z,delta', got "
+         + repr("\ufeffz,delta")),
+        ("z,delta\n1.5,1,\n", "line 2: expected 2 fields, got 3"),
+        ("z,delta\n1.5\n", "line 2: expected 2 fields, got 1"),
+        ("z,delta\n1.5,01\n", "line 2: delta must be 0 or 1, got '01'"),
+        # the first failing line, with the first rule it breaks
+        ("z,delta\n1.5,1\n\n0,2\n1.5,1,1\n", "line 4: z must be a finite positive number, got '0'"),
+        ("z,delta\n1.5,2\n1_5,1\n", "line 2: delta must be 0 or 1, got '2'"),
+        ("z,delta\n1.5,1\n\uff11,1\n", "line 3: z must be a number, got '\uff11'"),
+        # column totals that a one-field and a three-field line, or an empty
+        # and a two-digit delta, keep
+        ("z,delta\n1.5\n2.5,1,1\n", "line 2: expected 2 fields, got 1"),
+        ("z,delta\n\n1.5\n2.5,1,1\n", "line 3: expected 2 fields, got 1"),
+        ("z,delta\n1.5,\n2.5,01\n", "line 2: delta must be 0 or 1, got ''"),
+    ])
+    def test_rejected(self, tmp_path, text, message):
+        path, outcome = self.read(tmp_path, text)
+        assert outcome == f"{path}: {message}"
+
+    @given(data_files())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_line_by_line_reference(self, text):
+        # equal z bits and delta, or the same message, on every file
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "data.csv"
+            path.write_bytes(text.encode("utf-8"))
+            assert (_read_outcome(_read_data_csv, str(path))
+                    == _read_outcome(read_data_csv_reference, str(path)))
+
+
+# Log-excesses from about 0 to 5: order 1e300 takes their powers to 0 and
+# past the float range.
+WIDE_SAMPLE = """
+import numpy as np
+from censored_evi import EstimatorSpec, Family, Method, estimate, make_censored, tail_moments
+rng = np.random.default_rng(5)
+s = make_censored(np.exp(rng.uniform(0, 5, 400)), np.exp(rng.uniform(0, 5, 400)))
+"""
+
+
+class TestHugeAlpha:
+    # An order costs at most 64 multiplications however large it is, and
+    # powers that overflow make the estimates degenerate without a warning.
+    def test_library_finishes_silently(self):
+        proc = run_python("-W", "error::RuntimeWarning", "-c", WIDE_SAMPLE + """
+tail_moments(s, [10], (1e300,))
+_, values = estimate(s, range(1, 400), [EstimatorSpec(Family.TYPE1, Method.KM, 1e300)])
+print(int(np.isnan(values).sum()), values.size)
+""", timeout=30)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "399 399\n", "")
+
+    def test_cli_finishes_silently(self, tmp_path):
+        data = tmp_path / "data.csv"
+        proc = run_python("-c", WIDE_SAMPLE + f"""
+open({str(data)!r}, "w").write("z,delta\\n" + "".join(
+    f"{{z!r}},{{d}}\\n" for z, d in zip(s.z.tolist(), s.delta.tolist())))
+""")
+        assert proc.returncode == 0, proc.stderr
+        proc = run_python("-W", "error::RuntimeWarning", "-m", "censored_evi.cli", "estimate",
+                          "--input", str(data), "--alpha", "1e300", timeout=30)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        rows = list(csv.DictReader(proc.stdout.splitlines()))
+        assert len(rows) == 9 * 399  # mom ignores alpha; the other families use it
+        assert {row["degenerate"] for row in rows if row["family"] != "mom"} == {"1"}
 
 
 class TestSimulateCommand:

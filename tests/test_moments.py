@@ -13,6 +13,7 @@ from censored_evi import (
     ReverseBurr,
     StudyDesign,
     build_specs,
+    estimate,
     from_observations,
     make_censored,
     tail_moments,
@@ -79,6 +80,35 @@ class TestTailMomentsArguments:
             for by_order in moments:
                 assert list(by_order) == [1.0, 2.0, 3.0]
                 assert all(np.isnan(v).all() for v in by_order.values())
+
+    def test_infinite_observations_are_silent(self, rng):
+        # five infinite pairs at the top of n = 300: inf/inf thresholds and
+        # 0 * inf weighted terms give NaN and inf moments without a warning,
+        # and every estimate of the sample is degenerate
+        x, c = rng.uniform(1.0, 2.0, 300), rng.uniform(1.0, 2.0, 300)
+        x[:5] = c[:5] = np.inf
+        with pytest.warns(UserWarning, match="tied"):
+            s = make_censored(x, c, require_positive=False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            moments = tail_moments(s, range(1, 299), (1.0, 2.0))
+            _, values = estimate(s, range(1, 299), build_specs(Family, Method, (1.0, 2.0)))
+        assert not any(np.isfinite(m).any() for by_order in moments for m in by_order.values())
+        assert np.isnan(values).all()
+
+    def test_high_orders_are_one_power(self):
+        # an order above 65 is one power, not a chain of multiplications
+        # (``test_cli.TestHugeAlpha`` runs order 1e300); powers past the
+        # float range are inf without a warning
+        s = sample_from([0.5, 1.0, 2.0, 3.0, 40.0], [1, 0, 1, 1, 1])
+        base = np.log(np.array([40.0, 3.0]) / 2.0)
+        for alpha in (66.0, 100.5):
+            unweighted, _, _ = tail_moments(s, [2], (alpha,))
+            assert unweighted[alpha][0] == pytest.approx(np.mean(base ** alpha), rel=1e-14)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            unweighted, _, _ = tail_moments(s, [1, 2, 3], (1000.0,))
+        assert unweighted[1000.0].tolist() == [math.inf, math.inf, math.inf]
 
     def test_one_pass_equals_separate_passes(self, rng):
         # moments of an order do not depend on which other orders are asked

@@ -43,6 +43,17 @@ RESULTS_HEADER = (
 )
 
 
+def _read_text(path: str) -> str:
+    """The file at ``path`` as UTF-8 text, whatever the locale, with its
+    line breaks as they are."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text "
+                         f"(byte {exc.object[exc.start]:#04x} at offset {exc.start})") from None
+
+
 def _write_atomic(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
@@ -50,7 +61,7 @@ def _write_atomic(path: str | None, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(prefix=".tmp-", dir=directory)
     try:
-        with os.fdopen(fd, "w", newline="") as handle:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
         # mkstemp creates the file 0600; give it the mode open(path, "w")
         # would, which the umask decides.
@@ -103,8 +114,7 @@ def _read_data_csv(path: str):
     line: the error names the first failing line and the first rule it
     breaks.
     """
-    with open(path, "r", newline="") as handle:
-        text = handle.read()
+    text = _read_text(path)
     # _decimal's test passes on every field of ASCII text without '_'.
     # float() strips every space that str.strip() does but '\x1c'-'\x1f',
     # and all of those but '\x1f' break lines.
@@ -219,8 +229,7 @@ def results_csv_text(result: StudyResult) -> str:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    with open(args.config, "r") as handle:
-        cfg = parse_config(handle.read())
+    cfg = parse_config(_read_text(args.config))
     # Overridden before the design, which checks each value, is built.
     overrides = {key: getattr(args, key) for key in ("seed", "reps", "n")
                  if getattr(args, key) is not None}
@@ -231,8 +240,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _read_results_csv(path: str):
-    with open(path, "r", newline="") as handle:
-        lines = handle.read().splitlines()
+    lines = _read_text(path).splitlines()
     if not lines or lines[0].strip() != RESULTS_HEADER:
         raise ValueError(f"{path}: expected results header {RESULTS_HEADER!r}")
     rows = []

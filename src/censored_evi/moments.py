@@ -38,13 +38,15 @@ observation's log once per block of 64, not once per k:
   same pass reads whole tails for the other orders, which have no finite
   shift (non-integer p) or whose shift costs more than it saves (p > 16).
 
-The top point is never shifted, so l's correction reads L_1^p from the
-direct segment, and in a tail whose only weighted point is the top one
-the zero km weights add exact zeros to the block sums and their shifts:
-its km and l sums are exactly w_1 * L_1^p, as in a direct pass, and the
-pole band ``estimators._POLE_TOL`` holds as measured.  A k <= 64 has
-no full block, so its moments are those of a ragged pass over its whole
-tail, bit for bit; at k > 64 the shifted sums differ from such a pass in
+l's term L_1^p is read once per k from the top point alone, through
+the same ``_powers`` chain, so it has the bits the direct pass gives the
+top point of its segment.  The top point is never shifted, and in a tail
+whose only weighted point is the top one the zero km weights add exact
+zeros to the block sums and their shifts: its km and l sums are exactly
+w_1 * L_1^p, as in a direct pass, and the pole band
+``estimators._POLE_TOL`` holds as measured.  A k <= 64 has no full
+block, so its moments are those of a ragged pass over its whole tail,
+bit for bit; at k > 64 the shifted sums differ from such a pass in
 the last bits and stay within the first-order bound that the tests
 check against a 40-digit oracle.
 
@@ -143,30 +145,24 @@ def _powers(base: np.ndarray, orders: Sequence[float]):
 def _chunk_sums(top: np.ndarray, weight: np.ndarray, threshold: np.ndarray,
                 kc: np.ndarray, lo: np.ndarray, orders: Sequence[float]):
     """For each order p, over the segment of every k in kc, the top point
-    and the points lo..k-1 below it: the sum of L^p, the sum of w * L^p
-    and the first term L_1^p, each an array ``(rows, len(kc))``.
+    and the points lo..k-1 below it: the sum of L^p and the sum of
+    w * L^p, each an array ``(rows, len(kc))``.
 
     ``top`` and ``weight`` are ``(rows, n)`` and run from the largest
     observation down, and ``threshold`` holds each row's threshold of
     each k (NaN when not positive).  The segments are laid end to end
-    along the last axis and each one is summed with ``np.add.reduceat``;
-    a single whole tail (lo = 1) is read as a view of ``top``.
+    along the last axis and each one is summed with ``np.add.reduceat``.
     """
-    if len(kc) == 1 and lo[0] == 1:
-        k = int(kc[0])
-        base, w = top[:, :k] / threshold, weight[:, :k]
-    else:
-        spans = [span for k, l in zip(kc.tolist(), lo.tolist()) for span in ((0, 1), (l, k))]
-        base = np.concatenate([top[:, i:j] for i, j in spans], axis=-1)
-        base /= np.repeat(threshold, kc - lo + 1, axis=-1)
-        w = np.concatenate([weight[:, i:j] for i, j in spans], axis=-1)
+    spans = [span for k, l in zip(kc.tolist(), lo.tolist()) for span in ((0, 1), (l, k))]
+    base = np.concatenate([top[:, i:j] for i, j in spans], axis=-1)
+    base /= np.repeat(threshold, kc - lo + 1, axis=-1)
     np.log(base, out=base)
+    w = np.concatenate([weight[:, i:j] for i, j in spans], axis=-1)
     starts = np.cumsum(kc - lo + 1) - (kc - lo + 1)
     weighted = np.empty_like(base)
     return {
         p: (np.add.reduceat(power, starts, axis=-1),
-            np.add.reduceat(np.multiply(w, power, out=weighted), starts, axis=-1),
-            power[:, starts])
+            np.add.reduceat(np.multiply(w, power, out=weighted), starts, axis=-1))
         for p, power in _powers(base, orders)
     }
 
@@ -222,8 +218,6 @@ def _shifted_sums(top: np.ndarray, weight: np.ndarray, threshold: np.ndarray,
     for chunk in _chunks(blocks * (p_max + 1), len(top)):
         nb = blocks[chunk]
         has = np.flatnonzero(nb) + chunk.start
-        if not len(has):
-            continue
         shift = np.concatenate([block_threshold[:, :m] for m in nb.tolist()], axis=-1)
         shift /= np.repeat(threshold[:, chunk], nb, axis=-1)
         np.log(shift, out=shift)
@@ -300,27 +294,26 @@ def tail_moments(
     whole = [p for p in orders if p not in shifted]
     blocks = (ks - 1) // _BLOCK if shifted else np.zeros_like(ks)
     lo = 1 + blocks * _BLOCK
-    unweighted, km, first = ({p: np.empty((len(top), len(ks))) for p in orders}
-                             for _ in range(3))
+    unweighted, km = ({p: np.empty((len(top), len(ks))) for p in orders} for _ in range(2))
     for group, start in ((whole, np.ones_like(ks)), (shifted, lo)):
         if not group:
             continue
         for chunk in _chunks(ks - start + 1, len(top)):
             sums = _chunk_sums(top, weight, threshold[:, chunk], ks[chunk], start[chunk], group)
-            for p, (total, weighted_total, head) in sums.items():
-                unweighted[p][:, chunk], km[p][:, chunk], first[p][:, chunk] = (
-                    total, weighted_total, head)
+            for p, (total, weighted_total) in sums.items():
+                unweighted[p][:, chunk], km[p][:, chunk] = total, weighted_total
     if blocks.any():
         shift = _shifted_sums(top, weight, threshold, blocks, int(max(shifted)))
         for p in shifted:
             unweighted[p] += shift[int(p), 0]
             km[p] += shift[int(p), 1]
-    top_censored = 1 - s.delta.reshape(-1, n)[:, n - 1:]
-    l = {}
     for p in unweighted:
         unweighted[p] /= ks
         km[p] /= norm
-        l[p] = km[p] + top_censored * first[p] / top_norm
+    # l's term L_1^p of each k, through the chain the direct pass takes.
+    top_censored = 1 - s.delta.reshape(-1, n)[:, n - 1:]
+    l = {p: km[p] + top_censored * power / top_norm
+         for p, power in _powers(np.log(top[:, :1] / threshold), orders)}
     shape = s.z.shape[:-1] + ks.shape
-    return tuple({p: m.reshape(shape) for p, m in moments.items()}
+    return tuple({p: moments[p].reshape(shape) for p in unweighted}
                  for moments in (unweighted, km, l))

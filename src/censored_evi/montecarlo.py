@@ -237,8 +237,9 @@ def aggregate(values, design: StudyDesign) -> StudyResult:
 def resolve_workers(workers: int | None, tasks: int) -> int:
     if workers is None:
         env = os.environ.get(ENV_THREADS)
-        if not env:
-            workers = os.cpu_count() or 1
+        if not env:  # the CPUs this process may run on
+            workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                       else os.cpu_count() or 1)
         else:
             try:
                 workers = _decimal(env, int)

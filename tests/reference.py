@@ -267,7 +267,7 @@ def combination_sensitivity(family, moments, alpha):
 def read_data_csv_reference(path):
     """The ``z,delta`` data file read line by line: lists of z floats and
     delta bools, or ValueError naming the first failing line."""
-    with open(path, "r", newline="") as handle:
+    with open(path, "r", encoding="utf-8", newline="") as handle:
         lines = handle.read().splitlines()
     if not lines:
         raise ValueError(f"{path}: empty file (expected header 'z,delta')")

@@ -45,18 +45,18 @@ methods = km,l
 """
 
 
-def run_python(*args, cwd=None, timeout=None):
+def run_python(*args, cwd=None, timeout=None, env=None):
     """Run a child interpreter that imports the same censored_evi package
-    as this process, installed or not."""
-    env = dict(os.environ)
+    as this process, installed or not; ``env`` sets more variables."""
+    env = {**os.environ, **(env or {})}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [PACKAGE_ROOT, env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *args], capture_output=True, text=True, cwd=cwd,
                           env=env, timeout=timeout)
 
 
-def run_cli(*argv, cwd=None):
+def run_cli(*argv, cwd=None, env=None):
     """Run the CLI module in a child interpreter (``run_python``)."""
-    return run_python("-m", "censored_evi.cli", *argv, cwd=cwd)
+    return run_python("-m", "censored_evi.cli", *argv, cwd=cwd, env=env)
 
 
 def declared_scripts():
@@ -372,6 +372,50 @@ from censored_evi import EstimatorSpec, Family, Method, estimate, make_censored,
 rng = np.random.default_rng(5)
 s = make_censored(np.exp(rng.uniform(0, 5, 400)), np.exp(rng.uniform(0, 5, 400)))
 """
+
+
+class TestUtf8Text:
+    # Under the C locale, and without UTF-8 mode, Python's default text
+    # encoding is ASCII; the program reads and writes UTF-8 whatever it is.
+    C_LOCALE = {"LC_ALL": "C", "PYTHONUTF8": "0"}
+
+    def test_data_file_read_as_utf8_under_the_c_locale(self, tmp_path):
+        data = tmp_path / "data.csv"
+        data.write_bytes("z,delta\n1.5\u3000,1\n2.5,0\n3.5,1\n".encode("utf-8"))
+        out = tmp_path / "est.csv"
+        assert main(["estimate", "--input", str(data), "--out", str(out)]) == 0
+        proc = run_cli("estimate", "--input", str(data), env=self.C_LOCALE)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == out.read_text()
+
+    def test_config_comment_read_as_utf8_under_the_c_locale(self, tmp_path):
+        config = tmp_path / "study.cfg"
+        config.write_bytes(("# \u00e9tude, \u03b3_x = \u22121\n" + CONFIG_SMALL).encode("utf-8"))
+        plain = tmp_path / "plain.cfg"
+        plain.write_text(CONFIG_SMALL)
+        expected, out = tmp_path / "expected.csv", tmp_path / "res.csv"
+        assert main(["simulate", "--config", str(plain), "--out", str(expected)]) == 0
+        proc = run_cli("simulate", "--config", str(config), "--out", str(out),
+                       env=self.C_LOCALE)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert out.read_bytes() == expected.read_bytes()
+
+    def test_undecodable_byte_names_the_path_under_the_c_locale(self, tmp_path):
+        data = tmp_path / "data.csv"
+        data.write_bytes(b"z,delta\n1.5,1\n2.5,\xff\n")
+        proc = run_cli("estimate", "--input", str(data), env=self.C_LOCALE)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == f"error: {data}: not UTF-8 text (byte 0xff at offset 18)\n"
+
+    @pytest.mark.parametrize("command, flag", [
+        ("estimate", "--input"), ("simulate", "--config"), ("plot", "--input")])
+    def test_every_reader_names_the_path_and_offset(self, tmp_path, capsys, command, flag):
+        path = tmp_path / "input.txt"
+        path.write_bytes("z,delta\n\u00e9".encode("utf-8") + b"\xe9,1\n")
+        argv = [command, flag, str(path)] + (["--metric", "mse"] if command == "plot" else [])
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: not UTF-8 text (byte 0xe9 at offset 10)\n")
 
 
 class TestHugeAlpha:

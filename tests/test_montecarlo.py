@@ -188,6 +188,18 @@ class TestResolveWorkers:
         monkeypatch.delenv("CENSORED_EVI_THREADS", raising=False)
         assert resolve_workers(None, 10**6) >= 1
 
+    def test_default_is_the_cpus_the_process_may_run_on(self, monkeypatch):
+        monkeypatch.delenv("CENSORED_EVI_THREADS", raising=False)
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: {0, 3, 5},
+                            raising=False)
+        assert resolve_workers(None, 10) == 3
+        assert resolve_workers(None, 2) == 2
+        monkeypatch.delattr(montecarlo.os, "sched_getaffinity")
+        assert resolve_workers(None, 10) == 8
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: None)
+        assert resolve_workers(None, 10) == 1
+
     def test_rejects_non_positive(self):
         with pytest.raises(ValueError, match="worker count"):
             resolve_workers(0, 10)

@@ -17,13 +17,14 @@ success, 1 on data/config errors, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import math
 import operator
 import os
 import sys
 import tempfile
-from itertools import repeat
+from itertools import count, repeat
 
 import numpy as np
 
@@ -75,7 +76,7 @@ def _write_atomic(path: str | None, text: str) -> None:
         raise
 
 
-# The numeric flags' types, named in argparse's "invalid integer value".
+# The flags' types, named in argparse's "invalid integer value".
 def integer(text: str) -> int:
     return _decimal(text, int)
 
@@ -84,17 +85,37 @@ def number(text: str) -> float:
     return _decimal(text)
 
 
-def _first(items, broken):
-    """Index of the first item for which ``broken`` holds, or None."""
-    return next((i for i, item in enumerate(items) if broken(item)), None)
+def output(text: str) -> str:
+    if not text:
+        raise ValueError("empty output path")
+    return text
 
 
-def _not_decimal(text: str) -> bool:
+def _row_error(z: str, delta: str) -> str | None:
+    """The message of the first rule that a row's stripped fields break,
+    z's before delta's, or None."""
     try:
-        _decimal(text)
+        value = _decimal(z)
     except ValueError:
-        return True
-    return False
+        return f"z must be a number, got {z!r}"
+    if not 0 < value < math.inf:
+        return f"z must be a finite positive number, got {z!r}"
+    if delta not in ("0", "1"):
+        return f"delta must be 0 or 1, got {delta!r}"
+    return None
+
+
+def _explain(path: str, numbers, rows) -> None:
+    """Raise the error of the first row (a sequence of fields) that breaks a
+    rule, if one does, at its line number in ``numbers`` (None for lines
+    2, 3, ...)."""
+    for line, fields in zip(numbers or count(2), rows):
+        if len(fields) != 2:
+            message = f"expected 2 fields, got {len(fields)}"
+        else:
+            message = _row_error(*map(str.strip, fields))
+        if message is not None:
+            raise ValueError(f"{path}: line {line}: {message}")
 
 
 def _read_data_csv(path: str):
@@ -107,19 +128,16 @@ def _read_data_csv(path: str):
     holds exactly 2 comma-separated fields, each stripped; z is a plain
     decimal (``_decimal``) with 0 < z < inf, and delta is ``0`` or ``1``.
 
-    Each rule is checked on whole columns, so a file that keeps them all
-    costs a few passes in C and one ``float`` per z.  Only when a column
-    breaks a rule is its per-row test run, and the rows from the first
-    failure on are dropped, so that a later rule can only find an earlier
-    line: the error names the first failing line and the first rule it
-    breaks.
+    The file is accepted on whole columns, at the cost of a few passes in
+    C and one ``float`` per z.  Only when a column breaks a rule are the
+    rows walked from the top, by ``_explain``, to name the first failing
+    line and the first rule it breaks.
     """
     text = _read_text(path)
-    # _decimal's test passes on every field of ASCII text without '_'.
-    # float() strips every space that str.strip() does but '\x1c'-'\x1f',
-    # and all of those but '\x1f' break lines.
-    decimal_text = text.isascii() and "_" not in text
-    float_strips = decimal_text and "\x1f" not in text
+    # In ASCII text without '_' or '\x1f', float() reads a field as _decimal
+    # reads it stripped: of the spaces that str.strip() drops, float() keeps
+    # only '\x1c'-'\x1f', and all of those but '\x1f' break lines.
+    plain = text.isascii() and "_" not in text and "\x1f" not in text
     lines = text.splitlines()
     del text
     if not lines:
@@ -129,59 +147,33 @@ def _read_data_csv(path: str):
     del lines[0]
     # The rows are the lines that are not blank; a line with a comma is not.
     numbers = None
-    if not all(map(operator.contains, lines, repeat(","))):
+    commas = all(map(operator.contains, lines, repeat(",")))
+    if not commas:
         numbers = [i for i, line in enumerate(lines, start=2) if line.strip()]
         lines = [lines[i - 2] for i in numbers]
-    error = None  # (row, message) of the first row found to break a rule
-
+        commas = all(map(operator.contains, lines, repeat(",")))
     joined = ",".join(lines)
-    if numbers is not None or joined.count(",") != 2 * len(lines) - 1:
-        row = _first(lines, lambda line: line.count(",") != 1)
-        if row is not None:
-            error = row, f"expected 2 fields, got {lines[row].count(',') + 1}"
-            del lines[row:]
-            joined = ",".join(lines)
-    rows = len(lines)
+    if not commas or joined.count(",") != 2 * len(lines) - 1:
+        _explain(path, numbers, map(str.split, lines, repeat(",")))
     del lines
-    fields = joined.split(",") if rows else []
+    fields = joined.split(",") if joined else []
     del joined
     z, delta = fields[0::2], fields[1::2]
     del fields
 
-    if not float_strips:
+    if not plain:
         z = list(map(str.strip, z))
     values = None
-    if decimal_text:
-        try:
-            values = np.fromiter(map(float, z), float, len(z))
-        except ValueError:
-            pass
-    if values is None:
-        row = _first(z, lambda field: _not_decimal(field.strip()))
-        if row is not None:
-            error = row, f"z must be a number, got {z[row].strip()!r}"
-            z, delta = z[:row], delta[:row]
-        values = np.fromiter(map(float, z), float, len(z))
-
-    outside = ~((values > 0) & (values < math.inf))
-    if outside.any():
-        row = int(outside.argmax())
-        error = row, f"z must be a finite positive number, got {z[row].strip()!r}"
-        delta = delta[:row]
-    del z
-
-    flags = "".join(delta)
-    if len(flags) != len(delta) or "" in delta or flags.count("0") + flags.count("1") != len(flags):
+    with contextlib.suppress(ValueError):
+        values = np.fromiter(map(float if plain else _decimal, z), float, len(z))
+    binary = set(delta) <= {"0", "1"}
+    if not binary:
         delta = list(map(str.strip, delta))
-        row = _first(delta, lambda field: field not in ("0", "1"))
-        if row is not None:
-            error = row, f"delta must be 0 or 1, got {delta[row]!r}"
-        flags = "".join(delta)
-    if error is not None:
-        row, message = error
-        line = row + 2 if numbers is None else numbers[row]
-        raise ValueError(f"{path}: line {line}: {message}")
-    return values, np.frombuffer(flags.encode(), np.uint8) == ord("1")
+        binary = set(delta) <= {"0", "1"}
+    if not binary or values is None or not ((values > 0) & (values < math.inf)).all():
+        # the column tests are exact, so some row breaks a rule and this raises
+        _explain(path, numbers, zip(z, delta))
+    return values, np.frombuffer("".join(delta).encode(), np.uint8) == ord("1")
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
@@ -252,7 +244,10 @@ def _read_results_csv(path: str):
         if len(parts) != ncols:
             raise ValueError(f"{path}: line {lineno}: expected {ncols} fields, got {len(parts)}")
         try:
-            k, alpha, median_bias, mse = (_decimal(parts[0], int), *map(_decimal, parts[3:6]))
+            k, alpha, median_bias, mse = (float(_decimal(parts[0], int)),
+                                          *map(_decimal, parts[3:6]))
+        except OverflowError:
+            raise ValueError(f"{path}: line {lineno}: k is too large to chart") from None
         except ValueError:
             raise ValueError(f"{path}: line {lineno}: malformed numeric field") from None
         try:
@@ -275,14 +270,17 @@ def cmd_plot(args: argparse.Namespace) -> int:
     metric = args.metric
     groups: dict[EstimatorSpec, list[tuple[float, float]]] = {}
     for row in rows:
-        groups.setdefault(row["spec"], []).append((float(row["k"]), row[metric]))
+        groups.setdefault(row["spec"], []).append((row["k"], row[metric]))
     multi_alpha = len({spec.alpha for spec in groups}) > 1
     series = []
     for spec in sorted(groups, key=_rank):
         label = spec.label + (f" a={spec.alpha:g}" if multi_alpha else "")
         pts = tuple((x, y) for x, y in sorted(groups[spec]) if math.isfinite(y))
         series.append(Series(label=label, points=pts))
-    text = render_chart(series, x_label="k", y_label=metric)
+    try:
+        text = render_chart(series, x_label="k", y_label=metric)
+    except ValueError as exc:
+        raise ValueError(f"{args.input}: {exc}") from None
     _write_atomic(args.out, text)
     return 0
 
@@ -297,7 +295,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_est = sub.add_parser("estimate", help="estimate the tail index from a z,delta CSV")
     p_est.add_argument("--input", required=True, help="input CSV with header z,delta")
-    p_est.add_argument("--out", default=None, help="output CSV path (default: stdout)")
+    p_est.add_argument("--out", type=output, default=None, help="output CSV path (default: stdout)")
     p_est.add_argument("--k-min", type=integer, default=1, help="smallest k (default 1)")
     p_est.add_argument("--k-max", type=integer, default=None, help="largest k (default n-1)")
     p_est.add_argument("--k-step", type=integer, default=1, help="k stride (default 1)")
@@ -310,7 +308,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="run a Monte Carlo study from a config file")
     p_sim.add_argument("--config", required=True, help="key-value config file")
-    p_sim.add_argument("--out", default=None, help="output CSV (default: config 'out' or stdout)")
+    p_sim.add_argument("--out", type=output, default=None,
+                       help="output CSV (default: config 'out' or stdout)")
     p_sim.add_argument("--seed", type=integer, default=None, help="override config seed")
     p_sim.add_argument("--reps", type=integer, default=None, help="override config reps")
     p_sim.add_argument("--n", type=integer, default=None, help="override config n")
@@ -320,7 +319,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_plot.add_argument("--input", required=True, help="results CSV from simulate")
     p_plot.add_argument("--metric", required=True, choices=["median_bias", "mse"],
                         help="which column to plot against k")
-    p_plot.add_argument("--out", default=None, help="output SVG path (default: stdout)")
+    p_plot.add_argument("--out", type=output, default=None,
+                        help="output SVG path (default: stdout)")
     p_plot.set_defaults(func=cmd_plot)
     return parser
 

@@ -159,7 +159,10 @@ def parse_config(text: str) -> RunConfig:
         except ValueError as exc:
             raise ValueError(f"line {raw['alpha'][1]}: key 'alpha': {exc}") from None
     if "out" in raw:
-        kwargs["out"] = raw["out"][0]
+        value, lineno = raw["out"]
+        if not value:
+            raise ValueError(f"line {lineno}: key 'out' must not be empty")
+        kwargs["out"] = value
     return RunConfig(**kwargs)
 
 

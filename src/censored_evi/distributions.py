@@ -63,7 +63,16 @@ def _uniform_open(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 class _Law:
-    """What every family shares: draws through its own quantile."""
+    """What every family shares: finite parameters, and draws through its
+    own quantile."""
+
+    def __post_init__(self):
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{type(self).__name__} requires finite parameters, "
+                                 f"got {field.name}={value!r}")
+        self._check()
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         if n < 1:
@@ -80,11 +89,9 @@ class ReverseBurr(_Law):
     lam: float
     xstar: float
 
-    def __post_init__(self):
+    def _check(self):
         if not (self.beta > 0 and self.tau > 0 and self.lam > 0):
             raise ValueError("ReverseBurr requires beta, tau, lam > 0")
-        if not np.isfinite(self.xstar):
-            raise ValueError("ReverseBurr requires a finite endpoint xstar")
 
     @property
     def endpoint(self) -> float:
@@ -115,7 +122,7 @@ class GPD(_Law):
     gamma: float
     sigma: float
 
-    def __post_init__(self):
+    def _check(self):
         if not self.gamma < 0:
             raise ValueError("GPD requires gamma < 0 (short-tailed regime only)")
         if not self.sigma > 0:
@@ -148,7 +155,7 @@ class BetaDist(_Law):
     a: float
     b: float
 
-    def __post_init__(self):
+    def _check(self):
         if not (self.a > 0 and self.b > 0):
             raise ValueError("BetaDist requires a, b > 0")
 

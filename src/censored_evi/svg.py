@@ -9,6 +9,7 @@ so identical input yields identical bytes.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 __all__ = ["Series", "render_chart"]
@@ -37,11 +38,8 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
-def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
-    if lo == hi:
-        pad = 0.5 * max(1.0, abs(lo))
-        lo, hi = lo - pad, hi + pad
-    raw = (hi - lo) / target
+def _nice_ticks(lo: float, hi: float) -> list[float]:
+    raw = (hi - lo) / 6
     mag = 10.0 ** math.floor(math.log10(raw))
     norm = raw / mag
     if norm < 1.5:
@@ -57,12 +55,15 @@ def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
     return [round(i * step, 12) for i in range(first, last + 1)]
 
 
-def _span(values: list[float]) -> tuple[float, float]:
+def _span(values: list[float], label: str) -> tuple[float, float]:
+    """The axis ends: the values' range, padded apart.  A width that is not
+    a finite normal float has no tick step (it overflows or underflows), so
+    it is a ValueError."""
     lo, hi = min(values), max(values)
-    if lo == hi:
-        pad = 0.5 * max(1.0, abs(lo))
-        return lo - pad, hi + pad
-    pad = 0.05 * (hi - lo)
+    pad = 0.5 * max(1.0, abs(lo)) if lo == hi else 0.05 * (hi - lo)
+    if not sys.float_info.min <= (hi + pad) - (lo - pad) < math.inf:
+        raise ValueError(f"cannot chart {label} values from {lo!r} to {hi!r}: "
+                         "the axis span is out of float range")
     return lo - pad, hi + pad
 
 
@@ -77,8 +78,8 @@ def render_chart(series: list[Series], x_label: str, y_label: str) -> str:
         raise ValueError("no drawable data (all points missing or non-finite)")
     xs = [p[0] for s in drawable for p in s.points]
     ys = [p[1] for s in drawable for p in s.points]
-    xlo, xhi = _span(xs)
-    ylo, yhi = _span(ys)
+    xlo, xhi = _span(xs, x_label)
+    ylo, yhi = _span(ys, y_label)
 
     def sx(x: float) -> float:
         return _X0 + (x - xlo) / (xhi - xlo) * (_X1 - _X0)

@@ -520,6 +520,14 @@ class TestSimulateCommand:
         assert capsys.readouterr().err.startswith(f"error: line {lineno}: key {key!r}")
         assert not out.exists()
 
+    def test_empty_out_in_the_config_names_its_line(self, tmp_path, capsys, monkeypatch):
+        cfg = tmp_path / "study.cfg"
+        cfg.write_text(CONFIG_SMALL + "out =\n")
+        monkeypatch.setattr("censored_evi.cli.run_study", None)  # no replicate runs
+        assert main(["simulate", "--config", str(cfg)]) == 1
+        lineno = len(CONFIG_SMALL.splitlines()) + 1
+        assert capsys.readouterr().err == f"error: line {lineno}: key 'out' must not be empty\n"
+
     def test_stdout_when_no_out(self, config):
         proc = run_cli("simulate", "--config", str(config))
         assert proc.returncode == 0
@@ -676,6 +684,28 @@ class TestPlotCommand:
         assert proc.returncode == 1
         assert message in proc.stderr
 
+    # values whose padded axis span overflows, or underflows below the
+    # float range, and a k that float() cannot hold
+    @pytest.mark.parametrize("ks,biases,message", [
+        (("10", "20"), ("-1e308", "1e308"), "cannot chart median_bias values"),
+        (("10", "20"), ("0", "1.7e308"), "cannot chart median_bias values"),
+        (("10", "20"), ("1.7e308", "1.7e308"), "cannot chart median_bias values"),
+        (("10", "20"), ("0", "3e-323"), "cannot chart median_bias values"),
+        (("1", "17" + "0" * 307), ("0.1", "0.2"), "cannot chart k values"),
+        (("10", "1" + "0" * 400), ("0.1", "0.2"), "line 3: k is too large to chart"),
+    ])
+    def test_values_the_chart_cannot_place(self, tmp_path, capsys, ks, biases, message):
+        src, out = tmp_path / "huge.csv", tmp_path / "chart.svg"
+        src.write_text(RESULTS_HEADER + "\n" + "".join(
+            f"{k},mom,km,2.0,{bias},0.01,-1.05,0.0075,0,100,400,-1.0,-1.5\n"
+            for k, bias in zip(ks, biases)))
+        assert main(["plot", "--input", str(src), "--metric", "median_bias",
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {src}: ") and message in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestFileModes:
     # Output files get the mode open(path, "w") would give them, whatever
@@ -704,6 +734,20 @@ class TestEntryPoints:
     def test_usage_error_exit_code(self):
         proc = run_cli("frobnicate")
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize("command", ["estimate", "simulate", "plot"])
+    def test_empty_out_is_a_usage_error(self, tmp_path, capsys, monkeypatch, command):
+        data, config = tmp_path / "data.csv", tmp_path / "study.cfg"
+        data.write_text(UNCENSORED)
+        config.write_text(CONFIG_SMALL)
+        source = {"estimate": ["--input", str(data)], "simulate": ["--config", str(config)],
+                  "plot": ["--input", str(DATA_DIR / "results_small.csv"), "--metric", "mse"]}
+        for name in ("run_study", "estimate", "render_chart"):  # no work is done
+            monkeypatch.setattr(f"censored_evi.cli.{name}", None)
+        with pytest.raises(SystemExit) as exc:
+            main([command, *source[command], "--out", ""])
+        assert exc.value.code == 2
+        assert "argument --out: invalid output value: ''" in capsys.readouterr().err
 
     @pytest.mark.parametrize("raw", NOT_DECIMAL)
     @pytest.mark.parametrize("command,flag", [

@@ -100,6 +100,17 @@ class TestParseErrors:
         with pytest.raises(ValueError, match="line 2: key 'dist_c'.*unknown distribution"):
             parse_config(text)
 
+    @pytest.mark.parametrize("literal", ["gpd(-0.5,inf)", "gpd(-inf,1)", "revburr(inf,1,1,10)",
+                                         "revburr(1,inf,1,10)", "beta(inf,2)"])
+    def test_non_finite_parameter_names_line_and_key(self, literal):
+        text = MINIMAL.replace("dist_x = revburr(1,1,1,10)", f"dist_x = {literal}")
+        with pytest.raises(ValueError, match="line 1: key 'dist_x': .* requires finite parameters"):
+            parse_config(text)
+
+    def test_empty_out_names_line_and_key(self):
+        with pytest.raises(ValueError, match="line 8: key 'out' must not be empty"):
+            parse_config(MINIMAL + "out =\n")
+
     def test_bad_family_entry(self):
         with pytest.raises(ValueError, match="key 'families' has unknown entry 'hill'"):
             parse_config(MINIMAL + "families = mom,hill\n")

@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -154,6 +157,15 @@ class TestValidation:
         with pytest.raises(ValueError):
             bad()
 
+    # every parameter of every law, before the law's own rules
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("law,name", [
+        (law, field.name) for law in (ReverseBurr(1, 1, 1, 10), GPD(-0.5, 1), BetaDist(2, 4))
+        for field in dataclasses.fields(law)])
+    def test_non_finite_parameters_rejected(self, law, name, value):
+        with pytest.raises(ValueError, match=f"requires finite parameters, got {name}="):
+            dataclasses.replace(law, **{name: value})
+
 
 class TestLiterals:
     @pytest.mark.parametrize("text,expected", [
@@ -178,6 +190,8 @@ class TestLiterals:
         "gpd(-0.5,\uff11)",
         "gpd(-0.5,\u0661\u0660\u0661)",
         "gpd(0.5,1)",           # invalid parameter (positive index)
+        "gpd(-0.5,inf)",        # non-finite parameters
+        "beta(inf,2)",
         "revburr 1,1,1,10",     # malformed
         "",                     # empty
     ])

@@ -1,20 +1,27 @@
-"""Every exported name resolves, and the names the benchmark calls exist.
+"""Every exported name resolves, and what the benchmark calls exists.
 
 ``perfbench/bench_trace.py`` reads every ``__all__`` entry of the layer
 modules with ``getattr`` to install its spans, so a name left in
 ``__all__`` after its definition is deleted breaks every traced run.
+``perfbench/run.py`` and ``perfbench/setup_probe.py`` call the program
+through the names, arguments and record fields pinned below.
 """
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import pkgutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import censored_evi
-from censored_evi import kaplan_meier, moments, montecarlo
+from censored_evi import (GPD, BetaDist, ReverseBurr, cli, config, kaplan_meier, moments,
+                          montecarlo)
+from censored_evi.censoring import make_censored
+from censored_evi.distributions import _FAMILIES
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(censored_evi.__path__))
 SOURCES = sorted([*Path(censored_evi.__file__).parent.glob("*.py"),
@@ -36,6 +43,55 @@ def test_names_the_benchmark_calls():
     # the tracer books moments' calls to fit to kaplan_meier.fit through
     # this binding
     assert moments.fit is kaplan_meier.fit
+
+
+BENCH_CONFIG = """\
+dist_x = revburr(1,1,1,10)
+dist_c = revburr(10,0.6666666666666666,1,10)
+n = 40
+reps = 3
+seed = 5
+k_min = 5
+k_max = 15
+k_step = 5
+"""
+
+
+def test_calls_the_benchmark_makes(tmp_path):
+    # parse_config(text).to_design() and dataclasses.replace(design, reps=...)
+    design = dataclasses.replace(config.parse_config(BENCH_CONFIG).to_design(), reps=2)
+    assert design.reps == 2
+    # each law's sample(rng, n), and make_censored(x, c, require_positive=False)
+    rng = np.random.default_rng(0)
+    laws = {GPD: GPD(-0.25, 1.0), BetaDist: BetaDist(2.0, 4.0), ReverseBurr: design.dist_x}
+    assert set(laws) == set(_FAMILIES.values())
+    for law in laws.values():
+        assert law.sample(rng, 7).shape == (7,)
+    s = make_censored(design.dist_x.sample(rng, 40), design.dist_c.sample(rng, 40),
+                      require_positive=False)
+    assert s.n == 40
+    # the record fields that the output checks read
+    records = montecarlo.run_replicate(design, 0)
+    assert [(rec.k, rec.spec) for rec in records] == [
+        (k, spec) for k in design.k_grid for spec in design.specs]
+    assert all(isinstance(rec.value, float) and isinstance(rec.p_hat, float) for rec in records)
+    cells = montecarlo.run_study(design, workers=1).cells
+    assert sorted((cell.k, cell.spec.label) for cell in cells) == sorted(
+        (rec.k, rec.spec.label) for rec in records)
+    for cell in cells:
+        assert all(isinstance(getattr(cell, name), float)
+                   for name in ("median_bias", "mse", "mean", "variance"))
+        assert 0 <= cell.degenerate_count <= design.reps
+    # cli.main(argv) on both commands, returning the exit status
+    cfg, data = tmp_path / "small.cfg", tmp_path / "data.csv"
+    cfg.write_text(BENCH_CONFIG)
+    x, c = laws[GPD].sample(rng, 40), GPD(-0.2, 0.8).sample(rng, 40)
+    data.write_text("z,delta\n" + "".join(f"{min(a, b)!r},{int(a <= b)}\n"
+                                           for a, b in zip(x.tolist(), c.tolist())))
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "r.csv")]) == 0
+    assert cli.main(["estimate", "--input", str(data), "--out", str(tmp_path / "e.csv"),
+                     "--k-min", "1", "--k-step", "5", "--alpha", "2"]) == 0
+    assert (tmp_path / "r.csv").is_file() and (tmp_path / "e.csv").is_file()
 
 
 def unused_imports(path):

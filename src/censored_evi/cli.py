@@ -221,7 +221,11 @@ def results_csv_text(result: StudyResult) -> str:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    cfg = parse_config(_read_text(args.config))
+    text = _read_text(args.config)
+    try:
+        cfg = parse_config(text)
+    except ValueError as exc:
+        raise ValueError(f"{args.config}: {exc}") from None
     # Overridden before the design, which checks each value, is built.
     overrides = {key: getattr(args, key) for key in ("seed", "reps", "n")
                  if getattr(args, key) is not None}
@@ -231,11 +235,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_results_csv(path: str):
+def _read_results_csv(path: str, metric: str) -> dict[EstimatorSpec, list[tuple[float, float]]]:
+    """Each estimator's ``(k, metric)`` points, in file order, from a results
+    CSV whose every row is checked whole."""
     lines = _read_text(path).splitlines()
     if not lines or lines[0].strip() != RESULTS_HEADER:
         raise ValueError(f"{path}: expected results header {RESULTS_HEADER!r}")
-    rows = []
+    groups: dict[EstimatorSpec, list[tuple[float, float]]] = {}
     ncols = len(RESULTS_HEADER.split(","))
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -259,18 +265,14 @@ def _read_results_csv(path: str):
             spec = EstimatorSpec(family, method, alpha)
         except ValueError as exc:
             raise ValueError(f"{path}: line {lineno}: {exc}") from None
-        rows.append({"k": k, "spec": spec, "median_bias": median_bias, "mse": mse})
-    if not rows:
+        groups.setdefault(spec, []).append((k, {"median_bias": median_bias, "mse": mse}[metric]))
+    if not groups:
         raise ValueError(f"{path}: no data rows")
-    return rows
+    return groups
 
 
 def cmd_plot(args: argparse.Namespace) -> int:
-    rows = _read_results_csv(args.input)
-    metric = args.metric
-    groups: dict[EstimatorSpec, list[tuple[float, float]]] = {}
-    for row in rows:
-        groups.setdefault(row["spec"], []).append((row["k"], row[metric]))
+    groups = _read_results_csv(args.input, args.metric)
     multi_alpha = len({spec.alpha for spec in groups}) > 1
     series = []
     for spec in sorted(groups, key=_rank):
@@ -278,7 +280,7 @@ def cmd_plot(args: argparse.Namespace) -> int:
         pts = tuple((x, y) for x, y in sorted(groups[spec]) if math.isfinite(y))
         series.append(Series(label=label, points=pts))
     try:
-        text = render_chart(series, x_label="k", y_label=metric)
+        text = render_chart(series, x_label="k", y_label=args.metric)
     except ValueError as exc:
         raise ValueError(f"{args.input}: {exc}") from None
     _write_atomic(args.out, text)

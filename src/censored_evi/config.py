@@ -23,7 +23,7 @@ number and key name.  ``config_text`` is its lossless inverse.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .censoring import checked_ks
 from .distributions import DistributionSpec, _decimal, _fmt, distribution_literal, parse_distribution
@@ -57,6 +57,8 @@ class RunConfig:
             raise ValueError("alpha list must not be empty")
         if not self.families or not self.methods:
             raise ValueError("families and methods must not be empty")
+        if self.out == "":
+            raise ValueError("key 'out' must not be empty")
 
     @property
     def k_grid(self) -> tuple[int, ...]:
@@ -158,12 +160,14 @@ def parse_config(text: str) -> RunConfig:
             build_specs(Family, Method, kwargs["alphas"])
         except ValueError as exc:
             raise ValueError(f"line {raw['alpha'][1]}: key 'alpha': {exc}") from None
-    if "out" in raw:
-        value, lineno = raw["out"]
-        if not value:
-            raise ValueError(f"line {lineno}: key 'out' must not be empty")
-        kwargs["out"] = value
-    return RunConfig(**kwargs)
+    cfg = RunConfig(**kwargs)
+    if "out" not in raw:
+        return cfg
+    value, lineno = raw["out"]
+    try:  # RunConfig holds the rule for out
+        return replace(cfg, out=value)
+    except ValueError as exc:
+        raise ValueError(f"line {lineno}: {exc}") from None
 
 
 def config_text(cfg: RunConfig) -> str:

@@ -1,9 +1,9 @@
 """Minimal deterministic SVG line charts (no plotting dependency).
 
 Output is a fixed 960x540 viewBox with linear axes, one polyline per
-series from an 8-color palette, point markers, and a legend.  The
-document is assembled from plain strings with fixed number formatting,
-so identical input yields identical bytes.
+series from an 8-color palette, point markers, and a legend.  Every
+element is written by ``_el`` with fixed number formatting, so identical
+input yields identical bytes.
 """
 
 from __future__ import annotations
@@ -38,6 +38,14 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
+def _el(name: str, *, text: str | None = None, **attrs) -> str:
+    """One element: its attributes in order (``_`` in a name is written
+    ``-``, a float as ``_fmt`` writes it), and ``text``, escaped, if given."""
+    head = "".join(f' {key.replace("_", "-")}="{_fmt(v) if isinstance(v, float) else v}"'
+                   for key, v in attrs.items())
+    return f"<{name}{head}/>" if text is None else f"<{name}{head}>{_esc(text)}</{name}>"
+
+
 def _nice_ticks(lo: float, hi: float) -> list[float]:
     raw = (hi - lo) / 6
     mag = 10.0 ** math.floor(math.log10(raw))
@@ -52,7 +60,7 @@ def _nice_ticks(lo: float, hi: float) -> list[float]:
         step = 10.0 * mag
     first = math.ceil(lo / step)
     last = math.floor(hi / step)
-    return [round(i * step, 12) for i in range(first, last + 1)]
+    return [i * step for i in range(first, last + 1)]
 
 
 def _span(values: list[float], label: str) -> tuple[float, float]:
@@ -90,65 +98,38 @@ def render_chart(series: list[Series], x_label: str, y_label: str) -> str:
     out = [
         '<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 960 540" '
         'font-family="sans-serif" font-size="13">',
-        '<rect x="0" y="0" width="960" height="540" fill="white"/>',
+        _el("rect", x=0, y=0, width=960, height=540, fill="white"),
     ]
     # Grid and ticks.
+    grid = {"stroke": "#dddddd", "stroke_width": 1}
     for tx in _nice_ticks(xlo, xhi):
-        px = _fmt(sx(tx))
-        out.append(
-            f'<line x1="{px}" y1="{_fmt(_Y0)}" x2="{px}" y2="{_fmt(_Y1)}" '
-            'stroke="#dddddd" stroke-width="1"/>'
-        )
-        out.append(
-            f'<text x="{px}" y="{_fmt(_Y1 + 18)}" text-anchor="middle">{tx:g}</text>'
-        )
+        out.append(_el("line", x1=sx(tx), y1=_Y0, x2=sx(tx), y2=_Y1, **grid))
+        out.append(_el("text", x=sx(tx), y=_Y1 + 18, text_anchor="middle", text=f"{tx:g}"))
     for ty in _nice_ticks(ylo, yhi):
-        py = _fmt(sy(ty))
-        out.append(
-            f'<line x1="{_fmt(_X0)}" y1="{py}" x2="{_fmt(_X1)}" y2="{py}" '
-            'stroke="#dddddd" stroke-width="1"/>'
-        )
-        out.append(
-            f'<text x="{_fmt(_X0 - 8)}" y="{py}" text-anchor="end" '
-            f'dominant-baseline="middle">{ty:g}</text>'
-        )
-    # Axes frame.
-    out.append(
-        f'<rect x="{_fmt(_X0)}" y="{_fmt(_Y0)}" width="{_fmt(_X1 - _X0)}" '
-        f'height="{_fmt(_Y1 - _Y0)}" fill="none" stroke="black" stroke-width="1"/>'
-    )
-    out.append(
-        f'<text x="{_fmt((_X0 + _X1) / 2)}" y="{_fmt(_Y1 + 40)}" '
-        f'text-anchor="middle">{_esc(x_label)}</text>'
-    )
-    out.append(
-        f'<text x="18" y="{_fmt((_Y0 + _Y1) / 2)}" text-anchor="middle" '
-        f'transform="rotate(-90 18 {_fmt((_Y0 + _Y1) / 2)})">{_esc(y_label)}</text>'
-    )
-    # Series.
+        out.append(_el("line", x1=_X0, y1=sy(ty), x2=_X1, y2=sy(ty), **grid))
+        out.append(_el("text", x=_X0 - 8, y=sy(ty), text_anchor="end",
+                       dominant_baseline="middle", text=f"{ty:g}"))
+    # Axes frame and labels.
+    mid = (_Y0 + _Y1) / 2
+    out += [
+        _el("rect", x=_X0, y=_Y0, width=_X1 - _X0, height=_Y1 - _Y0, fill="none",
+            stroke="black", stroke_width=1),
+        _el("text", x=(_X0 + _X1) / 2, y=_Y1 + 40, text_anchor="middle", text=x_label),
+        _el("text", x=18, y=mid, text_anchor="middle", transform=f"rotate(-90 18 {_fmt(mid)})",
+            text=y_label),
+    ]
+    # Series, then the legend in the right margin.
+    legend = []
     for i, s in enumerate(drawable):
         color = PALETTE[i % len(PALETTE)]
         pts = [(sx(x), sy(y)) for x, y in s.points]
         if len(pts) >= 2:
-            coords = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in pts)
-            out.append(
-                f'<polyline points="{coords}" fill="none" stroke="{color}" '
-                'stroke-width="2"/>'
-            )
-        for x, y in pts:
-            out.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="2.5" fill="{color}"/>')
-    # Legend.
-    lx, ly = _X1 + 16.0, _Y0 + 10.0
-    for i, s in enumerate(drawable):
-        color = PALETTE[i % len(PALETTE)]
-        y = ly + 22.0 * i
-        out.append(
-            f'<line x1="{_fmt(lx)}" y1="{_fmt(y)}" x2="{_fmt(lx + 24)}" y2="{_fmt(y)}" '
-            f'stroke="{color}" stroke-width="2"/>'
-        )
-        out.append(
-            f'<text x="{_fmt(lx + 30)}" y="{_fmt(y)}" '
-            f'dominant-baseline="middle">{_esc(s.label)}</text>'
-        )
-    out.append("</svg>")
+            out.append(_el("polyline", points=" ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in pts),
+                           fill="none", stroke=color, stroke_width=2))
+        out += [_el("circle", cx=x, cy=y, r="2.5", fill=color) for x, y in pts]
+        y = _Y0 + 10.0 + 22.0 * i
+        legend.append(_el("line", x1=_X1 + 16, y1=y, x2=_X1 + 40, y2=y, stroke=color,
+                          stroke_width=2))
+        legend.append(_el("text", x=_X1 + 46, y=y, dominant_baseline="middle", text=s.label))
+    out += [*legend, "</svg>"]
     return "\n".join(out) + "\n"

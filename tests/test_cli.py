@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from reference import read_data_csv_reference
 PACKAGE_ROOT = str(Path(censored_evi.__file__).resolve().parent.parent)
 DATA_DIR = Path(__file__).parent / "data"
 PYPROJECT = Path(__file__).parent.parent / "pyproject.toml"
+SVG = "http://www.w3.org/2000/svg"
 
 DEMO = "z,delta\n1.0,1\n2.0,0\n3.0,1\n"
 # int() and float() read these as 25, 1 and 101; the program does not
@@ -517,7 +519,7 @@ class TestSimulateCommand:
         config.write_text("\n".join(lines) + "\n", encoding="utf-8")
         out = tmp_path / "r.csv"
         assert main(["simulate", "--config", str(config), "--out", str(out)]) == 1
-        assert capsys.readouterr().err.startswith(f"error: line {lineno}: key {key!r}")
+        assert capsys.readouterr().err.startswith(f"error: {config}: line {lineno}: key {key!r}")
         assert not out.exists()
 
     def test_empty_out_in_the_config_names_its_line(self, tmp_path, capsys, monkeypatch):
@@ -526,7 +528,8 @@ class TestSimulateCommand:
         monkeypatch.setattr("censored_evi.cli.run_study", None)  # no replicate runs
         assert main(["simulate", "--config", str(cfg)]) == 1
         lineno = len(CONFIG_SMALL.splitlines()) + 1
-        assert capsys.readouterr().err == f"error: line {lineno}: key 'out' must not be empty\n"
+        assert capsys.readouterr().err == (
+            f"error: {cfg}: line {lineno}: key 'out' must not be empty\n")
 
     def test_stdout_when_no_out(self, config):
         proc = run_cli("simulate", "--config", str(config))
@@ -683,6 +686,17 @@ class TestPlotCommand:
         proc = run_cli("plot", "--input", str(src), "--metric", "mse")
         assert proc.returncode == 1
         assert message in proc.stderr
+
+    def test_ticks_on_a_small_axis_keep_their_values(self, tmp_path):
+        src, out = tmp_path / "small.csv", tmp_path / "chart.svg"
+        src.write_text(RESULTS_HEADER + "\n" + "".join(
+            f"{k},mom,km,2.0,{bias},0.01,-1.05,0.0075,0,100,400,-1.0,-1.5\n"
+            for k, bias in ((10, "1e-14"), (20, "3e-14"))))
+        assert main(["plot", "--input", str(src), "--metric", "median_bias",
+                     "--out", str(out)]) == 0
+        labels = [float(node.text) for node in ElementTree.parse(out).iter(f"{{{SVG}}}text")
+                  if node.get("text-anchor") == "end"]
+        assert len(labels) >= 2 and labels == sorted(set(labels))
 
     # values whose padded axis span overflows, or underflows below the
     # float range, and a k that float() cannot hold

@@ -165,3 +165,12 @@ class TestRunConfig:
                 dist_x=GPD(-0.5, 1), dist_c=GPD(-0.25, 0.5),
                 n=100, reps=10, seed=1, k_min=5, k_max=20, alphas=(),
             )
+
+    def test_empty_out_is_rejected_when_built(self):
+        # config_text would write "out = ", which parse_config cannot read back
+        args = dict(dist_x=GPD(-0.5, 1), dist_c=GPD(-0.25, 0.5), n=100, reps=10, seed=1,
+                    k_min=5, k_max=20)
+        with pytest.raises(ValueError, match="key 'out' must not be empty"):
+            RunConfig(**args, out="")
+        cfg = RunConfig(**args, out="study.csv")
+        assert parse_config(config_text(cfg)) == cfg

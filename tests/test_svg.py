@@ -1,9 +1,23 @@
+import math
+from pathlib import Path
+from xml.etree import ElementTree
+
 import pytest
 
+from censored_evi.cli import _read_results_csv
 from censored_evi.svg import PALETTE, Series, render_chart
+
+RESULTS = Path(__file__).parent / "data" / "results_small.csv"
 
 LINE = Series(label="line", points=((1.0, 0.5), (2.0, 0.7), (3.0, 0.4)))
 DOT = Series(label="dot", points=((2.0, 1.0),))
+
+
+def results_chart(metric):
+    """The series and labels of ``results_small.csv`` for one metric."""
+    groups = _read_results_csv(str(RESULTS), metric)
+    return [Series(spec.label, tuple(p for p in pts if math.isfinite(p[1])))
+            for spec, pts in groups.items()], "k", metric
 
 
 class TestRenderChart:
@@ -41,6 +55,18 @@ class TestRenderChart:
         text = render_chart([Series(label="a<b&c", points=((0.0, 0.0), (1.0, 1.0)))], "x", "y")
         assert "a&lt;b&amp;c" in text
         assert "a<b&c" not in text
+
+    @pytest.mark.parametrize("series,x_label,y_label", [
+        ([Series("a<b&c>d", LINE.points), Series("\"q\" & 'p'", DOT.points)], "k <&>", "m \"'"),
+        ([Series("&amp; &#60; ]]>", LINE.points)], "'", '"'),
+        results_chart("median_bias"),
+        results_chart("mse"),
+    ])
+    def test_document_is_well_formed_xml(self, series, x_label, y_label):
+        root = ElementTree.fromstring(render_chart(series, x_label, y_label))
+        texts = [node.text for node in root.iter("{http://www.w3.org/2000/svg}text")]
+        for label in [x_label, y_label, *(s.label for s in series)]:
+            assert label in texts
 
     def test_constant_series_does_not_collapse_the_scale(self):
         flat = Series(label="flat", points=((1.0, 2.0), (2.0, 2.0), (3.0, 2.0)))

@@ -17,13 +17,15 @@ Example::
     out    = figure1.csv
 
 Lines are ``key = value``; blank lines and lines starting with ``#`` are
-ignored.  ``parse_config`` reports problems with the offending line
-number and key name.  ``config_text`` is its lossless inverse.
+ignored.  ``parse_config`` reads each value at its line and reports the
+first problem with its line number and key name.  ``config_text`` is its
+lossless inverse.  ``_KEYS`` holds the format: each key's ``RunConfig``
+field, reader and writer, in ``config_text`` order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields
 
 from .censoring import checked_ks
 from .distributions import DistributionSpec, _decimal, _fmt, distribution_literal, parse_distribution
@@ -31,9 +33,6 @@ from .estimators import Family, Method
 from .montecarlo import StudyDesign, _first_repeat, build_specs
 
 __all__ = ["RunConfig", "parse_config", "config_text"]
-
-_REQUIRED = ("dist_x", "dist_c", "n", "reps", "seed", "k_min", "k_max")
-_KNOWN = _REQUIRED + ("k_step", "alpha", "families", "methods", "out")
 
 
 @dataclass(frozen=True)
@@ -57,8 +56,8 @@ class RunConfig:
             raise ValueError("alpha list must not be empty")
         if not self.families or not self.methods:
             raise ValueError("families and methods must not be empty")
-        if self.out == "":
-            raise ValueError("key 'out' must not be empty")
+        if self.out is not None:
+            _checked_out("key 'out'", self.out)
 
     @property
     def k_grid(self) -> tuple[int, ...]:
@@ -78,6 +77,18 @@ class RunConfig:
         )
 
 
+def _checked_out(where: str, out: str) -> str:
+    """The rule for ``out``, for ``RunConfig`` and the config line alike: a
+    path that ``config_text`` writes on one line and ``parse_config`` reads
+    back unchanged, so one that neither ``str.strip`` nor ``str.splitlines``
+    changes.  Inner spaces are fine."""
+    if out == "":
+        raise ValueError(f"{where} must not be empty")
+    if out.strip() != out or out.splitlines() != [out]:
+        raise ValueError(f"{where} must not have surrounding whitespace or line breaks, got {out!r}")
+    return out
+
+
 def _k_range(k_min: int, k_max: int, k_step: int) -> range:
     """k_min, k_min + k_step, ... up to k_max: the k-grid of the config
     keys and the estimate flags alike (``checked_ks`` checks it on n)."""
@@ -86,13 +97,6 @@ def _k_range(k_min: int, k_max: int, k_step: int) -> range:
     if k_min > k_max:
         raise ValueError(f"k_min must not exceed k_max, got {k_min} > {k_max}")
     return range(k_min, k_max + 1, k_step)
-
-
-def _parse_int(key: str, raw: str, lineno: int) -> int:
-    try:
-        return _decimal(raw, int)
-    except ValueError:
-        raise ValueError(f"line {lineno}: key {key!r} expects an integer, got {raw!r}") from None
 
 
 def _names(enum_cls) -> list[str]:
@@ -119,9 +123,47 @@ def _parse_list(where: str, raw: str, kind) -> tuple:
     return tuple(values)
 
 
+def _integer(where: str, raw: str) -> int:
+    try:
+        return _decimal(raw, int)
+    except ValueError:
+        raise ValueError(f"{where} expects an integer, got {raw!r}") from None
+
+
+def _alphas(where: str, raw: str) -> tuple[float, ...]:
+    alphas = _parse_list(where, raw, _decimal)
+    build_specs(Family, Method, alphas)  # EstimatorSpec holds the rule for alpha
+    return alphas
+
+
+def _joined(values) -> str:
+    """The inverse of ``_parse_list``: members by value, numbers by ``_fmt``."""
+    return ",".join(v.value if isinstance(v, (Family, Method)) else _fmt(v) for v in values)
+
+
+# Readers and writers call other modules through this module's names, at
+# each call, so that a wrapper bound to such a name sees the call.
+_DISTRIBUTION = (lambda where, raw: parse_distribution(raw),
+                 lambda spec: distribution_literal(spec))
+
+# key: (RunConfig field, reader of (where, raw value), writer of the field's
+# value), in config_text order.  ``where`` is "key 'K'"; parse_config puts
+# it before a reader's message that does not start with it.
+_KEYS = {
+    "dist_x": ("dist_x", *_DISTRIBUTION),
+    "dist_c": ("dist_c", *_DISTRIBUTION),
+    **{key: (key, _integer, str) for key in ("n", "reps", "seed", "k_min", "k_max", "k_step")},
+    "alpha": ("alphas", _alphas, _joined),
+    "families": ("families", lambda where, raw: _parse_list(where, raw, Family), _joined),
+    "methods": ("methods", lambda where, raw: _parse_list(where, raw, Method), _joined),
+    "out": ("out", _checked_out, str),
+}
+
+
 def parse_config(text: str) -> RunConfig:
-    """Parse the key-value format; raise ValueError naming the bad line/key."""
-    raw: dict[str, tuple[str, int]] = {}
+    """Parse the key-value format; raise ValueError naming the first bad
+    line and its key."""
+    kwargs = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -130,61 +172,24 @@ def parse_config(text: str) -> RunConfig:
             raise ValueError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, _, value = stripped.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _KNOWN:
+        if key not in _KEYS:
             raise ValueError(f"line {lineno}: unknown key {key!r}")
-        if key in raw:
+        field, read, _ = _KEYS[key]
+        if field in kwargs:
             raise ValueError(f"line {lineno}: duplicate key {key!r}")
-        raw[key] = (value, lineno)
-    for key in _REQUIRED:
-        if key not in raw:
-            raise ValueError(f"missing required key {key!r}")
-
-    kwargs = {}
-    for key in ("dist_x", "dist_c"):
-        value, lineno = raw[key]
+        where = f"key {key!r}"
         try:
-            kwargs[key] = parse_distribution(value)
+            kwargs[field] = read(where, value)
         except ValueError as exc:
-            raise ValueError(f"line {lineno}: key {key!r}: {exc}") from None
-    for key in ("n", "reps", "seed", "k_min", "k_max", "k_step"):
-        if key in raw:
-            value, lineno = raw[key]
-            kwargs[key] = _parse_int(key, value, lineno)
-    for key, field, kind in (("alpha", "alphas", _decimal), ("families", "families", Family),
-                             ("methods", "methods", Method)):
-        if key in raw:
-            value, lineno = raw[key]
-            kwargs[field] = _parse_list(f"line {lineno}: key {key!r}", value, kind)
-    if "alpha" in raw:
-        try:  # EstimatorSpec holds the rule for alpha
-            build_specs(Family, Method, kwargs["alphas"])
-        except ValueError as exc:
-            raise ValueError(f"line {raw['alpha'][1]}: key 'alpha': {exc}") from None
-    cfg = RunConfig(**kwargs)
-    if "out" not in raw:
-        return cfg
-    value, lineno = raw["out"]
-    try:  # RunConfig holds the rule for out
-        return replace(cfg, out=value)
-    except ValueError as exc:
-        raise ValueError(f"line {lineno}: {exc}") from None
+            named = str(exc).startswith(where)
+            raise ValueError(f"line {lineno}: {'' if named else where + ': '}{exc}") from None
+    for f in fields(RunConfig):  # each field without a default has a key of its name
+        if f.default is MISSING and f.name not in kwargs:
+            raise ValueError(f"missing required key {f.name!r}")
+    return RunConfig(**kwargs)
 
 
 def config_text(cfg: RunConfig) -> str:
     """Canonical serialization; parse_config(config_text(cfg)) == cfg."""
-    lines = [
-        f"dist_x = {distribution_literal(cfg.dist_x)}",
-        f"dist_c = {distribution_literal(cfg.dist_c)}",
-        f"n = {cfg.n}",
-        f"reps = {cfg.reps}",
-        f"seed = {cfg.seed}",
-        f"k_min = {cfg.k_min}",
-        f"k_max = {cfg.k_max}",
-        f"k_step = {cfg.k_step}",
-        f"alpha = {','.join(map(_fmt, cfg.alphas))}",
-        f"families = {','.join(f.value for f in cfg.families)}",
-        f"methods = {','.join(m.value for m in cfg.methods)}",
-    ]
-    if cfg.out is not None:
-        lines.append(f"out = {cfg.out}")
-    return "\n".join(lines) + "\n"
+    return "".join(f"{key} = {write(getattr(cfg, field))}\n"
+                   for key, (field, _, write) in _KEYS.items() if getattr(cfg, field) is not None)

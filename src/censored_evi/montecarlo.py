@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -274,6 +273,9 @@ def run_study(design: StudyDesign, workers: int | None = None) -> StudyResult:
     if workers == 1:
         store(map(_batch_values, *tasks))
     else:
+        # imported here, so that serial runs do not load the pool machinery
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             store(pool.map(_batch_values, *tasks))
     return aggregate(values, design)

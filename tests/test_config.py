@@ -1,9 +1,14 @@
 import tracemalloc
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from censored_evi import Family, GPD, Method, ReverseBurr
+from censored_evi import BetaDist, Family, GPD, Method, ReverseBurr
 from censored_evi.config import RunConfig, config_text, parse_config
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 MINIMAL = """\
 dist_x = revburr(1,1,1,10)
@@ -60,8 +65,96 @@ class TestParse:
         cfg = parse_config(text)
         assert parse_config(config_text(cfg)) == cfg
 
+    def test_canonical_text_of_figure1(self):
+        # the canonical bytes of a shipped config
+        cfg = parse_config((SCRIPTS / "figure1.cfg").read_text())
+        assert config_text(cfg) == (
+            "dist_x = revburr(1.0,1.0,1.0,10.0)\n"
+            "dist_c = revburr(10.0,0.6666666666666666,1.0,10.0)\n"
+            "n = 500\n"
+            "reps = 2000\n"
+            "seed = 101\n"
+            "k_min = 10\n"
+            "k_max = 400\n"
+            "k_step = 10\n"
+            "alpha = 2.0\n"
+            "families = type1\n"
+            "methods = km,l,efg\n"
+        )
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+POSITIVE = st.floats(min_value=0, exclude_min=True, allow_infinity=False)
+LAWS = st.one_of(
+    st.builds(ReverseBurr, POSITIVE, POSITIVE, POSITIVE, FINITE),
+    st.builds(GPD, st.floats(max_value=0, exclude_max=True, allow_infinity=False), POSITIVE),
+    st.builds(BetaDist, POSITIVE, POSITIVE),
+)
+ALPHAS = st.lists(st.floats(min_value=1, allow_infinity=False), min_size=1, max_size=4, unique=True)
+
+
+@st.composite
+def run_configs(draw):
+    """Keyword arguments of a RunConfig over every key's range, some of
+    them invalid (a k range the wrong way round, an ``out`` that would not
+    read back)."""
+    return dict(
+        dist_x=draw(LAWS), dist_c=draw(LAWS),
+        n=draw(st.integers()), reps=draw(st.integers()), seed=draw(st.integers()),
+        k_min=draw(st.integers()), k_max=draw(st.integers()), k_step=draw(st.integers()),
+        alphas=tuple(draw(ALPHAS)),
+        families=tuple(draw(st.lists(st.sampled_from(Family), min_size=1, unique=True))),
+        methods=tuple(draw(st.lists(st.sampled_from(Method), min_size=1, unique=True))),
+        out=draw(st.none() | st.text()),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(run_configs())
+def test_every_config_reads_back_from_its_text(kwargs):
+    try:
+        cfg = RunConfig(**kwargs)
+    except ValueError:
+        return  # a rule of the constructor: the k range, or an out that would not read back
+    assert parse_config(config_text(cfg)) == cfg
+
 
 class TestParseErrors:
+    @pytest.mark.parametrize("key,value,message", [
+        ("dist_x", "gpd(1)", "line 1: key 'dist_x': gpd takes 2 parameters, got 1 in 'gpd(1)'"),
+        ("dist_c", "weibull(2)", "line 2: key 'dist_c': unknown distribution 'weibull' "
+                                 "(expected one of revburr, gpd, beta)"),
+        ("n", "five hundred", "line 3: key 'n' expects an integer, got 'five hundred'"),
+        ("reps", "2.5", "line 4: key 'reps' expects an integer, got '2.5'"),
+        ("seed", "1.5", "line 5: key 'seed' expects an integer, got '1.5'"),
+        ("k_min", "ten", "line 6: key 'k_min' expects an integer, got 'ten'"),
+        ("k_max", "2e2", "line 7: key 'k_max' expects an integer, got '2e2'"),
+        ("k_step", "2.5", "line 8: key 'k_step' expects an integer, got '2.5'"),
+        ("alpha", "0.5", "line 8: key 'alpha': alpha must be >= 1 and finite, got 0.5"),
+        ("families", "mom,hill", "line 8: key 'families' has unknown entry 'hill' "
+                                 "(expected one of mom, type1, type2)"),
+        ("methods", "km,kaplan", "line 8: key 'methods' has unknown entry 'kaplan' "
+                                 "(expected one of km, l, efg)"),
+        ("out", "", "line 8: key 'out' must not be empty"),
+    ])
+    def test_bad_value_names_line_and_key(self, key, value, message):
+        lines = MINIMAL.splitlines()
+        keys = [line.partition("=")[0].strip() for line in lines]
+        if key in keys:
+            lines[keys.index(key)] = f"{key} = {value}"
+        else:
+            lines.append(f"{key} = {value}")
+        with pytest.raises(ValueError) as info:
+            parse_config("\n".join(lines) + "\n")
+        assert str(info.value) == message
+
+    def test_the_first_bad_line_is_reported(self):
+        # values are read at their lines, so a bad value comes before a
+        # later unknown key or a missing one
+        text = MINIMAL.replace("n = 500", "n = x").replace("seed = 2014\n", "") + "bogus = 1\n"
+        with pytest.raises(ValueError, match="^line 3: key 'n' expects an integer"):
+            parse_config(text)
+
     def test_unknown_key_names_the_line(self):
         with pytest.raises(ValueError, match="line 8: unknown key 'bogus'"):
             parse_config(MINIMAL + "bogus = 3\n")
@@ -172,5 +265,11 @@ class TestRunConfig:
                     k_min=5, k_max=20)
         with pytest.raises(ValueError, match="key 'out' must not be empty"):
             RunConfig(**args, out="")
-        cfg = RunConfig(**args, out="study.csv")
-        assert parse_config(config_text(cfg)) == cfg
+        # nor one that str.strip or str.splitlines would change
+        for out in [" a.csv", "a.csv\r", "a.csv\nn = 7", "a\u2028b"]:
+            with pytest.raises(ValueError, match="key 'out' must not have surrounding whitespace "
+                                                 "or line breaks"):
+                RunConfig(**args, out=out)
+        for out in ["study.csv", "my file.csv"]:
+            cfg = RunConfig(**args, out=out)
+            assert parse_config(config_text(cfg)) == cfg

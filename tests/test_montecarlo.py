@@ -1,10 +1,17 @@
+import concurrent.futures
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import censored_evi
 from censored_evi import (
     EstimatorSpec,
     Family,
@@ -236,7 +243,8 @@ class TestPoolSize:
 
         design = small_design(n=500, reps=reps)
         expected = run_study(design, workers=1)
-        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", Recorder)
+        # run_study imports the pool class from here when it starts a pool
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
         result = run_study(design, workers=workers)
         assert sizes == ([] if pool is None else [pool])
         assert np.array_equal(result.mse, expected.mse, equal_nan=True)
@@ -249,6 +257,31 @@ class TestWorkerIndependence:
         baseline = [repr(c) for c in results[0].cells]
         for res in results[1:]:
             assert [repr(c) for c in res.cells] == baseline
+
+    def test_pool_of_several_batches_gives_equal_arrays(self):
+        d = small_design(n=500, reps=40)  # three batches of at most 16 rows
+        serial, pooled = run_study(d, workers=1), run_study(d, workers=2)
+        for name in ("median_bias", "mse", "mean", "variance", "degenerate_count"):
+            assert np.array_equal(getattr(pooled, name), getattr(serial, name), equal_nan=True)
+
+    def test_serial_runs_do_not_import_the_pool(self):
+        # a fresh interpreter, since this one has imported the pool already
+        code = textwrap.dedent("""
+            import sys
+            import censored_evi.cli
+            from censored_evi import (Family, Method, ReverseBurr, StudyDesign, build_specs,
+                                      run_study)
+            design = StudyDesign(dist_x=ReverseBurr(1, 1, 1, 10),
+                                 dist_c=ReverseBurr(10, 2 / 3, 1, 10), n=500, reps=40,
+                                 k_grid=(50,), specs=build_specs(Family, Method, (2.0,)), seed=1)
+            run_study(design, workers=1)
+            assert "concurrent.futures" not in sys.modules
+        """)
+        root = str(Path(censored_evi.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": path})
+        assert proc.returncode == 0, proc.stderr
 
     def test_environment_variable_path(self, monkeypatch):
         d = small_design(reps=4)

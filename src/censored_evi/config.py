@@ -30,6 +30,7 @@ from dataclasses import MISSING, dataclass, fields
 from .censoring import checked_ks
 from .distributions import DistributionSpec, _decimal, _fmt, distribution_literal, parse_distribution
 from .estimators import Family, Method
+from .moments import _check_order
 from .montecarlo import StudyDesign, _first_repeat, build_specs
 
 __all__ = ["RunConfig", "parse_config", "config_text"]
@@ -56,6 +57,15 @@ class RunConfig:
             raise ValueError("alpha list must not be empty")
         if not self.families or not self.methods:
             raise ValueError("families and methods must not be empty")
+        # the list rules of the alpha, families and methods lines, so that
+        # every RunConfig reads back from its config_text
+        for key, entries in (("alpha", self.alphas), ("families", self.families),
+                             ("methods", self.methods)):
+            i = _first_repeat(entries)
+            if i is not None:
+                raise ValueError(f"key {key!r} repeats entry {_joined(entries[i:i + 1])!r}")
+        for alpha in self.alphas:
+            _check_order(alpha)
         if self.out is not None:
             _checked_out("key 'out'", self.out)
 

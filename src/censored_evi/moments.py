@@ -60,8 +60,9 @@ into runs of k whose segments hold at most ``max(largest segment,
 2**13 // rows)`` terms per row, so an array of it holds at most
 ``max(2**13, rows * largest k)`` terms however long the grid; the block
 sums and the shifted (k, block) pairs, cut likewise, hold no more than
-twice that.  The Monte Carlo engine's batches of ``max(1, 2**13 // n)``
-rows keep ``rows * largest k`` below 2**13 whenever n is.
+twice that.  The Monte Carlo engine sizes its batches by a constant of
+its own, ``montecarlo._BATCH_VALUES`` = 2**14: its ``max(1, 2**14 // n)``
+rows keep ``rows * largest k`` below 2**14 whenever n is.
 """
 
 from __future__ import annotations
@@ -77,8 +78,7 @@ from .kaplan_meier import fit
 __all__ = ["tail_moments"]
 
 # Cap on the number of tail terms one array of the pass holds, unless the
-# batch's tails of its largest k alone hold more; the Monte Carlo engine
-# also sizes its batches of samples by it.
+# batch's tails of its largest k alone hold more.
 _CHUNK_TERMS = 2 ** 13
 
 # Observations per block of the shifted pass: block b holds the points

@@ -6,16 +6,17 @@ grid, and aggregates per (k, estimator) cell: median bias, MSE about the
 true index of X, mean, variance and the count of degenerate replicates
 (which are excluded from the statistics).
 
-Replicates run in batches of ``R = max(1, 2**13 // n)`` consecutive
-indices (16 at n = 500), so a batch's sample arrays hold at most about
-2**13 values.  ``_batch_values`` maps the batch's uniforms through each
-family's quantile once, builds one ``(R, n)`` censored sample and makes
-one ``estimate`` call over the whole k-grid, which yields the batch's
-``(R, len(k_grid), len(specs))`` value array; every library call on the
-way acts along the last axis, so a row of the batch gets the bits its
-sample gets on its own.  ``run_study`` stores each batch at its rows of
-one ``(reps, len(k_grid), len(specs))`` array, and a pool task is one
-batch.  ``aggregate`` reduces that array along the replicate axis.
+Replicates run in batches of ``R = max(1, _BATCH_VALUES // n)``
+consecutive indices (32 at n = 500), so a batch's sample arrays hold at
+most about ``_BATCH_VALUES`` values.  ``_batch_values`` maps the batch's
+uniforms through each family's quantile once, builds one ``(R, n)``
+censored sample and makes one ``estimate`` call over the whole k-grid,
+which yields the batch's ``(R, len(k_grid), len(specs))`` value array;
+every library call on the way acts along the last axis, so a row of the
+batch gets the bits its sample gets on its own.  ``run_study`` stores
+each batch at its rows of one ``(reps, len(k_grid), len(specs))`` array,
+and a pool task is one batch.  ``aggregate`` reduces that array along
+the replicate axis.
 ``StudyResult`` keeps each statistic as a ``(len(k_grid), len(specs))``
 column and builds its per-cell ``cells`` view on demand.
 ``run_replicate`` is the per-record view of the batch of one replicate.
@@ -26,8 +27,12 @@ C uniforms.  Replicates are therefore independent of scheduling, each
 lands at its own index, and the aggregation sums in replicate order, so
 the result is bitwise identical for any batch size and any worker count.
 The worker count comes from the CENSORED_EVI_THREADS environment
-variable when not given explicitly and is at most the batch count: a
-pool starts all its workers up front, and one batch runs in-process.
+variable when not given explicitly, and is a maximum.  The first batch
+runs in-process and is timed; the other batches go to a pool only when
+the time a pool would save on them, as measured by the first, exceeds
+the pool's fixed cost ``_POOL_COST_S``.  A pool starts all its workers up
+front, so it has at most one worker per remaining batch, and a study of
+one or two batches never starts one.
 """
 
 from __future__ import annotations
@@ -35,13 +40,13 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from time import perf_counter
 
 import numpy as np
 
 from .censoring import CensoredSample, checked_ks, make_censored
 from .distributions import DistributionSpec, _common_endpoint, _decimal, _uniform_open
 from .estimators import EstimateRecord, EstimatorSpec, _rank, estimate
-from .moments import _CHUNK_TERMS
 
 __all__ = [
     "StudyDesign",
@@ -55,6 +60,18 @@ __all__ = [
 ]
 
 ENV_THREADS = "CENSORED_EVI_THREADS"
+
+# Sample values one batch holds: a batch has max(1, _BATCH_VALUES // n)
+# rows of n.  Larger batches make fewer Python calls per replicate but hold
+# larger arrays; 2**14 was chosen from the benchmark's speed and peak
+# memory at 2**13, 2**14 and 2**15 (CHANGES.md).
+_BATCH_VALUES = 2 ** 14
+
+# Seconds a process pool costs whatever its work: starting its workers
+# (by fork), handing out the batches and collecting their values, and
+# stopping it.  Measured on a 2-CPU Linux machine (CHANGES.md); a pool
+# pays only when it saves more than this.
+_POOL_COST_S = 0.03
 
 
 def build_specs(families, methods, alphas) -> tuple[EstimatorSpec, ...]:
@@ -234,6 +251,9 @@ def aggregate(values, design: StudyDesign) -> StudyResult:
 
 
 def resolve_workers(workers: int | None, tasks: int) -> int:
+    """The most workers a pool may have for ``tasks`` tasks: ``workers``,
+    or CENSORED_EVI_THREADS when it is None, or else the CPUs this process
+    may run on; never more than ``tasks``."""
     if workers is None:
         env = os.environ.get(ENV_THREADS)
         if not env:  # the CPUs this process may run on
@@ -252,28 +272,35 @@ def resolve_workers(workers: int | None, tasks: int) -> int:
 
 
 def run_study(design: StudyDesign, workers: int | None = None) -> StudyResult:
-    """Run all replicates in batches (in parallel when workers > 1) and
-    aggregate.
+    """Run all replicates in batches and aggregate.
 
-    The output is independent of the worker count and of the batch
-    size: replicates are pure functions of (seed, index), stored at their
-    index and reduced in index order.
+    The first batch runs in-process and is timed.  The remaining batches
+    run on a pool of ``w = min(workers, remaining batches)`` processes
+    when ``first batch time * remaining batches * (1 - 1/w)``, the time
+    the pool would save, exceeds its fixed cost ``_POOL_COST_S``, and
+    in-process otherwise; ``workers`` (or CENSORED_EVI_THREADS) is thus a
+    maximum.  The output is independent of the worker count and of the
+    batch size: replicates are pure functions of (seed, index), stored at
+    their index and reduced in index order.
     """
-    rows = max(1, _CHUNK_TERMS // design.n)
-    starts = range(0, design.reps, rows)
-    workers = resolve_workers(workers, len(starts))
+    rows = max(1, _BATCH_VALUES // design.n)
+    starts = range(rows, design.reps, rows)  # of the batches after the first
     stops = [min(start + rows, design.reps) for start in starts]
+    workers = resolve_workers(workers, max(len(starts), 1))
     values = np.empty((design.reps, len(design.k_grid), len(design.specs)))
+    clock = perf_counter()
+    values[:rows] = _batch_values(design, 0, min(rows, design.reps))[1]
+    saving = (perf_counter() - clock) * len(starts) * (1 - 1 / workers)
 
     def store(batches):
         for start, stop, (_, batch) in zip(starts, stops, batches):
             values[start:stop] = batch
 
     tasks = ([design] * len(starts), starts, stops)
-    if workers == 1:
+    if saving <= _POOL_COST_S:
         store(map(_batch_values, *tasks))
     else:
-        # imported here, so that serial runs do not load the pool machinery
+        # imported here, so that studies without a pool do not load its machinery
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:

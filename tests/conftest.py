@@ -1,5 +1,7 @@
 """Shared fixtures and sample builders for the test suite."""
 
+import concurrent.futures
+
 import numpy as np
 import pytest
 
@@ -46,3 +48,19 @@ def draw_sample_with_k(rng, n, design=None, k_hi=None):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20140331)
+
+
+@pytest.fixture
+def started_pools(monkeypatch):
+    """The worker counts of the process pools ``run_study`` starts during
+    the test, in order; the pools are real."""
+    sizes = []
+
+    class Recording(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    # run_study imports the pool class from here when it starts a pool
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    return sizes

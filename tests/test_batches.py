@@ -27,6 +27,7 @@ from censored_evi import (
     tail_moments,
     tail_uncensored_proportion,
 )
+from censored_evi import montecarlo
 from censored_evi.estimators import Family, Method
 from censored_evi.moments import _weights
 from censored_evi.montecarlo import _batch_values
@@ -219,9 +220,12 @@ class TestBatchInvariance:
         assert degenerate.min() >= 12
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_study_equals_aggregate_of_replicates(self, workers):
-        # n = 300 puts 27 replicates in a batch, so 60 replicates make three
-        # batches, the last one short
+    def test_study_equals_aggregate_of_replicates(self, monkeypatch, started_pools, workers):
+        # 27 replicates in a batch at n = 300, so 60 replicates make three
+        # batches, the last one short; at 2 workers the last two run on a
+        # pool of 2 processes, which always pays here
+        monkeypatch.setattr(montecarlo, "_BATCH_VALUES", 27 * 300)
+        monkeypatch.setattr(montecarlo, "_POOL_COST_S", 0.0)
         design = StudyDesign(dist_x=FIGURE1_X, dist_c=FIGURE1_C, n=300, reps=60,
                              k_grid=(10, 50, 150), specs=ALL_SPECS, seed=3)
         values = np.array([[rec.value for rec in run_replicate(design, r)]
@@ -230,3 +234,4 @@ class TestBatchInvariance:
         got = run_study(design, workers=workers)
         for name in ("median_bias", "mse", "mean", "variance", "degenerate_count"):
             np.testing.assert_array_equal(bits(getattr(got, name)), bits(getattr(want, name)))
+        assert started_pools == ([] if workers == 1 else [2])

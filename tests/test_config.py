@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from pathlib import Path
 
@@ -90,21 +91,24 @@ LAWS = st.one_of(
     st.builds(GPD, st.floats(max_value=0, exclude_max=True, allow_infinity=False), POSITIVE),
     st.builds(BetaDist, POSITIVE, POSITIVE),
 )
-ALPHAS = st.lists(st.floats(min_value=1, allow_infinity=False), min_size=1, max_size=4, unique=True)
+# Any floats, repeats included: alphas below 1, not finite or repeated,
+# and repeated families or methods, are errors of the constructor.
+ALPHAS = st.lists(st.floats(min_value=1, allow_infinity=False) | st.floats(), min_size=1,
+                  max_size=4)
 
 
 @st.composite
 def run_configs(draw):
     """Keyword arguments of a RunConfig over every key's range, some of
     them invalid (a k range the wrong way round, an ``out`` that would not
-    read back)."""
+    read back, an alpha below 1, a repeated list entry)."""
     return dict(
         dist_x=draw(LAWS), dist_c=draw(LAWS),
         n=draw(st.integers()), reps=draw(st.integers()), seed=draw(st.integers()),
         k_min=draw(st.integers()), k_max=draw(st.integers()), k_step=draw(st.integers()),
         alphas=tuple(draw(ALPHAS)),
-        families=tuple(draw(st.lists(st.sampled_from(Family), min_size=1, unique=True))),
-        methods=tuple(draw(st.lists(st.sampled_from(Method), min_size=1, unique=True))),
+        families=tuple(draw(st.lists(st.sampled_from(Family), min_size=1))),
+        methods=tuple(draw(st.lists(st.sampled_from(Method), min_size=1))),
         out=draw(st.none() | st.text()),
     )
 
@@ -112,6 +116,15 @@ def run_configs(draw):
 @settings(max_examples=300, deadline=None)
 @given(run_configs())
 def test_every_config_reads_back_from_its_text(kwargs):
+    if (any(not 1 <= a < math.inf for a in kwargs["alphas"])
+            or any(len(set(kwargs[key])) < len(kwargs[key])
+                   for key in ("alphas", "families", "methods"))):
+        # parse_config would reject its text, so the constructor does
+        # (with a valid k range and out, which it checks first)
+        valid = dict(k_min=1, k_max=1, k_step=1, out=None)
+        with pytest.raises(ValueError, match="^(alpha must be >= 1|key '[a-z]+' repeats entry)"):
+            RunConfig(**{**kwargs, **valid})
+        return
     try:
         cfg = RunConfig(**kwargs)
     except ValueError:

@@ -1,4 +1,5 @@
-import concurrent.futures
+import dataclasses
+import itertools
 import math
 import os
 import subprocess
@@ -27,9 +28,11 @@ from censored_evi import (
     run_study,
 )
 from censored_evi import montecarlo
+from censored_evi.config import parse_config
 
 from conftest import FIGURE1_C, FIGURE1_X
 
+FIGURE3 = Path(__file__).resolve().parent.parent / "scripts" / "figure3.cfg"
 ALL_FAMILIES = tuple(Family)
 ALL_METHODS = tuple(Method)
 
@@ -221,46 +224,74 @@ class TestResolveWorkers:
 
 
 class TestPoolSize:
-    # A pool starts all its workers up front and a task is one batch of
-    # 2**13 // n replicates (16 at n = 500), so the pool is capped at the
-    # batch count and one batch runs in-process.
-    @pytest.mark.parametrize("reps,workers,pool", [(16, 4, None), (40, 8, 3), (40, 2, 2)])
-    def test_pool_has_at_most_one_worker_per_batch(self, monkeypatch, reps, workers, pool):
-        sizes = []
+    # run_study runs its first batch in-process and times it; it hands the
+    # remaining batches to a pool of w = min(workers, remaining batches)
+    # workers only when first batch time * remaining batches * (1 - 1/w)
+    # exceeds montecarlo._POOL_COST_S.
+    @staticmethod
+    def first_batch_takes(monkeypatch, seconds):
+        """A clock that advances ``seconds`` at each reading, so the
+        first batch takes that long to run_study."""
+        ticks = itertools.count()
+        monkeypatch.setattr(montecarlo, "perf_counter", lambda: seconds * next(ticks))
 
-        class Recorder:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
+    @pytest.mark.parametrize("batches,full", [(1, True), (1, False), (2, True), (2, False)])
+    def test_one_or_two_batches_never_start_a_pool(self, monkeypatch, started_pools, batches,
+                                                    full):
+        # however long the first batch and however cheap a pool: the one
+        # remaining batch would run on one worker, which saves nothing
+        self.first_batch_takes(monkeypatch, 1e6)
+        monkeypatch.setattr(montecarlo, "_POOL_COST_S", 0.0)
+        rows = montecarlo._BATCH_VALUES // 500
+        design = small_design(n=500, reps=(batches - 1) * rows + (rows if full else 1))
+        result = run_study(design, workers=8)
+        assert started_pools == []
+        assert np.array_equal(result.mse, run_study(design, workers=1).mse, equal_nan=True)
 
-            def __enter__(self):
-                return self
+    def test_long_study_starts_a_pool(self, monkeypatch, started_pools):
+        # the figure-3 study at 2 workers with its first batch timed at
+        # 5 ms, about what 32 of its replicates take on a 2-CPU machine:
+        # at 2000 replicates the pool pays, at 80 it does not
+        self.first_batch_takes(monkeypatch, 0.005)
+        design = parse_config(FIGURE3.read_text()).to_design()
+        assert design.reps == 2000
+        run_study(dataclasses.replace(design, reps=80), workers=2)
+        assert started_pools == []
+        run_study(design, workers=2)
+        assert started_pools == [2]
 
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        design = small_design(n=500, reps=reps)
-        expected = run_study(design, workers=1)
-        # run_study imports the pool class from here when it starts a pool
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
+    @pytest.mark.parametrize("reps,workers,pool", [(10, 8, 4), (10, 2, 2), (10, 1, None),
+                                                   (7, 8, 3), (4, 8, None)])
+    def test_pool_has_one_worker_per_remaining_batch_at_most(self, monkeypatch, started_pools,
+                                                             reps, workers, pool):
+        self.first_batch_takes(monkeypatch, 1.0)
+        monkeypatch.setattr(montecarlo, "_POOL_COST_S", 0.0)
+        monkeypatch.setattr(montecarlo, "_BATCH_VALUES", 2 * 60)  # 2 rows at n = 60
+        design = small_design(reps=reps)
         result = run_study(design, workers=workers)
-        assert sizes == ([] if pool is None else [pool])
-        assert np.array_equal(result.mse, expected.mse, equal_nan=True)
+        assert started_pools == ([] if pool is None else [pool])
+        assert np.array_equal(result.mse, run_study(design, workers=1).mse, equal_nan=True)
 
 
 class TestWorkerIndependence:
-    def test_result_identical_for_any_worker_count(self):
+    # Each test runs its batches after the first on real worker processes:
+    # batches of few replicates, and a pool that always pays.
+    def test_result_identical_for_any_worker_count(self, monkeypatch, started_pools):
+        monkeypatch.setattr(montecarlo, "_POOL_COST_S", 0.0)
+        monkeypatch.setattr(montecarlo, "_BATCH_VALUES", 60)  # one replicate per batch
         d = small_design(reps=6)
         results = [run_study(d, workers=w) for w in (1, 2, 3)]
+        assert started_pools == [2, 3]
         baseline = [repr(c) for c in results[0].cells]
         for res in results[1:]:
             assert [repr(c) for c in res.cells] == baseline
 
-    def test_pool_of_several_batches_gives_equal_arrays(self):
+    def test_pool_of_several_batches_gives_equal_arrays(self, monkeypatch, started_pools):
+        monkeypatch.setattr(montecarlo, "_POOL_COST_S", 0.0)
+        monkeypatch.setattr(montecarlo, "_BATCH_VALUES", 16 * 500)
         d = small_design(n=500, reps=40)  # three batches of at most 16 rows
         serial, pooled = run_study(d, workers=1), run_study(d, workers=2)
+        assert started_pools == [2]
         for name in ("median_bias", "mse", "mean", "variance", "degenerate_count"):
             assert np.array_equal(getattr(pooled, name), getattr(serial, name), equal_nan=True)
 
@@ -283,11 +314,14 @@ class TestWorkerIndependence:
                               env={**os.environ, "PYTHONPATH": path})
         assert proc.returncode == 0, proc.stderr
 
-    def test_environment_variable_path(self, monkeypatch):
+    def test_environment_variable_path(self, monkeypatch, started_pools):
+        monkeypatch.setattr(montecarlo, "_POOL_COST_S", 0.0)
+        monkeypatch.setattr(montecarlo, "_BATCH_VALUES", 60)  # one replicate per batch
         d = small_design(reps=4)
         want = [repr(c) for c in run_study(d, workers=1).cells]
         monkeypatch.setenv("CENSORED_EVI_THREADS", "2")
         got = [repr(c) for c in run_study(d, workers=None).cells]
+        assert started_pools == [2]
         assert got == want
 
 

@@ -26,12 +26,20 @@ observation's log once per block of 64, not once per k:
   point at 1 + 64(b+1), the threshold of k = 1 + 64(b+1).  Once per
   sample, the pass sums l^q and w * l^q over each block, l = log(Z/t_b),
   q = 0..p.
-* Shift.  A k holds nb = (k-1)//64 full blocks, and each is shifted once,
-  straight to the k's threshold t_k.  With D = log(t_b/t_k) >= 0, taken
-  as the log of the ratio (a difference of two logs would cancel), every
-  L = l + D and sum of w (l + D)^p = sum over q of C(p,q) D^(p-q) sum of
-  w l^q.  Every term is non-negative, so the shift loses no digits to
-  cancellation.
+* Superblocks.  Every 64 blocks form a superblock of 4096 points, at
+  fixed positions [1 + 4096s, 1 + 4096(s+1)); its threshold t_S is the
+  point at 1 + 4096(s+1), which is also that of its last block.  Once
+  per sample, each of its blocks' sums is shifted to t_S (see below) and
+  the 64 are added up.
+* Shift.  A k holds nb = (k-1)//64 full blocks: (k-1)//4096 superblocks
+  and nb % 64 blocks after them.  Each is shifted once, straight to the
+  k's threshold t_k, so a k shifts at most 63 blocks and k/4096
+  superblocks.  With D = log(t_b/t_k) >= 0, taken as the log of the
+  ratio (a difference of two logs would cancel), every L = l + D and sum
+  of w (l + D)^p = sum over q of C(p,q) D^(p-q) sum of w l^q.  Every
+  term is non-negative, so the shift loses no digits to cancellation.
+  One routine, ``_shifted_sums``, makes all three kinds of shift: blocks
+  to t_S, superblocks to t_k and blocks to t_k.
 * Direct segment.  The top point and the points [1 + 64 nb, k) are read
   directly: the segments of a k-grid are laid end to end in one flat
   (ragged) array and each k's is summed with ``np.add.reduceat``.  The
@@ -44,25 +52,30 @@ top point of its segment.  The top point is never shifted, and in a tail
 whose only weighted point is the top one the zero km weights add exact
 zeros to the block sums and their shifts: its km and l sums are exactly
 w_1 * L_1^p, as in a direct pass, and the pole band
-``estimators._POLE_TOL`` holds as measured.  A k <= 64 has no full
-block, so its moments are those of a ragged pass over its whole tail,
-bit for bit; at k > 64 the shifted sums differ from such a pass in
-the last bits and stay within the first-order bound that the tests
-check against a 40-digit oracle.
+``estimators._POLE_TOL`` holds as measured; the same holds through the
+two shifts of a superblock.  A k <= 64 has no full block, so its moments
+are those of a ragged pass over its whole tail, bit for bit; at k > 64
+the shifted sums differ from such a pass in the last bits.  A k <= 4096
+has no superblock, so its moments keep the bits of one shift per block.
+Above 4096 a term of a superblock is shifted twice, each time rounded as
+a sum of non-negative terms, and its L is a sum of three logs instead of
+two.  Every k stays within the first-order bound that the tests derive
+for these paths and check against a 40-digit oracle.
 
-Block positions depend on k alone, and a block's, a segment's and a
-shift's sums on their own terms, so a moment does not depend on which
-other k share its pass, nor on which other orders (order p takes p shift
-steps whatever the largest order).  A batch sample ``(R, n)`` lays the
-same blocks and segments out along the last axis of its rows, so each
-row gets the bits of its sample alone.  The direct pass cuts the grid
-into runs of k whose segments hold at most ``max(largest segment,
-2**13 // rows)`` terms per row, so an array of it holds at most
-``max(2**13, rows * largest k)`` terms however long the grid; the block
-sums and the shifted (k, block) pairs, cut likewise, hold no more than
-twice that.  The Monte Carlo engine sizes its batches by a constant of
-its own, ``montecarlo._BATCH_VALUES`` = 2**14: its ``max(1, 2**14 // n)``
-rows keep ``rows * largest k`` below 2**14 whenever n is.
+Block and superblock positions depend on k alone, and the sums of a
+block, a superblock, a segment and a shift on their own terms, so a
+moment does not depend on which other k share its pass, nor on which
+other orders (order p takes p shift steps whatever the largest order).
+A batch sample ``(R, n)`` lays the same blocks and segments out along
+the last axis of its rows, so each row gets the bits of its sample
+alone.  The direct pass cuts the grid into runs of k whose segments hold
+at most ``max(largest segment, 2**13 // rows)`` terms per row, so an
+array of it holds at most ``max(2**13, rows * largest k)`` terms however
+long the grid; the block sums and the shifted pairs, cut likewise, hold
+no more than twice that.  The Monte Carlo engine sizes its batches by a
+constant of its own, ``montecarlo._BATCH_VALUES`` = 2**14: its
+``max(1, 2**14 // n)`` rows keep ``rows * largest k`` below 2**14
+whenever n is.
 """
 
 from __future__ import annotations
@@ -192,41 +205,69 @@ def _block_sums(top: np.ndarray, weight: np.ndarray, count: int, p_max: int):
     return sums, t
 
 
-def _shifted_sums(top: np.ndarray, weight: np.ndarray, threshold: np.ndarray,
-                  blocks: np.ndarray, p_max: int) -> np.ndarray:
-    """Over the first ``blocks[j]`` full blocks of each k of the grid: the
-    sums of L^p (``[p, 0]``) and of w * L^p (``[p, 1]``), p = 0..p_max,
-    as an array ``(p_max + 1, 2, rows, len(blocks))``, 0 where a k has no
-    full block.
+def _shifted_sums(sums: np.ndarray, source_threshold: np.ndarray, first: np.ndarray,
+                  count: np.ndarray, threshold: np.ndarray) -> np.ndarray:
+    """For each target j, the sums of L^p (``[p, 0]``) and of w * L^p
+    (``[p, 1]``), p = 0..p_max, over the source sums ``first[j]`` ..
+    ``first[j] + count[j] - 1``, each shifted once to the target's
+    threshold; an array ``(p_max + 1, 2, rows, len(count))``, 0 where
+    ``count[j]`` is 0.
 
-    Each block's sums are shifted once, straight to the k's threshold
-    t_k: with D = log(t_b / t_k) >= 0, every L = l + D and
+    ``sums`` is ``(p_max + 1, 2, rows, m)`` and holds the sums of l^q and
+    of w * l^q of m sources, each about its own threshold in
+    ``source_threshold`` ``(rows, m)``; ``threshold`` is ``(rows,
+    len(count))``.  With D = log(t_source / t_target) >= 0, every L = l + D
+    and
 
         sum of w (l + D)^p = sum over q <= p of C(p,q) D^(p-q) sum of w l^q.
 
     The binomial (Pascal) matrix is the product of p_max bidiagonal
     steps, step j = 1..p_max adding D times order p-1 to order p for
     every p >= j, so each order takes p multiply-adds of non-negative
-    terms and its bits do not depend on p_max.  The (k, block) pairs are
-    laid end to end and each k's are summed with ``np.add.reduceat``, in
-    runs of the grid whose pairs hold at most max(largest cost,
-    _CHUNK_TERMS // rows) plain sums, and as many weighted ones, per
-    row; a pair costs its p_max + 1 orders.
+    terms and its bits do not depend on p_max.  The (target, source)
+    pairs are laid end to end and each target's are summed with
+    ``np.add.reduceat``, in runs of the targets whose pairs hold at most
+    max(largest cost, _CHUNK_TERMS // rows) plain sums, and as many
+    weighted ones, per row; a pair costs its p_max + 1 orders.
     """
-    out = np.zeros((p_max + 1, 2) + threshold.shape)
-    sums, block_threshold = _block_sums(top, weight, int(blocks.max(initial=0)), p_max)
-    for chunk in _chunks(blocks * (p_max + 1), len(top)):
-        nb = blocks[chunk]
-        has = np.flatnonzero(nb) + chunk.start
-        shift = np.concatenate([block_threshold[:, :m] for m in nb.tolist()], axis=-1)
-        shift /= np.repeat(threshold[:, chunk], nb, axis=-1)
+    p_max = len(sums) - 1
+    out = np.zeros(sums.shape[:2] + threshold.shape)
+    for chunk in _chunks(count * (p_max + 1), len(threshold)):
+        pairs = count[chunk]
+        spans = [slice(i, i + m) for i, m in zip(first[chunk].tolist(), pairs.tolist())]
+        shift = np.concatenate([source_threshold[:, span] for span in spans], axis=-1)
+        shift /= np.repeat(threshold[:, chunk], pairs, axis=-1)
         np.log(shift, out=shift)
-        moments = np.concatenate([sums[..., :m] for m in nb.tolist()], axis=-1)
+        moments = np.concatenate([sums[..., span] for span in spans], axis=-1)
         step = np.empty_like(moments[0])
         for j in range(1, p_max + 1):
             for p in range(p_max, j - 1, -1):  # down, so order p-1 is the one before step j
                 moments[p] += np.multiply(shift, moments[p - 1], out=step)
-        out[..., has] = np.add.reduceat(moments, (np.cumsum(nb) - nb)[nb > 0], axis=-1)
+        has = np.flatnonzero(pairs) + chunk.start
+        out[..., has] = np.add.reduceat(moments, (np.cumsum(pairs) - pairs)[pairs > 0], axis=-1)
+    return out
+
+
+def _shifted_blocks(top: np.ndarray, weight: np.ndarray, threshold: np.ndarray,
+                    blocks: np.ndarray, p_max: int) -> np.ndarray:
+    """Over the first ``blocks[j]`` full blocks of each k of the grid: the
+    sums of L^p and of w * L^p, p = 0..p_max, as ``_shifted_sums`` gives
+    them, 0 where a k has no full block.
+
+    Every _BLOCK blocks from the first form a superblock, whose threshold
+    is that of its last block; its blocks are shifted to it once per
+    sample.  A k then shifts its (blocks // _BLOCK) superblocks and its
+    (blocks % _BLOCK) other blocks, each once, to its threshold, and adds
+    the two.
+    """
+    sums, t = _block_sums(top, weight, int(blocks.max(initial=0)), p_max)
+    supers = blocks // _BLOCK
+    out = _shifted_sums(sums, t, supers * _BLOCK, blocks % _BLOCK, threshold)
+    if supers.any():
+        first = np.arange(0, int(supers.max()) * _BLOCK, _BLOCK)
+        t_super = t[:, first + _BLOCK - 1]
+        super_sums = _shifted_sums(sums, t, first, np.full_like(first, _BLOCK), t_super)
+        out += _shifted_sums(super_sums, t_super, np.zeros_like(supers), supers, threshold)
     return out
 
 
@@ -303,7 +344,7 @@ def tail_moments(
             for p, (total, weighted_total) in sums.items():
                 unweighted[p][:, chunk], km[p][:, chunk] = total, weighted_total
     if blocks.any():
-        shift = _shifted_sums(top, weight, threshold, blocks, int(max(shifted)))
+        shift = _shifted_blocks(top, weight, threshold, blocks, int(max(shifted)))
         for p in shifted:
             unweighted[p] += shift[int(p), 0]
             km[p] += shift[int(p), 1]

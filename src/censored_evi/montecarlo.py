@@ -30,9 +30,10 @@ The worker count comes from the CENSORED_EVI_THREADS environment
 variable when not given explicitly, and is a maximum.  The first batch
 runs in-process and is timed; the other batches go to a pool only when
 the time a pool would save on them, as measured by the first, exceeds
-the pool's fixed cost ``_POOL_COST_S``.  A pool starts all its workers up
-front, so it has at most one worker per remaining batch, and a study of
-one or two batches never starts one.
+the pool's fixed cost ``_POOL_COST_S``, which depends on how the pool
+starts its workers.  A pool starts all its workers up front, so it has
+at most one worker per remaining batch, and a study of one or two
+batches never starts one.
 """
 
 from __future__ import annotations
@@ -67,11 +68,14 @@ ENV_THREADS = "CENSORED_EVI_THREADS"
 # memory at 2**13, 2**14 and 2**15 (CHANGES.md).
 _BATCH_VALUES = 2 ** 14
 
-# Seconds a process pool costs whatever its work: starting its workers
-# (by fork), handing out the batches and collecting their values, and
-# stopping it.  Measured on a 2-CPU Linux machine (CHANGES.md); a pool
-# pays only when it saves more than this.
-_POOL_COST_S = 0.03
+# Seconds a process pool costs whatever its work, by the start method of
+# its workers: starting them, handing out the batches and collecting their
+# values, and stopping it.  Measured on a 2-CPU Linux machine with workers
+# that import the package (CHANGES.md); a pool pays only when it saves more
+# than this.  A new process (spawn, the default on macOS and Windows) or a
+# fork of a server process (forkserver, the default on Linux from Python
+# 3.14) imports the package again, which fork does not.
+_POOL_COST_S = {"fork": 0.03, "forkserver": 0.25, "spawn": 0.3}
 
 
 def build_specs(families, methods, alphas) -> tuple[EstimatorSpec, ...]:
@@ -182,13 +186,20 @@ def _batch_sample(design: StudyDesign, start: int, stop: int) -> CensoredSample:
     """The censored samples of replicates ``start`` to ``stop - 1``, one
     row each; deterministic in design.seed and the replicate indices."""
     n = design.n
-    # The uniforms of each row, replaced by their quantiles below.
-    x, c = np.empty((stop - start, n)), np.empty((stop - start, n))
+    # The X and C uniforms of each row, replaced by their quantiles below.
+    u = np.empty((2, stop - start, n))
     for row, r in enumerate(range(start, stop)):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=(design.seed, r)))
-        x[row] = _uniform_open(rng, n)  # X first, then C
-        c[row] = _uniform_open(rng, n)
-    x, c = design.dist_x.quantile(x), design.dist_c.quantile(c)
+        rng.random(out=u[0, row])  # X first, then C
+        rng.random(out=u[1, row])
+    # A row that drew an exact zero (probability 2**-53 per draw) is drawn
+    # again whole, through _uniform_open, which redraws zeros in place; a
+    # row without one is what _uniform_open gives.
+    for row in np.flatnonzero((u == 0.0).any(axis=(0, 2))).tolist():
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=(design.seed, start + row)))
+        u[0, row] = _uniform_open(rng, n)
+        u[1, row] = _uniform_open(rng, n)
+    x, c = design.dist_x.quantile(u[0]), design.dist_c.quantile(u[1])
     # Positivity is not enforced here: endpoint-anchored families may put
     # mass below zero, while only the top-k statistics enter any formula.
     return make_censored(x, c, require_positive=False)
@@ -271,14 +282,23 @@ def resolve_workers(workers: int | None, tasks: int) -> int:
     return min(workers, tasks)
 
 
+def _pool_cost_s() -> float:
+    """_POOL_COST_S of the start method a new pool would take."""
+    import multiprocessing  # here, so that serial studies do not load it
+
+    method = multiprocessing.get_start_method(allow_none=True)
+    return _POOL_COST_S[method or multiprocessing.get_all_start_methods()[0]]
+
+
 def run_study(design: StudyDesign, workers: int | None = None) -> StudyResult:
     """Run all replicates in batches and aggregate.
 
     The first batch runs in-process and is timed.  The remaining batches
     run on a pool of ``w = min(workers, remaining batches)`` processes
     when ``first batch time * remaining batches * (1 - 1/w)``, the time
-    the pool would save, exceeds its fixed cost ``_POOL_COST_S``, and
-    in-process otherwise; ``workers`` (or CENSORED_EVI_THREADS) is thus a
+    the pool would save, exceeds its fixed cost ``_POOL_COST_S`` for the
+    start method that multiprocessing would use, and in-process
+    otherwise; ``workers`` (or CENSORED_EVI_THREADS) is thus a
     maximum.  The output is independent of the worker count and of the
     batch size: replicates are pure functions of (seed, index), stored at
     their index and reduced in index order.
@@ -288,6 +308,9 @@ def run_study(design: StudyDesign, workers: int | None = None) -> StudyResult:
     stops = [min(start + rows, design.reps) for start in starts]
     workers = resolve_workers(workers, max(len(starts), 1))
     values = np.empty((design.reps, len(design.k_grid), len(design.specs)))
+    # numpy imports numpy.random on first use, which takes longer than a
+    # batch; it is loaded here so that the first batch's time is its own
+    import numpy.random  # noqa: F401
     clock = perf_counter()
     values[:rows] = _batch_values(design, 0, min(rows, design.reps))[1]
     saving = (perf_counter() - clock) * len(starts) * (1 - 1 / workers)
@@ -297,7 +320,7 @@ def run_study(design: StudyDesign, workers: int | None = None) -> StudyResult:
             values[start:stop] = batch
 
     tasks = ([design] * len(starts), starts, stops)
-    if saving <= _POOL_COST_S:
+    if saving <= 0 or saving <= _pool_cost_s():
         store(map(_batch_values, *tasks))
     else:
         # imported here, so that studies without a pool do not load its machinery

@@ -20,6 +20,10 @@ DESIGNS = (
 FIGURE1_X = ReverseBurr(1, 1, 1, 10)
 FIGURE1_C = ReverseBurr(10, 2.0 / 3.0, 1, 10)
 
+# A ``montecarlo._POOL_COST_S`` under which a pool always pays, whatever
+# its start method.
+FREE_POOL = {"fork": 0.0, "forkserver": 0.0, "spawn": 0.0}
+
 
 def sample_from(z, delta):
     """Strictly validated sample from explicit (z, delta) lists."""

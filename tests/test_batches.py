@@ -28,11 +28,12 @@ from censored_evi import (
     tail_uncensored_proportion,
 )
 from censored_evi import montecarlo
+from censored_evi.distributions import _uniform_open
 from censored_evi.estimators import Family, Method
 from censored_evi.moments import _weights
 from censored_evi.montecarlo import _batch_values
 
-from conftest import DESIGNS, FIGURE1_C, FIGURE1_X
+from conftest import DESIGNS, FIGURE1_C, FIGURE1_X, FREE_POOL
 
 ALL_SPECS = build_specs(tuple(Family), tuple(Method), (2.0,))
 
@@ -219,13 +220,50 @@ class TestBatchInvariance:
         degenerate = run_study(design, workers=1).degenerate_count
         assert degenerate.min() >= 12
 
+    @pytest.mark.parametrize("draw", [0, 1])
+    def test_row_with_a_zero_uniform_takes_the_redraw_path(self, monkeypatch, draw):
+        # Every generator of replicate 5 draws an exact zero at one place
+        # of its X (draw 0) or its C (draw 1) uniforms; that row must be
+        # what _uniform_open gives, X with its redraws first, then C, and
+        # the other rows must keep their bits
+        design = StudyDesign(dist_x=FIGURE1_X, dist_c=FIGURE1_C, n=50, reps=8, k_grid=(5,),
+                             specs=ALL_SPECS, seed=11)
+        clean = montecarlo._batch_sample(design, 0, 8)
+        real = np.random.default_rng
+
+        class ZeroAt:
+            def __init__(self, seed):
+                self.rng, self.draws = real(seed), 0
+
+            def random(self, size=None, out=None):
+                got = self.rng.random(size, out=out)
+                if self.draws == draw:
+                    got[7] = 0.0
+                self.draws += 1
+                return got
+
+        def default_rng(seed):
+            return ZeroAt(seed) if seed.entropy == (design.seed, 5) else real(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", default_rng)
+        got = montecarlo._batch_sample(design, 0, 8)
+        rng = default_rng(np.random.SeedSequence(entropy=(design.seed, 5)))
+        x, c = _uniform_open(rng, 50), _uniform_open(rng, 50)
+        assert rng.draws == 3  # the zero was redrawn from the stream
+        want = make_censored(FIGURE1_X.quantile(x), FIGURE1_C.quantile(c),
+                             require_positive=False)
+        rows = [r for r in range(8) if r != 5]
+        for name in ("z", "delta"):
+            np.testing.assert_array_equal(getattr(got, name)[5], getattr(want, name))
+            np.testing.assert_array_equal(getattr(got, name)[rows], getattr(clean, name)[rows])
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_study_equals_aggregate_of_replicates(self, monkeypatch, started_pools, workers):
         # 27 replicates in a batch at n = 300, so 60 replicates make three
         # batches, the last one short; at 2 workers the last two run on a
         # pool of 2 processes, which always pays here
         monkeypatch.setattr(montecarlo, "_BATCH_VALUES", 27 * 300)
-        monkeypatch.setattr(montecarlo, "_POOL_COST_S", 0.0)
+        monkeypatch.setattr(montecarlo, "_POOL_COST_S", FREE_POOL)
         design = StudyDesign(dist_x=FIGURE1_X, dist_c=FIGURE1_C, n=300, reps=60,
                              k_grid=(10, 50, 150), specs=ALL_SPECS, seed=3)
         values = np.array([[rec.value for rec in run_replicate(design, r)]

@@ -210,12 +210,15 @@ class TestEstimateCommand:
         assert main(["estimate", "--input", str(data), flag, raw]) == 1
         assert f"error: {flag} repeats entry {entry!r}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("k", [51, 400])
+    @pytest.mark.parametrize("k", [51, 400, 4097, 8193])
     def test_single_k_row_matches_full_sweep(self, tmp_path, k):
         # n = 600: the full sweep's tails span several chunks, while k alone
-        # is a chunk of its own; the rows must not depend on that
-        rng = np.random.default_rng(600)
-        x, c = GPD(-0.5, 1).sample(rng, 600), GPD(-0.25, 0.5).sample(rng, 600)
+        # is a chunk of its own; the rows must not depend on that.  n = 8200
+        # for k above 4096, whose tails hold superblocks (one at 4097, two
+        # at 8193), shifted with and without the other k's of the sweep
+        n = 600 if k < 600 else 8200
+        rng = np.random.default_rng(n)
+        x, c = GPD(-0.5, 1).sample(rng, n), GPD(-0.25, 0.5).sample(rng, n)
         data = tmp_path / "data.csv"
         data.write_text("z,delta\n" + "".join(
             f"{a!r},{int(b)}\n" for a, b in zip(np.minimum(x, c).tolist(), x <= c)))

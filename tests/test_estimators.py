@@ -249,6 +249,24 @@ class TestOnePointTail:
         _, values = estimate(s, range(1, run + 2), specs)
         assert np.isnan(values).all()
 
+    # The same above k = 4096, where the blocks of a tail are also summed
+    # into superblocks of 64 and shifted twice: the zero weights of the
+    # censored run still add exact zeros through both shifts.
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_estimate_gives_nan_beyond_a_superblock(self, seed):
+        drawn = draw_sample(np.random.default_rng(seed), 9000, DESIGNS[3])
+        delta = drawn.delta.copy()
+        delta[-1], delta[-8300:-1] = 1, 0
+        s = from_observations(drawn.z, delta)
+        ks = [4096, 4097, 4160, 4161, 8192, 8193, 8300]
+        assert (s.z[s.n - np.array(ks) - 1] > 0).all()
+        _, (m1, m2), _ = (tuple(m.values()) for m in tail_moments(s, ks, (1.0, 2.0)))
+        assert (np.abs(m2 - m1 * m1) <= _POLE_TOL * m2).all()
+        specs = [EstimatorSpec(f, m, alpha) for alpha in (1.0, 2.0, 3.0)
+                 for f in Family for m in (Method.KM, Method.LEURGANS)]
+        _, values = estimate(s, ks, specs)
+        assert np.isnan(values).all()
+
 
 class TestEstimatorSpec:
     def test_label(self):

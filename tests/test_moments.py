@@ -227,17 +227,26 @@ def moment_error_bound(n, k, p, exact, bound_f, delta_top, top_log):
     """First-order bound on |float64 - exact| of the (unweighted, km, l)
     moments of order p at k, from the exact moments of orders p-1 and p.
 
-    With u = 2**-53 and nb = (k-1)//64 shifted blocks, per log-excess L:
-    the quotient inside the log rounds once per log taken (once for a
-    point read directly, twice for a shifted one, l and D), so the log
-    is off by a*u absolute, a = 1 or 2, plus 4u*L from two logs within
-    2 ulp; the power moves by p*L^(p-1)*(a*u) + 4p*u*L^p.  Every other
-    operation multiplies or adds non-negative terms and adds at most u
-    relative per rounding along a term's path: a shifted term passes p-1
-    (power chain), 1 (weight), 63 (a block's sum), 2p (p shift steps),
-    nb-1 (the sum over blocks), 1 (direct plus shifted) and 1 (division),
-    a direct term p-1, 1, 63 (a segment of at most 64 terms) and 2, so
-    at most 3p+66+nb in all.  The km
+    With u = 2**-53, nb = (k-1)//64 full blocks and ns = (k-1)//4096
+    superblocks, per log-excess L: the quotient inside the log rounds
+    once per log taken, so the log is off by a*u absolute, where a counts
+    the logs that make up L: 1 for a point read directly, 2 for a point
+    of a block shifted straight to t_k (l and D), 3 for a point of a
+    superblock (l, D to the superblock's threshold t_S, and D from t_S to
+    t_k); plus 4u*L from logs within 2 ulp, which add up to L.  The power
+    moves by p*L^(p-1)*(a*u) + 4p*u*L^p.  Every other operation
+    multiplies or adds non-negative terms and adds at most u relative per
+    rounding along a term's path:
+    * a direct term: p-1 (power chain), 1 (weight), 63 (a segment of at
+      most 64 terms), 1 (direct plus shifted) and 1 (division), p+65;
+    * at k <= 4096, a block term: p-1, 1, 63 (a block's sum), 2p (p
+      shift steps), nb-1 (the sum over blocks), 1 and 1, 3p+64+nb;
+    * at k > 4096, a superblock term: p-1, 1, 63, 2p (to t_S), 63 (the
+      sum of the superblock's 64 blocks), 2p (to t_k), ns-1 (the sum over
+      superblocks), 1 (superblocks plus blocks), 1 and 1, 5p+128+ns; a
+      block term then takes p-1, 1, 63, 2p, at most 62 (the sum over the
+      other blocks), 1, 1 and 1, 3p+128 at most.
+    So at most 3p+66+nb up to k = 4096 and 5p+128+ns above it.  The km
     weights and normaliser carry their product-limit bounds: e_w at the
     top of the sample and e_N at N.  The l moment adds the top term
     L_1^p / (N (1-Ghat(Z_(n)^-))), one direct point whose normaliser
@@ -245,8 +254,12 @@ def moment_error_bound(n, k, p, exact, bound_f, delta_top, top_log):
     The km weights have mass at most 1, which bounds the order-0 moment.
     """
     u = 2.0 ** -53
-    a = 2 if k > 64 else 1
-    rounding = (7 * p + 66 + (k - 1) // 64) * u
+    nb, ns = (k - 1) // 64, (k - 1) // 4096
+    if ns:
+        a, path = 3, 5 * p + 128 + ns
+    else:
+        a, path = (2 if nb else 1), 3 * p + 66 + nb
+    rounding = (4 * p + path) * u
     e_w, e_n = bound_f[n - 2] + 2 * u, bound_f[n - k - 1] + u
     (mu, mu_prev), (mk, mk_prev), (ml, _) = exact
     bound_u = p * a * u * mu_prev + rounding * mu
@@ -266,7 +279,8 @@ class TestMomentsAgainstHighPrecision:
     # so a shift D taken as log(t_b) - log(t_k) instead of log(t_b/t_k)
     # loses about 1e-13 absolute to cancellation and leaves the bound.
     @pytest.mark.parametrize("n,ks", [(2000, None),
-                                      (20000, (64, 65, 66, 128, 129, 1000, 19999))])
+                                      (20000, (64, 65, 66, 128, 129, 1000, 4096, 4097, 4160,
+                                              8192, 8193, 16385, 19999))])
     def test_within_first_order_bound(self, n, ks):
         mpmath = pytest.importorskip("mpmath")
         rng = np.random.default_rng(n + 7)

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -30,7 +31,7 @@ from censored_evi import (
 from censored_evi import montecarlo
 from censored_evi.config import parse_config
 
-from conftest import FIGURE1_C, FIGURE1_X
+from conftest import FIGURE1_C, FIGURE1_X, FREE_POOL
 
 FIGURE3 = Path(__file__).resolve().parent.parent / "scripts" / "figure3.cfg"
 ALL_FAMILIES = tuple(Family)
@@ -241,18 +242,26 @@ class TestPoolSize:
         # however long the first batch and however cheap a pool: the one
         # remaining batch would run on one worker, which saves nothing
         self.first_batch_takes(monkeypatch, 1e6)
-        monkeypatch.setattr(montecarlo, "_POOL_COST_S", 0.0)
+        monkeypatch.setattr(montecarlo, "_POOL_COST_S", FREE_POOL)
         rows = montecarlo._BATCH_VALUES // 500
         design = small_design(n=500, reps=(batches - 1) * rows + (rows if full else 1))
         result = run_study(design, workers=8)
         assert started_pools == []
         assert np.array_equal(result.mse, run_study(design, workers=1).mse, equal_nan=True)
 
+    @staticmethod
+    def pools_start_by(monkeypatch, method):
+        """run_study prices its pool as one whose workers start by
+        ``method``; the pool it starts still takes the default method."""
+        monkeypatch.setattr(multiprocessing, "get_start_method", lambda allow_none=False: method)
+
     def test_long_study_starts_a_pool(self, monkeypatch, started_pools):
         # the figure-3 study at 2 workers with its first batch timed at
         # 5 ms, about what 32 of its replicates take on a 2-CPU machine:
-        # at 2000 replicates the pool pays, at 80 it does not
+        # with fork workers the pool pays at 2000 replicates, at 80 it
+        # does not
         self.first_batch_takes(monkeypatch, 0.005)
+        self.pools_start_by(monkeypatch, "fork")
         design = parse_config(FIGURE3.read_text()).to_design()
         assert design.reps == 2000
         run_study(dataclasses.replace(design, reps=80), workers=2)
@@ -260,12 +269,32 @@ class TestPoolSize:
         run_study(design, workers=2)
         assert started_pools == [2]
 
+    @pytest.mark.parametrize("method", ["forkserver", "spawn"])
+    def test_long_study_keeps_a_slow_starting_pool_out(self, monkeypatch, started_pools,
+                                                        method):
+        # the same study saves about 0.15 s on the pool, less than a pool
+        # costs whose workers import the package again
+        self.first_batch_takes(monkeypatch, 0.005)
+        self.pools_start_by(monkeypatch, method)
+        design = parse_config(FIGURE3.read_text()).to_design()
+        assert design.reps == 2000
+        run_study(design, workers=2)
+        assert started_pools == []
+
+    def test_pool_cost_follows_the_default_start_method(self, monkeypatch):
+        # before any start method is set, the cost is that of the default,
+        # the first method multiprocessing lists
+        monkeypatch.setattr(multiprocessing, "get_start_method", lambda allow_none=False: None)
+        for methods in (["fork", "spawn"], ["spawn", "fork"], ["forkserver", "fork", "spawn"]):
+            monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: methods)
+            assert montecarlo._pool_cost_s() == montecarlo._POOL_COST_S[methods[0]]
+
     @pytest.mark.parametrize("reps,workers,pool", [(10, 8, 4), (10, 2, 2), (10, 1, None),
                                                    (7, 8, 3), (4, 8, None)])
     def test_pool_has_one_worker_per_remaining_batch_at_most(self, monkeypatch, started_pools,
                                                              reps, workers, pool):
         self.first_batch_takes(monkeypatch, 1.0)
-        monkeypatch.setattr(montecarlo, "_POOL_COST_S", 0.0)
+        monkeypatch.setattr(montecarlo, "_POOL_COST_S", FREE_POOL)
         monkeypatch.setattr(montecarlo, "_BATCH_VALUES", 2 * 60)  # 2 rows at n = 60
         design = small_design(reps=reps)
         result = run_study(design, workers=workers)
@@ -277,7 +306,7 @@ class TestWorkerIndependence:
     # Each test runs its batches after the first on real worker processes:
     # batches of few replicates, and a pool that always pays.
     def test_result_identical_for_any_worker_count(self, monkeypatch, started_pools):
-        monkeypatch.setattr(montecarlo, "_POOL_COST_S", 0.0)
+        monkeypatch.setattr(montecarlo, "_POOL_COST_S", FREE_POOL)
         monkeypatch.setattr(montecarlo, "_BATCH_VALUES", 60)  # one replicate per batch
         d = small_design(reps=6)
         results = [run_study(d, workers=w) for w in (1, 2, 3)]
@@ -287,7 +316,7 @@ class TestWorkerIndependence:
             assert [repr(c) for c in res.cells] == baseline
 
     def test_pool_of_several_batches_gives_equal_arrays(self, monkeypatch, started_pools):
-        monkeypatch.setattr(montecarlo, "_POOL_COST_S", 0.0)
+        monkeypatch.setattr(montecarlo, "_POOL_COST_S", FREE_POOL)
         monkeypatch.setattr(montecarlo, "_BATCH_VALUES", 16 * 500)
         d = small_design(n=500, reps=40)  # three batches of at most 16 rows
         serial, pooled = run_study(d, workers=1), run_study(d, workers=2)
@@ -295,8 +324,10 @@ class TestWorkerIndependence:
         for name in ("median_bias", "mse", "mean", "variance", "degenerate_count"):
             assert np.array_equal(getattr(pooled, name), getattr(serial, name), equal_nan=True)
 
-    def test_serial_runs_do_not_import_the_pool(self):
-        # a fresh interpreter, since this one has imported the pool already
+    @staticmethod
+    def run_fresh(code):
+        """Run ``code`` after a two-batch study design is built, in a fresh
+        interpreter, since this one has imported the pool already."""
         code = textwrap.dedent("""
             import sys
             import censored_evi.cli
@@ -305,17 +336,34 @@ class TestWorkerIndependence:
             design = StudyDesign(dist_x=ReverseBurr(1, 1, 1, 10),
                                  dist_c=ReverseBurr(10, 2 / 3, 1, 10), n=500, reps=40,
                                  k_grid=(50,), specs=build_specs(Family, Method, (2.0,)), seed=1)
-            run_study(design, workers=1)
-            assert "concurrent.futures" not in sys.modules
-        """)
+        """) + textwrap.dedent(code)
         root = str(Path(censored_evi.__file__).resolve().parent.parent)
         path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": path})
         assert proc.returncode == 0, proc.stderr
 
+    def test_serial_runs_do_not_import_the_pool(self):
+        self.run_fresh("""
+            run_study(design, workers=1)
+            assert "concurrent.futures" not in sys.modules
+        """)
+
+    def test_first_batch_is_timed_after_numpy_random_loads(self):
+        # numpy imports numpy.random on first use, which takes longer than
+        # a batch; counted in the first batch's time, it made the gate
+        # start pools that lose
+        self.run_fresh("""
+            from censored_evi import montecarlo
+            assert "numpy.random" not in sys.modules
+            loaded = []
+            montecarlo.perf_counter = lambda: loaded.append("numpy.random" in sys.modules) or 0.0
+            run_study(design, workers=1)
+            assert loaded == [True, True], loaded
+        """)
+
     def test_environment_variable_path(self, monkeypatch, started_pools):
-        monkeypatch.setattr(montecarlo, "_POOL_COST_S", 0.0)
+        monkeypatch.setattr(montecarlo, "_POOL_COST_S", FREE_POOL)
         monkeypatch.setattr(montecarlo, "_BATCH_VALUES", 60)  # one replicate per batch
         d = small_design(reps=4)
         want = [repr(c) for c in run_study(d, workers=1).cells]

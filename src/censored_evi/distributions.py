@@ -10,12 +10,15 @@ value index) regime:
   ``(1 + gamma*x/sigma)^(-1/gamma)`` on ``[0, sigma/|gamma|]``.
 * ``BetaDist(a, b)`` -- Beta law on ``[0, 1]``, index ``-1/b``.
 
-Every family exposes ``survival``, ``quantile``, ``sample`` (inverse-CDF
-transform of a uniform stream, so draws are reproducible from the
-generator state alone), ``theoretical_evi`` and ``endpoint``.  Specs are
-immutable and hashable; ``parse_distribution`` / ``distribution_literal``
-convert to and from the textual form used in config files, e.g.
-``revburr(1,1,1,10)``, ``gpd(-0.5,1)``, ``beta(2,4)``.
+Every family exposes ``survival``, ``quantile``, ``sample``,
+``theoretical_evi`` and ``endpoint``.  ``quantile`` takes any probability
+in [0, 1] and is exact at both ends: u = 0 gives the lower end of the
+support (-inf for ReverseBurr, 0 for GPD and BetaDist) and u = 1 the
+endpoint.  ``sample`` is the quantile of ``Generator.random`` draws on
+[0, 1), so draws are reproducible from the generator state alone.  Specs
+are immutable and hashable; ``parse_distribution`` /
+``distribution_literal`` convert to and from the textual form used in
+config files, e.g. ``revburr(1,1,1,10)``, ``gpd(-0.5,1)``, ``beta(2,4)``.
 """
 
 from __future__ import annotations
@@ -41,25 +44,11 @@ def _scalar_or_array(x: np.ndarray) -> Union[float, np.ndarray]:
     return float(x) if x.ndim == 0 else x
 
 
-def _check_unit_open(u) -> np.ndarray:
+def _check_unit(u) -> np.ndarray:
     u = np.asarray(u, dtype=float)
-    if np.any(u <= 0.0) or np.any(u >= 1.0):
-        raise ValueError("quantile argument must lie strictly inside (0, 1)")
+    if not np.all((0.0 <= u) & (u <= 1.0)):  # NaN fails both
+        raise ValueError("quantile argument must lie in [0, 1]")
     return u
-
-
-def _uniform_open(rng: np.random.Generator, n: int) -> np.ndarray:
-    """n variates from the open interval (0, 1).
-
-    ``Generator.random`` covers [0, 1); exact zeros (probability 2^-53
-    per draw) are redrawn so the inverse CDF never sees u = 0.
-    """
-    u = rng.random(n)
-    while True:
-        zero = u == 0.0
-        if not zero.any():
-            return u
-        u[zero] = rng.random(int(zero.sum()))
 
 
 class _Law:
@@ -77,7 +66,7 @@ class _Law:
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         if n < 1:
             raise ValueError("sample size must be >= 1")
-        return np.asarray(self.quantile(_uniform_open(rng, n)))
+        return self.quantile(rng.random(n))
 
 
 @dataclass(frozen=True)
@@ -108,11 +97,11 @@ class ReverseBurr(_Law):
         return _scalar_or_array(np.where(gap > 0.0, val, 0.0))
 
     def quantile(self, u) -> Union[float, np.ndarray]:
-        u = _check_unit_open(u)
-        s = 1.0 - u
-        return _scalar_or_array(
-            self.xstar - (self.beta * (s ** (-1.0 / self.lam) - 1.0)) ** (-1.0 / self.tau)
-        )
+        s = 1.0 - _check_unit(u)
+        with np.errstate(divide="ignore"):  # 0 ** negative at u = 0 and u = 1
+            return _scalar_or_array(
+                self.xstar - (self.beta * (s ** (-1.0 / self.lam) - 1.0)) ** (-1.0 / self.tau)
+            )
 
 
 @dataclass(frozen=True)
@@ -142,7 +131,7 @@ class GPD(_Law):
         return _scalar_or_array(np.where(x < 0.0, 1.0, val))
 
     def quantile(self, u) -> Union[float, np.ndarray]:
-        u = _check_unit_open(u)
+        u = _check_unit(u)
         return _scalar_or_array(
             self.sigma * ((1.0 - u) ** (-self.gamma) - 1.0) / self.gamma
         )
@@ -177,7 +166,7 @@ class BetaDist(_Law):
     def quantile(self, u) -> Union[float, np.ndarray]:
         from scipy.special import betaincinv
 
-        u = _check_unit_open(u)
+        u = _check_unit(u)
         return _scalar_or_array(betaincinv(self.a, self.b, u))
 
 

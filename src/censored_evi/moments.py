@@ -120,14 +120,14 @@ def _chunks(cost: np.ndarray, rows: int):
     run of ``rows`` rows holds at most max(_CHUNK_TERMS, rows * largest
     cost)."""
     cap = max(int(cost.max(initial=0)), _CHUNK_TERMS // max(rows, 1))
-    start, total = 0, 0
-    for i, c in enumerate(cost.tolist()):
-        if total + c > cap:
-            yield slice(start, i)
-            start, total = i, 0
-        total += c
-    if start < len(cost):
-        yield slice(start, len(cost))
+    # A run from k ends before the first k whose running cost from there
+    # exceeds cap; costs are non-negative, so the running total is sorted.
+    total = np.cumsum(cost)
+    stops = np.searchsorted(total, total - cost + cap, side="right").tolist()
+    start = 0
+    while start < len(stops):
+        yield slice(start, stops[start])
+        start = stops[start]
 
 
 def _powers(base: np.ndarray, orders: Sequence[float]):

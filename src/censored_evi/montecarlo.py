@@ -23,17 +23,20 @@ column and builds its per-cell ``cells`` view on demand.
 
 Reproducibility contract: replicate r uses a fresh generator seeded by
 SeedSequence(entropy=(seed, r)) and draws its X uniforms first, then its
-C uniforms.  Replicates are therefore independent of scheduling, each
-lands at its own index, and the aggregation sums in replicate order, so
-the result is bitwise identical for any batch size and any worker count.
+C uniforms with ``Generator.random``, and maps each through its law's
+quantile as drawn, an exact zero included.  Replicates are therefore
+independent of scheduling, each lands at its own index, and the
+aggregation sums in replicate order, so the result is bitwise identical
+for any batch size and any worker count.
 The worker count comes from the CENSORED_EVI_THREADS environment
-variable when not given explicitly, and is a maximum.  The first batch
-runs in-process and is timed; the other batches go to a pool only when
-the time a pool would save on them, as measured by the first, exceeds
-the pool's fixed cost ``_POOL_COST_S``, which depends on how the pool
-starts its workers.  A pool starts all its workers up front, so it has
-at most one worker per remaining batch, and a study of one or two
-batches never starts one.
+variable when not given explicitly, and is a maximum.  The first two
+batches run in-process, and the second is timed, since the first also
+pays for what is loaded and warmed on first use; the other batches go to
+a pool only when the time a pool would save on them, as measured by the
+second, exceeds the pool's fixed cost ``_POOL_COST_S``, which depends on
+how the pool starts its workers.  A pool starts all its workers up
+front, so it has at most one worker per remaining batch, and a study of
+up to three batches never starts one.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from time import perf_counter
 import numpy as np
 
 from .censoring import CensoredSample, checked_ks, make_censored
-from .distributions import DistributionSpec, _common_endpoint, _decimal, _uniform_open
+from .distributions import DistributionSpec, _common_endpoint, _decimal
 from .estimators import EstimateRecord, EstimatorSpec, _rank, estimate
 
 __all__ = [
@@ -185,20 +188,12 @@ class StudyResult:
 def _batch_sample(design: StudyDesign, start: int, stop: int) -> CensoredSample:
     """The censored samples of replicates ``start`` to ``stop - 1``, one
     row each; deterministic in design.seed and the replicate indices."""
-    n = design.n
     # The X and C uniforms of each row, replaced by their quantiles below.
-    u = np.empty((2, stop - start, n))
+    u = np.empty((2, stop - start, design.n))
     for row, r in enumerate(range(start, stop)):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=(design.seed, r)))
         rng.random(out=u[0, row])  # X first, then C
         rng.random(out=u[1, row])
-    # A row that drew an exact zero (probability 2**-53 per draw) is drawn
-    # again whole, through _uniform_open, which redraws zeros in place; a
-    # row without one is what _uniform_open gives.
-    for row in np.flatnonzero((u == 0.0).any(axis=(0, 2))).tolist():
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=(design.seed, start + row)))
-        u[0, row] = _uniform_open(rng, n)
-        u[1, row] = _uniform_open(rng, n)
     x, c = design.dist_x.quantile(u[0]), design.dist_c.quantile(u[1])
     # Positivity is not enforced here: endpoint-anchored families may put
     # mass below zero, while only the top-k statistics enter any formula.
@@ -293,33 +288,34 @@ def _pool_cost_s() -> float:
 def run_study(design: StudyDesign, workers: int | None = None) -> StudyResult:
     """Run all replicates in batches and aggregate.
 
-    The first batch runs in-process and is timed.  The remaining batches
-    run on a pool of ``w = min(workers, remaining batches)`` processes
-    when ``first batch time * remaining batches * (1 - 1/w)``, the time
-    the pool would save, exceeds its fixed cost ``_POOL_COST_S`` for the
-    start method that multiprocessing would use, and in-process
-    otherwise; ``workers`` (or CENSORED_EVI_THREADS) is thus a
-    maximum.  The output is independent of the worker count and of the
-    batch size: replicates are pure functions of (seed, index), stored at
-    their index and reduced in index order.
+    The first two batches run in-process, and the second is timed.  The
+    remaining batches run on a pool of ``w = min(workers, remaining
+    batches)`` processes when ``second batch time * remaining batches *
+    (1 - 1/w)``, the time the pool would save, exceeds its fixed cost
+    ``_POOL_COST_S`` for the start method that multiprocessing would use,
+    and in-process otherwise; ``workers`` (or CENSORED_EVI_THREADS) is
+    thus a maximum.  The output is independent of the worker count and of
+    the batch size: replicates are pure functions of (seed, index), stored
+    at their index and reduced in index order.
     """
     rows = max(1, _BATCH_VALUES // design.n)
-    starts = range(rows, design.reps, rows)  # of the batches after the first
+    starts = range(0, design.reps, rows)
     stops = [min(start + rows, design.reps) for start in starts]
-    workers = resolve_workers(workers, max(len(starts), 1))
+    remaining = max(len(starts) - 2, 0)  # the batches after the first two
+    workers = resolve_workers(workers, max(remaining, 1))
     values = np.empty((design.reps, len(design.k_grid), len(design.specs)))
-    # numpy imports numpy.random on first use, which takes longer than a
-    # batch; it is loaded here so that the first batch's time is its own
-    import numpy.random  # noqa: F401
-    clock = perf_counter()
-    values[:rows] = _batch_values(design, 0, min(rows, design.reps))[1]
-    saving = (perf_counter() - clock) * len(starts) * (1 - 1 / workers)
+    # The first batch also pays for what numpy and the library load and
+    # warm on first use, so the second is the one timed.
+    for start, stop in zip(starts[:2], stops):
+        clock = perf_counter()
+        values[start:stop] = _batch_values(design, start, stop)[1]
+    saving = (perf_counter() - clock) * remaining * (1 - 1 / workers)
+    tasks = ([design] * remaining, starts[2:], stops[2:])
 
     def store(batches):
-        for start, stop, (_, batch) in zip(starts, stops, batches):
+        for start, stop, (_, batch) in zip(*tasks[1:], batches):
             values[start:stop] = batch
 
-    tasks = ([design] * len(starts), starts, stops)
     if saving <= 0 or saving <= _pool_cost_s():
         store(map(_batch_values, *tasks))
     else:

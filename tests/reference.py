@@ -7,12 +7,15 @@ validate the optimized library paths on small samples.  The product-limit
 curves also have a high-precision version (``mp_product_limit``, in
 mpmath), which checks the float64 curves at large n.  The ``z,delta``
 reader has its line-by-line version (``read_data_csv_reference``), which
-the columnar ``cli._read_data_csv`` is checked against.
+the columnar ``cli._read_data_csv`` is checked against.  The moment
+pass's cut of the k-grid into runs has its greedy loop
+(``chunks_reference``), which ``moments._chunks`` is checked against.
 """
 
 import math
 
 from censored_evi.distributions import _decimal
+from censored_evi.moments import _CHUNK_TERMS
 
 
 def naive_survival_f(z, delta, i):
@@ -292,3 +295,20 @@ def read_data_csv_reference(path):
         z.append(zv)
         delta.append(parts[1] == "1")
     return z, delta
+
+
+def chunks_reference(cost, rows):
+    """The runs of ``moments._chunks`` cut one k at a time: a run takes
+    the next k while its cost stays within max(largest cost, _CHUNK_TERMS
+    // rows)."""
+    cost = [int(c) for c in cost]
+    cap = max(max(cost, default=0), _CHUNK_TERMS // max(rows, 1))
+    runs, start, total = [], 0, 0
+    for i, c in enumerate(cost):
+        if total + c > cap:
+            runs.append(slice(start, i))
+            start, total = i, 0
+        total += c
+    if start < len(cost):
+        runs.append(slice(start, len(cost)))
+    return runs

@@ -28,7 +28,6 @@ from censored_evi import (
     tail_uncensored_proportion,
 )
 from censored_evi import montecarlo
-from censored_evi.distributions import _uniform_open
 from censored_evi.estimators import Family, Method
 from censored_evi.moments import _weights
 from censored_evi.montecarlo import _batch_values
@@ -220,15 +219,11 @@ class TestBatchInvariance:
         degenerate = run_study(design, workers=1).degenerate_count
         assert degenerate.min() >= 12
 
-    @pytest.mark.parametrize("draw", [0, 1])
-    def test_row_with_a_zero_uniform_takes_the_redraw_path(self, monkeypatch, draw):
-        # Every generator of replicate 5 draws an exact zero at one place
-        # of its X (draw 0) or its C (draw 1) uniforms; that row must be
-        # what _uniform_open gives, X with its redraws first, then C, and
-        # the other rows must keep their bits
-        design = StudyDesign(dist_x=FIGURE1_X, dist_c=FIGURE1_C, n=50, reps=8, k_grid=(5,),
-                             specs=ALL_SPECS, seed=11)
-        clean = montecarlo._batch_sample(design, 0, 8)
+    @staticmethod
+    def zero_at(monkeypatch, design, replicate, draw):
+        """Every generator of ``replicate`` draws an exact zero at place 7
+        of its X (draw 0) or its C (draw 1) uniforms; returns a maker of
+        such a generator."""
         real = np.random.default_rng
 
         class ZeroAt:
@@ -243,26 +238,64 @@ class TestBatchInvariance:
                 return got
 
         def default_rng(seed):
-            return ZeroAt(seed) if seed.entropy == (design.seed, 5) else real(seed)
+            return ZeroAt(seed) if seed.entropy == (design.seed, replicate) else real(seed)
 
         monkeypatch.setattr(np.random, "default_rng", default_rng)
+        return lambda: default_rng(np.random.SeedSequence(entropy=(design.seed, replicate)))
+
+    @pytest.mark.parametrize("draw", [0, 1])
+    def test_row_with_a_zero_uniform_keeps_its_draws(self, monkeypatch, draw):
+        # the zero goes through the quantile like any other draw: that row
+        # is the quantiles of its very draws, as sample gives them, with
+        # -inf at its bottom, and the other rows keep their bits
+        design = StudyDesign(dist_x=FIGURE1_X, dist_c=FIGURE1_C, n=50, reps=8, k_grid=(5,),
+                             specs=ALL_SPECS, seed=11)
+        clean = montecarlo._batch_sample(design, 0, 8)
+        generator = self.zero_at(monkeypatch, design, 5, draw)
         got = montecarlo._batch_sample(design, 0, 8)
-        rng = default_rng(np.random.SeedSequence(entropy=(design.seed, 5)))
-        x, c = _uniform_open(rng, 50), _uniform_open(rng, 50)
-        assert rng.draws == 3  # the zero was redrawn from the stream
-        want = make_censored(FIGURE1_X.quantile(x), FIGURE1_C.quantile(c),
+        rng = generator()
+        u = rng.random(50), rng.random(50)
+        assert u[draw][7] == 0.0
+        want = make_censored(FIGURE1_X.quantile(u[0]), FIGURE1_C.quantile(u[1]),
                              require_positive=False)
+        rng = generator()
+        sampled = make_censored(FIGURE1_X.sample(rng, 50), FIGURE1_C.sample(rng, 50),
+                                require_positive=False)
+        assert got.z[5, 0] == -np.inf
         rows = [r for r in range(8) if r != 5]
         for name in ("z", "delta"):
-            np.testing.assert_array_equal(getattr(got, name)[5], getattr(want, name))
-            np.testing.assert_array_equal(getattr(got, name)[rows], getattr(clean, name)[rows])
+            np.testing.assert_array_equal(bits(getattr(got, name)[5]), bits(getattr(want, name)))
+            np.testing.assert_array_equal(bits(getattr(got, name)[5]),
+                                          bits(getattr(sampled, name)))
+            np.testing.assert_array_equal(bits(getattr(got, name)[rows]),
+                                          bits(getattr(clean, name)[rows]))
+
+    @pytest.mark.parametrize("draw", [0, 1])
+    def test_study_with_a_zero_uniform_runs_without_a_warning(self, monkeypatch, draw):
+        # the -inf lies at the bottom of its sample, outside every tail
+        # below k = n - 1: any lower value there gives the same estimates
+        design = StudyDesign(dist_x=FIGURE1_X, dist_c=FIGURE1_C, n=50, reps=8,
+                             k_grid=(2, 10, 48), specs=ALL_SPECS, seed=11)
+        generator = self.zero_at(monkeypatch, design, 5, draw)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = run_study(design, workers=1)
+            zero_row = _batch_values(design, 5, 6)[1][0]
+        rng = generator()
+        x, c = FIGURE1_X.sample(rng, 50), FIGURE1_C.sample(rng, 50)
+        (x if draw == 0 else c)[7] = -1e6
+        _, want = estimate(make_censored(x, c, require_positive=False), design.k_grid,
+                           design.specs)
+        np.testing.assert_array_equal(bits(zero_row), bits(want))
+        assert np.isfinite(zero_row[:2]).all()
+        assert result.degenerate_count[:2].max() < design.reps
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_study_equals_aggregate_of_replicates(self, monkeypatch, started_pools, workers):
-        # 27 replicates in a batch at n = 300, so 60 replicates make three
+        # 16 replicates in a batch at n = 300, so 60 replicates make four
         # batches, the last one short; at 2 workers the last two run on a
         # pool of 2 processes, which always pays here
-        monkeypatch.setattr(montecarlo, "_BATCH_VALUES", 27 * 300)
+        monkeypatch.setattr(montecarlo, "_BATCH_VALUES", 16 * 300)
         monkeypatch.setattr(montecarlo, "_POOL_COST_S", FREE_POOL)
         design = StudyDesign(dist_x=FIGURE1_X, dist_c=FIGURE1_C, n=300, reps=60,
                              k_grid=(10, 50, 150), specs=ALL_SPECS, seed=3)

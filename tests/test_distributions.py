@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -79,10 +80,27 @@ class TestQuantile:
             assert s == pytest.approx(1.0 - u, rel=1e-12)
 
     @pytest.mark.parametrize("spec", ALL_SPECS)
-    @pytest.mark.parametrize("u", [0.0, 1.0, -0.1, 1.5])
+    @pytest.mark.parametrize("u", [0.0, 1.0, -0.1, 1.5, math.nan,
+                                   pytest.param(np.array([0.25, math.nan, 0.75]),
+                                                id="array-with-nan")])
     def test_domain_errors(self, spec, u):
-        with pytest.raises(ValueError):
-            spec.quantile(u)
+        # the domain is [0, 1] with exact ends: the lower end of the
+        # support at u = 0 and the endpoint at u = 1; NaN lies outside
+        if np.array_equal(u, 0.0):
+            assert spec.quantile(u) == (-math.inf if isinstance(spec, ReverseBurr) else 0.0)
+        elif np.array_equal(u, 1.0):
+            assert spec.quantile(u) == spec.endpoint
+        else:
+            with pytest.raises(ValueError, match=r"\[0, 1\]"):
+                spec.quantile(u)
+
+    @pytest.mark.parametrize("spec", ALL_SPECS)
+    def test_ends_of_an_array_are_exact_without_a_warning(self, spec):
+        low = -math.inf if isinstance(spec, ReverseBurr) else 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            q = spec.quantile(np.array([0.0, 0.5, 1.0]))
+        assert q[0] == low and low < q[1] < spec.endpoint and q[2] == spec.endpoint
 
     @given(beta=params, tau=params, lam=params, u=st.floats(0.001, 0.999))
     @settings(max_examples=60)

@@ -19,7 +19,7 @@ from censored_evi import (
     tail_moments,
 )
 
-from censored_evi.moments import _weights
+from censored_evi.moments import _chunks, _weights
 
 import reference as ref
 from theory import beta_function, limit_l_alpha, scale_a_nk, theory_from_indices
@@ -52,6 +52,16 @@ def moments_at(s, k, alpha):
 
 def as_lists(s):
     return [float(v) for v in s.z], [int(v) for v in s.delta]
+
+
+class TestChunks:
+    @given(st.lists(st.integers(0, 400) | st.just(0), max_size=300), st.integers(1, 600))
+    @settings(max_examples=300, deadline=None)
+    def test_runs_equal_the_greedy_loop(self, cost, rows):
+        # zero costs included, as _shifted_sums passes them for ks
+        # without a full block
+        cost = np.array(cost, dtype=np.int64)
+        assert list(_chunks(cost, rows)) == ref.chunks_reference(cost, rows)
 
 
 class TestTailMomentsArguments:

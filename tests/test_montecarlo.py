@@ -225,29 +225,41 @@ class TestResolveWorkers:
 
 
 class TestPoolSize:
-    # run_study runs its first batch in-process and times it; it hands the
-    # remaining batches to a pool of w = min(workers, remaining batches)
-    # workers only when first batch time * remaining batches * (1 - 1/w)
-    # exceeds montecarlo._POOL_COST_S.
+    # run_study runs its first two batches in-process and times the
+    # second; it hands the remaining batches to a pool of w = min(workers,
+    # remaining batches) workers only when second batch time * remaining
+    # batches * (1 - 1/w) exceeds montecarlo._POOL_COST_S.
     @staticmethod
-    def first_batch_takes(monkeypatch, seconds):
-        """A clock that advances ``seconds`` at each reading, so the
-        first batch takes that long to run_study."""
+    def batches_take(monkeypatch, seconds):
+        """A clock that advances ``seconds`` at each reading, so each
+        batch run_study times takes that long to it."""
         ticks = itertools.count()
         monkeypatch.setattr(montecarlo, "perf_counter", lambda: seconds * next(ticks))
 
-    @pytest.mark.parametrize("batches,full", [(1, True), (1, False), (2, True), (2, False)])
-    def test_one_or_two_batches_never_start_a_pool(self, monkeypatch, started_pools, batches,
-                                                    full):
-        # however long the first batch and however cheap a pool: the one
-        # remaining batch would run on one worker, which saves nothing
-        self.first_batch_takes(monkeypatch, 1e6)
+    @staticmethod
+    def never_pooled(monkeypatch, started_pools, batches, full):
+        """A study of ``batches`` batches of n = 500, the last one full or
+        of one replicate, starts no pool however long its batches take and
+        however cheap a pool is."""
+        TestPoolSize.batches_take(monkeypatch, 1e6)
         monkeypatch.setattr(montecarlo, "_POOL_COST_S", FREE_POOL)
         rows = montecarlo._BATCH_VALUES // 500
         design = small_design(n=500, reps=(batches - 1) * rows + (rows if full else 1))
         result = run_study(design, workers=8)
         assert started_pools == []
         assert np.array_equal(result.mse, run_study(design, workers=1).mse, equal_nan=True)
+
+    @pytest.mark.parametrize("batches,full", [(1, True), (1, False), (2, True), (2, False)])
+    def test_one_or_two_batches_never_start_a_pool(self, monkeypatch, started_pools, batches,
+                                                    full):
+        # both run in-process, and no batch is left for a pool
+        self.never_pooled(monkeypatch, started_pools, batches, full)
+
+    @pytest.mark.parametrize("full", [True, False])
+    def test_three_batches_never_start_a_pool(self, monkeypatch, started_pools, full):
+        # the one batch after the first two would run on one worker, which
+        # saves nothing
+        self.never_pooled(monkeypatch, started_pools, 3, full)
 
     @staticmethod
     def pools_start_by(monkeypatch, method):
@@ -256,11 +268,11 @@ class TestPoolSize:
         monkeypatch.setattr(multiprocessing, "get_start_method", lambda allow_none=False: method)
 
     def test_long_study_starts_a_pool(self, monkeypatch, started_pools):
-        # the figure-3 study at 2 workers with its first batch timed at
+        # the figure-3 study at 2 workers with its second batch timed at
         # 5 ms, about what 32 of its replicates take on a 2-CPU machine:
         # with fork workers the pool pays at 2000 replicates, at 80 it
         # does not
-        self.first_batch_takes(monkeypatch, 0.005)
+        self.batches_take(monkeypatch, 0.005)
         self.pools_start_by(monkeypatch, "fork")
         design = parse_config(FIGURE3.read_text()).to_design()
         assert design.reps == 2000
@@ -274,12 +286,32 @@ class TestPoolSize:
                                                         method):
         # the same study saves about 0.15 s on the pool, less than a pool
         # costs whose workers import the package again
-        self.first_batch_takes(monkeypatch, 0.005)
+        self.batches_take(monkeypatch, 0.005)
         self.pools_start_by(monkeypatch, method)
         design = parse_config(FIGURE3.read_text()).to_design()
         assert design.reps == 2000
         run_study(design, workers=2)
         assert started_pools == []
+
+    @pytest.mark.parametrize("second,pool", [(0.0, []), (0.005, [2])])
+    def test_only_the_second_batch_is_timed(self, monkeypatch, started_pools, second, pool):
+        # the first batch also pays for what is loaded and warmed on first
+        # use, so its time does not count: after a 1e6 s first batch, a
+        # 0 s second batch starts no pool on the figure-3 study at 2 fork
+        # workers, and a 5 ms one still starts it
+        now, durations, real = [0.0], iter([1e6, second]), montecarlo.estimate
+
+        def estimate(*args):  # a batch's estimate call, which takes its turn's time
+            now[0] += next(durations, 0.0)
+            return real(*args)
+
+        monkeypatch.setattr(montecarlo, "perf_counter", lambda: now[0])
+        monkeypatch.setattr(montecarlo, "estimate", estimate)
+        self.pools_start_by(monkeypatch, "fork")
+        design = parse_config(FIGURE3.read_text()).to_design()
+        assert design.reps == 2000
+        run_study(design, workers=2)
+        assert started_pools == pool
 
     def test_pool_cost_follows_the_default_start_method(self, monkeypatch):
         # before any start method is set, the cost is that of the default,
@@ -289,11 +321,11 @@ class TestPoolSize:
             monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: methods)
             assert montecarlo._pool_cost_s() == montecarlo._POOL_COST_S[methods[0]]
 
-    @pytest.mark.parametrize("reps,workers,pool", [(10, 8, 4), (10, 2, 2), (10, 1, None),
-                                                   (7, 8, 3), (4, 8, None)])
+    @pytest.mark.parametrize("reps,workers,pool", [(10, 8, 3), (10, 2, 2), (10, 1, None),
+                                                   (7, 8, 2), (4, 8, None)])
     def test_pool_has_one_worker_per_remaining_batch_at_most(self, monkeypatch, started_pools,
                                                              reps, workers, pool):
-        self.first_batch_takes(monkeypatch, 1.0)
+        self.batches_take(monkeypatch, 1.0)
         monkeypatch.setattr(montecarlo, "_POOL_COST_S", FREE_POOL)
         monkeypatch.setattr(montecarlo, "_BATCH_VALUES", 2 * 60)  # 2 rows at n = 60
         design = small_design(reps=reps)
@@ -318,7 +350,7 @@ class TestWorkerIndependence:
     def test_pool_of_several_batches_gives_equal_arrays(self, monkeypatch, started_pools):
         monkeypatch.setattr(montecarlo, "_POOL_COST_S", FREE_POOL)
         monkeypatch.setattr(montecarlo, "_BATCH_VALUES", 16 * 500)
-        d = small_design(n=500, reps=40)  # three batches of at most 16 rows
+        d = small_design(n=500, reps=60)  # four batches of at most 16 rows
         serial, pooled = run_study(d, workers=1), run_study(d, workers=2)
         assert started_pools == [2]
         for name in ("median_bias", "mse", "mean", "variance", "degenerate_count"):
@@ -347,19 +379,6 @@ class TestWorkerIndependence:
         self.run_fresh("""
             run_study(design, workers=1)
             assert "concurrent.futures" not in sys.modules
-        """)
-
-    def test_first_batch_is_timed_after_numpy_random_loads(self):
-        # numpy imports numpy.random on first use, which takes longer than
-        # a batch; counted in the first batch's time, it made the gate
-        # start pools that lose
-        self.run_fresh("""
-            from censored_evi import montecarlo
-            assert "numpy.random" not in sys.modules
-            loaded = []
-            montecarlo.perf_counter = lambda: loaded.append("numpy.random" in sys.modules) or 0.0
-            run_study(design, workers=1)
-            assert loaded == [True, True], loaded
         """)
 
     def test_environment_variable_path(self, monkeypatch, started_pools):

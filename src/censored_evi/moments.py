@@ -41,10 +41,13 @@ observation's log once per block of 64, not once per k:
   One routine, ``_shifted_sums``, makes all three kinds of shift: blocks
   to t_S, superblocks to t_k and blocks to t_k.
 * Direct segment.  The top point and the points [1 + 64 nb, k) are read
-  directly: the segments of a k-grid are laid end to end in one flat
-  (ragged) array and each k's is summed with ``np.add.reduceat``.  The
-  same pass reads whole tails for the other orders, which have no finite
-  shift (non-integer p) or whose shift costs more than it saves (p > 16).
+  directly: one flat index, built by ``_runs`` from ``np.repeat`` and
+  ``np.arange`` with no Python loop over the ks, gathers the segments of
+  a k-grid end to end into one (ragged) array, and each k's is summed
+  with ``np.add.reduceat``.  The shifted (target, source) pairs are
+  gathered the same way.  The same pass reads whole tails for the other
+  orders, which have no finite shift (non-integer p) or whose shift
+  costs more than it saves (p > 16).
 
 l's term L_1^p is read once per k from the top point alone, through
 the same ``_powers`` chain, so it has the bits the direct pass gives the
@@ -155,6 +158,14 @@ def _powers(base: np.ndarray, orders: Sequence[float]):
         yield p, power
 
 
+def _runs(first: np.ndarray, count: np.ndarray):
+    """The flat index of ``first[j]`` .. ``first[j] + count[j] - 1`` for
+    every j, the runs laid end to end, and the start of each run in it."""
+    starts = np.cumsum(count) - count
+    index = np.arange(int(count.sum())) + np.repeat(first - starts, count)
+    return index, starts
+
+
 def _chunk_sums(top: np.ndarray, weight: np.ndarray, threshold: np.ndarray,
                 kc: np.ndarray, lo: np.ndarray, orders: Sequence[float]):
     """For each order p, over the segment of every k in kc, the top point
@@ -163,15 +174,18 @@ def _chunk_sums(top: np.ndarray, weight: np.ndarray, threshold: np.ndarray,
 
     ``top`` and ``weight`` are ``(rows, n)`` and run from the largest
     observation down, and ``threshold`` holds each row's threshold of
-    each k (NaN when not positive).  The segments are laid end to end
-    along the last axis and each one is summed with ``np.add.reduceat``.
+    each k (NaN when not positive).  The segments are gathered end to end
+    along the last axis through one flat index, the run lo-1..k-1 with
+    its first entry pointed at the top point, and each one is summed with
+    ``np.add.reduceat``.
     """
-    spans = [span for k, l in zip(kc.tolist(), lo.tolist()) for span in ((0, 1), (l, k))]
-    base = np.concatenate([top[:, i:j] for i, j in spans], axis=-1)
-    base /= np.repeat(threshold, kc - lo + 1, axis=-1)
+    count = kc - lo + 1
+    index, starts = _runs(lo - 1, count)
+    index[starts] = 0
+    base = np.take(top, index, axis=-1)
+    base /= np.repeat(threshold, count, axis=-1)
     np.log(base, out=base)
-    w = np.concatenate([weight[:, i:j] for i, j in spans], axis=-1)
-    starts = np.cumsum(kc - lo + 1) - (kc - lo + 1)
+    w = np.take(weight, index, axis=-1)
     weighted = np.empty_like(base)
     return {
         p: (np.add.reduceat(power, starts, axis=-1),
@@ -225,26 +239,27 @@ def _shifted_sums(sums: np.ndarray, source_threshold: np.ndarray, first: np.ndar
     steps, step j = 1..p_max adding D times order p-1 to order p for
     every p >= j, so each order takes p multiply-adds of non-negative
     terms and its bits do not depend on p_max.  The (target, source)
-    pairs are laid end to end and each target's are summed with
-    ``np.add.reduceat``, in runs of the targets whose pairs hold at most
-    max(largest cost, _CHUNK_TERMS // rows) plain sums, and as many
-    weighted ones, per row; a pair costs its p_max + 1 orders.
+    pairs are gathered end to end through one flat index and each
+    target's are summed with ``np.add.reduceat``, in runs of the targets
+    whose pairs hold at most max(largest cost, _CHUNK_TERMS // rows)
+    plain sums, and as many weighted ones, per row; a pair costs its
+    p_max + 1 orders.
     """
     p_max = len(sums) - 1
     out = np.zeros(sums.shape[:2] + threshold.shape)
     for chunk in _chunks(count * (p_max + 1), len(threshold)):
         pairs = count[chunk]
-        spans = [slice(i, i + m) for i, m in zip(first[chunk].tolist(), pairs.tolist())]
-        shift = np.concatenate([source_threshold[:, span] for span in spans], axis=-1)
+        index, starts = _runs(first[chunk], pairs)
+        shift = np.take(source_threshold, index, axis=-1)
         shift /= np.repeat(threshold[:, chunk], pairs, axis=-1)
         np.log(shift, out=shift)
-        moments = np.concatenate([sums[..., span] for span in spans], axis=-1)
+        moments = np.take(sums, index, axis=-1)
         step = np.empty_like(moments[0])
         for j in range(1, p_max + 1):
             for p in range(p_max, j - 1, -1):  # down, so order p-1 is the one before step j
                 moments[p] += np.multiply(shift, moments[p - 1], out=step)
         has = np.flatnonzero(pairs) + chunk.start
-        out[..., has] = np.add.reduceat(moments, (np.cumsum(pairs) - pairs)[pairs > 0], axis=-1)
+        out[..., has] = np.add.reduceat(moments, starts[pairs > 0], axis=-1)
     return out
 
 

@@ -9,13 +9,15 @@ mpmath), which checks the float64 curves at large n.  The ``z,delta``
 reader has its line-by-line version (``read_data_csv_reference``), which
 the columnar ``cli._read_data_csv`` is checked against.  The moment
 pass's cut of the k-grid into runs has its greedy loop
-(``chunks_reference``), which ``moments._chunks`` is checked against.
+(``chunks_reference``), which ``moments._chunks`` is checked against, and
+its ragged layout the slice lists it was once built from
+(``segments_reference``), which ``moments._runs`` is checked against.
 """
 
 import math
 
+import censored_evi.moments
 from censored_evi.distributions import _decimal
-from censored_evi.moments import _CHUNK_TERMS
 
 
 def naive_survival_f(z, delta, i):
@@ -302,7 +304,8 @@ def chunks_reference(cost, rows):
     the next k while its cost stays within max(largest cost, _CHUNK_TERMS
     // rows)."""
     cost = [int(c) for c in cost]
-    cap = max(max(cost, default=0), _CHUNK_TERMS // max(rows, 1))
+    # Read at call time, so a test that patches the cap patches it here too.
+    cap = max(max(cost, default=0), censored_evi.moments._CHUNK_TERMS // max(rows, 1))
     runs, start, total = [], 0, 0
     for i, c in enumerate(cost):
         if total + c > cap:
@@ -312,3 +315,14 @@ def chunks_reference(cost, rows):
     if start < len(cost):
         runs.append(slice(start, len(cost)))
     return runs
+
+
+def segments_reference(first, count):
+    """The flat index and run starts of ``moments._runs`` as the moment
+    pass once built them: one slice ``first[j] .. first[j] + count[j] - 1``
+    per run, concatenated."""
+    index, starts = [], []
+    for i, m in zip(first, count):
+        starts.append(len(index))
+        index.extend(range(int(i), int(i) + int(m)))
+    return index, starts

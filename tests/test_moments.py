@@ -19,7 +19,7 @@ from censored_evi import (
     tail_moments,
 )
 
-from censored_evi.moments import _chunks, _weights
+from censored_evi.moments import _chunks, _runs, _weights
 
 import reference as ref
 from theory import beta_function, limit_l_alpha, scale_a_nk, theory_from_indices
@@ -62,6 +62,64 @@ class TestChunks:
         # without a full block
         cost = np.array(cost, dtype=np.int64)
         assert list(_chunks(cost, rows)) == ref.chunks_reference(cost, rows)
+
+    @pytest.mark.parametrize("cap", [1, 64, 2**30])
+    def test_reference_follows_a_patched_cap(self, monkeypatch, cap):
+        monkeypatch.setattr("censored_evi.moments._CHUNK_TERMS", cap)
+        cost = np.random.default_rng(cap).integers(0, 50, 400)
+        for rows in (1, 3):
+            assert list(_chunks(cost, rows)) == ref.chunks_reference(cost, rows)
+
+
+@st.composite
+def ragged_runs(draw):
+    """(n, runs): runs (first, count) inside a sample of n points, zero
+    counts and runs at both ends of the sample among them."""
+    n = draw(st.integers(1, 200))
+    inside = st.integers(0, n).flatmap(lambda i: st.tuples(st.just(i), st.integers(0, n - i)))
+    ends = st.sampled_from([(0, n), (0, 1), (n - 1, 1), (n, 0), (0, 0)])
+    return n, draw(st.lists(inside | ends, max_size=60))
+
+
+class TestRuns:
+    @given(ragged_runs())
+    @settings(max_examples=300, deadline=None)
+    def test_flat_index_equals_the_slice_lists(self, case):
+        n, runs = case
+        first = np.array([i for i, _ in runs], dtype=np.intp)
+        count = np.array([m for _, m in runs], dtype=np.intp)
+        index, starts = _runs(first, count)
+        assert (index.tolist(), starts.tolist()) == ref.segments_reference(first, count)
+        assert ((0 <= index) & (index < n)).all()
+
+
+class TestChunkCap:
+    # Ks on both sides of a block edge (64, 65), of a superblock edge
+    # (4096, 4097) and past the second superblock (8193), and a stride-37
+    # grid, so that runs of the k-grid, of the shifted pairs and of the
+    # superblocks end at many places as the cap changes.
+    KS = np.unique(np.r_[64, 65, 4096, 4097, 8193, np.arange(1, 9000, 37)])
+    ORDERS = (1.0, 2.0, 2.5, 3.0, 4.0)
+    SPECS = build_specs(tuple(Family), tuple(Method), (1.0, 2.0, 2.5))
+
+    @staticmethod
+    def batch():
+        rng = np.random.default_rng(2015)
+        return make_censored(GPD(-0.25, 1.0).quantile(rng.random((3, 9000))),
+                             GPD(-0.2, 0.8).quantile(rng.random((3, 9000))))
+
+    def outputs(self, monkeypatch, cap):
+        monkeypatch.setattr("censored_evi.moments._CHUNK_TERMS", cap)
+        s = self.batch()
+        arrays = [m[p] for m in tail_moments(s, self.KS, self.ORDERS) for p in self.ORDERS]
+        return arrays + list(estimate(s, self.KS, self.SPECS))
+
+    def test_bits_do_not_depend_on_the_cap(self, monkeypatch):
+        want = self.outputs(monkeypatch, 2**13)
+        for cap in (1, 64, 2**30):
+            got = self.outputs(monkeypatch, cap)
+            for a, b in zip(got, want, strict=True):
+                np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
 
 
 class TestTailMomentsArguments:

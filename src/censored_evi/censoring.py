@@ -51,14 +51,19 @@ def _sort_with_tiebreak(z: np.ndarray, delta: np.ndarray) -> tuple[np.ndarray, n
     # Ties are a null event for continuous data; if they occur anyway,
     # uncensored observations are placed first (events before censorings).
     # Without a tie the sorting permutation is unique, so sorting by z
-    # alone gives the bits the tie-breaking sort would.
+    # alone gives the bits the tie-breaking sort would.  Each row's
+    # permutation is shifted by the row's start, so one flat np.take
+    # gathers every row.
+    offset = np.arange(0, z.size, z.shape[-1]).reshape(z.shape[:-1] + (1,))
     order = np.argsort(z, axis=-1)
-    z_sorted = np.take_along_axis(z, order, -1)
+    order += offset
+    z_sorted = np.take(z, order)
     if np.any(z_sorted[..., 1:] == z_sorted[..., :-1]):
         warnings.warn("tied observation values; uncensored ordered first", stacklevel=3)
         order = np.lexsort((delta == 0, z), axis=-1)
-        z_sorted = np.take_along_axis(z, order, -1)
-    return z_sorted, np.take_along_axis(delta, order, -1)
+        order += offset
+        z_sorted = np.take(z, order)
+    return z_sorted, np.take(delta, order)
 
 
 def _freeze(z: np.ndarray, delta: np.ndarray) -> CensoredSample:

@@ -49,6 +49,18 @@ observation's log once per block of 64, not once per k:
   orders, which have no finite shift (non-integer p) or whose shift
   costs more than it saves (p > 16).
 
+Every array of the pass stacks all its orders on a leading axis, so a
+ufunc call serves every order at once.  ``_powers`` writes each order's
+chain of multiplications into its slot of one stacked array; the
+direct pass sums it with one ``np.add.reduceat``, weights it in place
+and sums it with one more, and the blocks likewise with two sums.  A
+shift's Pascal step j is one multiplication and one addition over the
+orders j..p_max, ``moments[j:] += D * moments[j-1:-1]`` with the right
+side read before the step, so every sum sees the two roundings of the
+order-by-order loop it replaced.  ``tail_moments`` keeps each kind of
+moment as one array ``(len(orders), rows, len(ks))`` and returns views
+of it.
+
 l's term L_1^p is read once per k from the top point alone, through
 the same ``_powers`` chain, so it has the bits the direct pass gives the
 top point of its segment.  The top point is never shifted, and in a tail
@@ -71,14 +83,27 @@ moment does not depend on which other k share its pass, nor on which
 other orders (order p takes p shift steps whatever the largest order).
 A batch sample ``(R, n)`` lays the same blocks and segments out along
 the last axis of its rows, so each row gets the bits of its sample
-alone.  The direct pass cuts the grid into runs of k whose segments hold
-at most ``max(largest segment, 2**13 // rows)`` terms per row, so an
-array of it holds at most ``max(2**13, rows * largest k)`` terms however
-long the grid; the block sums and the shifted pairs, cut likewise, hold
-no more than twice that.  The Monte Carlo engine sizes its batches by a
-constant of its own, ``montecarlo._BATCH_VALUES`` = 2**14: its
-``max(1, 2**14 // n)`` rows keep ``rows * largest k`` below 2**14
-whenever n is.
+alone.
+
+Memory.  The pass cuts the k-grid into runs, and the shifted pairs and
+the blocks likewise, each entry costing the floats it adds to the
+largest array of its run: a k of the direct pass costs len(orders)
+floats per point of its segment (its stacked powers), a shifted pair
+2 (p_max + 1) (its gathered sums) and a block p_max * 64 (its stacked
+powers).  A run holds at most max(largest cost, 2**16 // rows) floats
+of them per row, so every array of a run holds at most F = max(2**16,
+rows * largest cost) floats, 512 KiB unless one k needs more, however
+long the grid, and a run holds at most eight such arrays at once.
+Beside the runs the pass holds at most four arrays of the sample's
+size, rows * n floats (the F-curve and the weights), and arrays of one
+entry per k and row: the three kinds of moment, len(orders) floats
+each, the shifted sums, 2 (p_max + 1) floats, twice while the
+superblocks are added, and at most 16 more (thresholds, normalisers,
+the k-grid's positions and costs).  No array is a (len(ks), max k)
+matrix.  The Monte Carlo engine sizes its batches by a constant of its
+own, ``montecarlo._BATCH_VALUES`` = 2**14: its ``max(1, 2**14 // n)``
+rows keep ``rows * n`` below 2**14 whenever n is, so up to four orders
+its runs stay within F = 2**16.
 """
 
 from __future__ import annotations
@@ -93,9 +118,12 @@ from .kaplan_meier import fit
 
 __all__ = ["tail_moments"]
 
-# Cap on the number of tail terms one array of the pass holds, unless the
-# batch's tails of its largest k alone hold more.
-_CHUNK_TERMS = 2 ** 13
+# Cap, in floats, on the largest array one run of the pass holds, unless
+# the batch's costliest k, pair or block alone needs more: 2**16 floats
+# is 512 KiB.  Chosen by measurement: up to it, figure batches and dense
+# sweeps paid for each extra run; above it the peak grew and the time did
+# not steadily fall.
+_CHUNK_FLOATS = 2 ** 16
 
 # Observations per block of the shifted pass: block b holds the points
 # 1 + b*_BLOCK .. (b+1)*_BLOCK of the sample read from the largest down,
@@ -118,44 +146,50 @@ def _check_order(alpha: float) -> None:
 
 
 def _chunks(cost: np.ndarray, rows: int):
-    """Consecutive runs of the k-grid, as slices, whose ks cost at most
-    max(largest cost, _CHUNK_TERMS // rows) terms together per row, so a
-    run of ``rows`` rows holds at most max(_CHUNK_TERMS, rows * largest
-    cost)."""
-    cap = max(int(cost.max(initial=0)), _CHUNK_TERMS // max(rows, 1))
+    """Consecutive runs of a grid, as slices, whose entries cost at most
+    max(largest cost, _CHUNK_FLOATS // rows) floats together per row, so
+    an array of a run of ``rows`` rows holds at most max(_CHUNK_FLOATS,
+    rows * largest cost) floats."""
+    cap = max(int(cost.max(initial=0)), _CHUNK_FLOATS // max(rows, 1))
     # A run from k ends before the first k whose running cost from there
     # exceeds cap; costs are non-negative, so the running total is sorted.
     total = np.cumsum(cost)
-    stops = np.searchsorted(total, total - cost + cap, side="right").tolist()
+    stops = np.searchsorted(total, total - cost + cap, side="right")
     start = 0
     while start < len(stops):
-        yield slice(start, stops[start])
-        start = stops[start]
+        stop = int(stops[start])
+        yield slice(start, stop)
+        start = stop
 
 
-def _powers(base: np.ndarray, orders: Sequence[float]):
-    """(order, base**order) for the orders in ascending order.
+def _powers(base: np.ndarray, orders: Sequence[float]) -> np.ndarray:
+    """``base ** p`` for every p in ``orders``, stacked: an array
+    ``(len(orders),) + base.shape`` whose slot i holds order ``orders[i]``.
 
     Each order p up to _LONGEST_CHAIN + 1 is reached from q = p -
     floor(p - 1), in [1, 2), by floor(p - 1) multiplications by the base,
-    L^(a+1) = L^a * L, so its bits do not depend on which other orders
-    are requested.  The powers of one q share a buffer: each yielded
-    array is overwritten when the next order is drawn.  A higher order,
-    whose chain would be longer, is ``base ** p`` in one call, so an
-    order costs at most _LONGEST_CHAIN multiplications however large.
+    L^(a+1) = L^a * L, each order going on from the slot of the next
+    lower order with the same q, so its bits do not depend on which other
+    orders are requested.  A higher order, whose chain would be longer,
+    is ``base ** p`` in one call, so an order costs at most
+    _LONGEST_CHAIN multiplications however large.
     """
+    out = np.empty((len(orders),) + base.shape)
     chains: dict[float, tuple[float, np.ndarray]] = {}
-    for p in sorted(set(orders)):
+    for i in sorted(range(len(orders)), key=orders.__getitem__):
+        p, power = orders[i], out[i]
         if math.floor(p - 1.0) > _LONGEST_CHAIN:
-            yield p, base ** p
+            np.power(base, p, out=power)
             continue
         q = p - math.floor(p - 1.0)
-        exponent, power = chains.get(q) or (q, base if q == 1.0 else base ** q)
+        exponent, source = chains.get(q) or (q, base if q == 1.0 else np.power(base, q, out=power))
         while exponent < p:
             exponent += 1.0
-            power = power * base if power is base else np.multiply(power, base, out=power)
+            source = np.multiply(source, base, out=power)
+        if source is not power:  # order 1 is the base itself
+            power[...] = source
         chains[q] = (exponent, power)
-        yield p, power
+    return out
 
 
 def _runs(first: np.ndarray, count: np.ndarray):
@@ -168,16 +202,17 @@ def _runs(first: np.ndarray, count: np.ndarray):
 
 def _chunk_sums(top: np.ndarray, weight: np.ndarray, threshold: np.ndarray,
                 kc: np.ndarray, lo: np.ndarray, orders: Sequence[float]):
-    """For each order p, over the segment of every k in kc, the top point
-    and the points lo..k-1 below it: the sum of L^p and the sum of
-    w * L^p, each an array ``(rows, len(kc))``.
+    """Over the segment of every k in kc, the top point and the points
+    lo..k-1 below it: the sums of L^p and of w * L^p for every p in
+    ``orders``, two arrays ``(len(orders), rows, len(kc))``.
 
     ``top`` and ``weight`` are ``(rows, n)`` and run from the largest
     observation down, and ``threshold`` holds each row's threshold of
     each k (NaN when not positive).  The segments are gathered end to end
     along the last axis through one flat index, the run lo-1..k-1 with
-    its first entry pointed at the top point, and each one is summed with
-    ``np.add.reduceat``.
+    its first entry pointed at the top point.  The powers of all orders
+    are one stacked array, summed with one ``np.add.reduceat``, weighted
+    in place and summed with one more.
     """
     count = kc - lo + 1
     index, starts = _runs(lo - 1, count)
@@ -185,13 +220,10 @@ def _chunk_sums(top: np.ndarray, weight: np.ndarray, threshold: np.ndarray,
     base = np.take(top, index, axis=-1)
     base /= np.repeat(threshold, count, axis=-1)
     np.log(base, out=base)
-    w = np.take(weight, index, axis=-1)
-    weighted = np.empty_like(base)
-    return {
-        p: (np.add.reduceat(power, starts, axis=-1),
-            np.add.reduceat(np.multiply(w, power, out=weighted), starts, axis=-1))
-        for p, power in _powers(base, orders)
-    }
+    powers = _powers(base, orders)
+    plain = np.add.reduceat(powers, starts, axis=-1)
+    weighted = np.multiply(np.take(weight, index, axis=-1), powers, out=powers)
+    return plain, np.add.reduceat(weighted, starts, axis=-1)
 
 
 def _block_sums(top: np.ndarray, weight: np.ndarray, count: int, p_max: int):
@@ -202,20 +234,24 @@ def _block_sums(top: np.ndarray, weight: np.ndarray, count: int, p_max: int):
     block b, q = 0..p_max, with l = log(Z/t_b) and t_b = top[1 +
     (b+1)*_BLOCK], the threshold of k = 1 + (b+1)*_BLOCK; ``thresholds``
     holds t_b, NaN when not positive.  A block's sums read its own points
-    and threshold only.
+    and threshold only, so the blocks are read in runs whose stacked
+    powers, p_max * _BLOCK floats a block, are capped as the pass's other
+    arrays are.
     """
     rows = len(top)
     t = top[:, 1 + _BLOCK:2 + count * _BLOCK:_BLOCK]
     t = np.where(t > 0, t, np.nan)
-    ell = top[:, 1:1 + count * _BLOCK].reshape(rows, count, _BLOCK) / t[..., None]
-    np.log(ell, out=ell)
-    w = weight[:, 1:1 + count * _BLOCK].reshape(rows, count, _BLOCK)
     sums = np.empty((p_max + 1, 2, rows, count))
-    sums[0, 0], sums[0, 1] = _BLOCK, w.sum(axis=-1)
-    weighted = np.empty_like(ell)
-    for q, power in _powers(ell, range(1, p_max + 1)):
-        sums[q, 0] = power.sum(axis=-1)
-        sums[q, 1] = np.multiply(w, power, out=weighted).sum(axis=-1)
+    sums[0, 0] = _BLOCK
+    for run in _chunks(np.full(count, p_max * _BLOCK), rows):
+        points = slice(1 + run.start * _BLOCK, 1 + run.stop * _BLOCK)
+        ell = top[:, points].reshape(rows, -1, _BLOCK) / t[:, run, None]
+        np.log(ell, out=ell)
+        w = weight[:, points].reshape(rows, -1, _BLOCK)
+        sums[0, 1, :, run] = w.sum(axis=-1)
+        powers = _powers(ell, range(1, p_max + 1))
+        sums[1:, 0, :, run] = powers.sum(axis=-1)
+        sums[1:, 1, :, run] = np.multiply(w, powers, out=powers).sum(axis=-1)
     return sums, t
 
 
@@ -238,26 +274,26 @@ def _shifted_sums(sums: np.ndarray, source_threshold: np.ndarray, first: np.ndar
     The binomial (Pascal) matrix is the product of p_max bidiagonal
     steps, step j = 1..p_max adding D times order p-1 to order p for
     every p >= j, so each order takes p multiply-adds of non-negative
-    terms and its bits do not depend on p_max.  The (target, source)
-    pairs are gathered end to end through one flat index and each
+    terms and its bits do not depend on p_max.  A step is one
+    multiplication and one addition over all its orders at once, each
+    order reading the value order p-1 had before the step.  The (target,
+    source) pairs are gathered end to end through one flat index and each
     target's are summed with ``np.add.reduceat``, in runs of the targets
-    whose pairs hold at most max(largest cost, _CHUNK_TERMS // rows)
-    plain sums, and as many weighted ones, per row; a pair costs its
-    p_max + 1 orders.
+    whose pairs hold at most max(largest cost, _CHUNK_FLOATS // rows)
+    floats per row; a pair costs its 2 (p_max + 1) sums.
     """
     p_max = len(sums) - 1
     out = np.zeros(sums.shape[:2] + threshold.shape)
-    for chunk in _chunks(count * (p_max + 1), len(threshold)):
+    for chunk in _chunks(count * (2 * p_max + 2), len(threshold)):
         pairs = count[chunk]
         index, starts = _runs(first[chunk], pairs)
         shift = np.take(source_threshold, index, axis=-1)
         shift /= np.repeat(threshold[:, chunk], pairs, axis=-1)
         np.log(shift, out=shift)
         moments = np.take(sums, index, axis=-1)
-        step = np.empty_like(moments[0])
+        step = np.empty_like(moments[1:])
         for j in range(1, p_max + 1):
-            for p in range(p_max, j - 1, -1):  # down, so order p-1 is the one before step j
-                moments[p] += np.multiply(shift, moments[p - 1], out=step)
+            moments[j:] += np.multiply(shift, moments[j - 1:-1], out=step[j - 1:])
         has = np.flatnonzero(pairs) + chunk.start
         out[..., has] = np.add.reduceat(moments, starts[pairs > 0], axis=-1)
     return out
@@ -326,10 +362,11 @@ def tail_moments(
 
     Returns three dicts ``(unweighted, km, l)``, each mapping an order to
     the array of its moments: shape ``(len(ks),)`` for one sample and
-    ``(R, len(ks))`` for a batch.  The moments at a k whose threshold
-    Z_(n-k) is not positive are NaN, and those of a tail that holds an
-    infinite observation are not finite.  The weights come from the
-    product-limit F-curve of ``s``, fitted here.
+    ``(R, len(ks))`` for a batch, each a view of one array that stacks
+    that kind's orders.  The moments at a k whose threshold Z_(n-k) is
+    not positive are NaN, and those of a tail that holds an infinite
+    observation are not finite.  The weights come from the product-limit
+    F-curve of ``s``, fitted here.
     """
     ks = checked_ks(ks, s.n)
     if ks.ndim != 1:
@@ -345,31 +382,36 @@ def tail_moments(
     threshold = np.where(top[:, ks] > 0, top[:, ks], np.nan)
     # The integer orders up to _MAX_SHIFTED_ORDER shift each k's full
     # blocks and read the top point and the points lo..k-1 directly; the
-    # other orders read whole tails.
-    shifted = {p for p in orders if p <= _MAX_SHIFTED_ORDER and not p % 1}
-    whole = [p for p in orders if p not in shifted]
+    # other orders read whole tails.  Each kind of moment is one stacked
+    # array, the whole orders' slots first.
+    unique = list(dict.fromkeys(orders))
+    shifted = [p for p in unique if p <= _MAX_SHIFTED_ORDER and not p % 1]
+    whole = [p for p in unique if p not in shifted]
     blocks = (ks - 1) // _BLOCK if shifted else np.zeros_like(ks)
     lo = 1 + blocks * _BLOCK
-    unweighted, km = ({p: np.empty((len(top), len(ks))) for p in orders} for _ in range(2))
-    for group, start in ((whole, np.ones_like(ks)), (shifted, lo)):
+    unweighted, km = (np.empty((len(unique), len(top), len(ks))) for _ in range(2))
+    parts = slice(None, len(whole)), slice(len(whole), None)
+    for group, part, start in zip((whole, shifted), parts, (np.ones_like(ks), lo)):
         if not group:
             continue
-        for chunk in _chunks(ks - start + 1, len(top)):
-            sums = _chunk_sums(top, weight, threshold[:, chunk], ks[chunk], start[chunk], group)
-            for p, (total, weighted_total) in sums.items():
-                unweighted[p][:, chunk], km[p][:, chunk] = total, weighted_total
+        for chunk in _chunks((ks - start + 1) * len(group), len(top)):
+            unweighted[part, :, chunk], km[part, :, chunk] = _chunk_sums(
+                top, weight, threshold[:, chunk], ks[chunk], start[chunk], group)
     if blocks.any():
         shift = _shifted_blocks(top, weight, threshold, blocks, int(max(shifted)))
-        for p in shifted:
-            unweighted[p] += shift[int(p), 0]
-            km[p] += shift[int(p), 1]
-    for p in unweighted:
-        unweighted[p] /= ks
-        km[p] /= norm
-    # l's term L_1^p of each k, through the chain the direct pass takes.
+        exponents = [int(p) for p in shifted]
+        unweighted[parts[1]] += shift[exponents, 0]
+        km[parts[1]] += shift[exponents, 1]
+    unweighted /= ks
+    km /= norm
+    # l's term L_1^p of each k, through the chain the direct pass takes,
+    # added as km + top_censored * L_1^p / top_norm.
     top_censored = 1 - s.delta.reshape(-1, n)[:, n - 1:]
-    l = {p: km[p] + top_censored * power / top_norm
-         for p, power in _powers(np.log(top[:, :1] / threshold), orders)}
+    l = _powers(np.log(top[:, :1] / threshold), whole + shifted)
+    np.multiply(top_censored, l, out=l)
+    l /= top_norm
+    np.add(km, l, out=l)
     shape = s.z.shape[:-1] + ks.shape
-    return tuple({p: moments[p].reshape(shape) for p in unweighted}
+    slot = {p: i for i, p in enumerate(whole + shifted)}
+    return tuple({p: moments[slot[p]].reshape(shape) for p in unique}
                  for moments in (unweighted, km, l))

@@ -9,12 +9,18 @@ mpmath), which checks the float64 curves at large n.  The ``z,delta``
 reader has its line-by-line version (``read_data_csv_reference``), which
 the columnar ``cli._read_data_csv`` is checked against.  The moment
 pass's cut of the k-grid into runs has its greedy loop
-(``chunks_reference``), which ``moments._chunks`` is checked against, and
+(``chunks_reference``), which ``moments._chunks`` is checked against,
 its ragged layout the slice lists it was once built from
-(``segments_reference``), which ``moments._runs`` is checked against.
+(``segments_reference``), which ``moments._runs`` is checked against,
+and its stacked powers the generator of one power at a time they
+replaced (``powers_reference``).  The sort of a sample has its
+``np.take_along_axis`` form (``sort_with_tiebreak_reference``), which
+the flat gather of ``censoring._sort_with_tiebreak`` is checked against.
 """
 
 import math
+
+import numpy as np
 
 import censored_evi.moments
 from censored_evi.distributions import _decimal
@@ -301,11 +307,11 @@ def read_data_csv_reference(path):
 
 def chunks_reference(cost, rows):
     """The runs of ``moments._chunks`` cut one k at a time: a run takes
-    the next k while its cost stays within max(largest cost, _CHUNK_TERMS
+    the next k while its cost stays within max(largest cost, _CHUNK_FLOATS
     // rows)."""
     cost = [int(c) for c in cost]
     # Read at call time, so a test that patches the cap patches it here too.
-    cap = max(max(cost, default=0), censored_evi.moments._CHUNK_TERMS // max(rows, 1))
+    cap = max(max(cost, default=0), censored_evi.moments._CHUNK_FLOATS // max(rows, 1))
     runs, start, total = [], 0, 0
     for i, c in enumerate(cost):
         if total + c > cap:
@@ -326,3 +332,36 @@ def segments_reference(first, count):
         starts.append(len(index))
         index.extend(range(int(i), int(i) + int(m)))
     return index, starts
+
+
+def powers_reference(base, orders):
+    """(order, base**order) for the orders in ascending order, one at a
+    time, as the moment pass once drew them: each order p up to 65 is
+    reached from q = p - floor(p - 1) by floor(p - 1) multiplications by
+    the base, and the orders of one q share one buffer, so a yielded
+    array holds its power only until the next order is drawn; a higher
+    order is ``base ** p``."""
+    chains = {}
+    for p in sorted(set(orders)):
+        if math.floor(p - 1.0) > 64:
+            yield p, base ** p
+            continue
+        q = p - math.floor(p - 1.0)
+        exponent, power = chains.get(q) or (q, base if q == 1.0 else base ** q)
+        while exponent < p:
+            exponent += 1.0
+            power = power * base if power is base else np.multiply(power, base, out=power)
+        chains[q] = (exponent, power)
+        yield p, power
+
+
+def sort_with_tiebreak_reference(z, delta):
+    """``censoring._sort_with_tiebreak`` through ``np.take_along_axis``,
+    without its warning: each row sorted by z, and by the
+    uncensored-first rule when a row of the batch holds a tie."""
+    order = np.argsort(z, axis=-1)
+    z_sorted = np.take_along_axis(z, order, -1)
+    if np.any(z_sorted[..., 1:] == z_sorted[..., :-1]):
+        order = np.lexsort((delta == 0, z), axis=-1)
+        z_sorted = np.take_along_axis(z, order, -1)
+    return z_sorted, np.take_along_axis(delta, order, -1)

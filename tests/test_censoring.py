@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +11,9 @@ from censored_evi import (
     make_censored,
     tail_uncensored_proportion,
 )
+from censored_evi.censoring import _sort_with_tiebreak
 
+import reference as ref
 from theory import theory_from_indices
 
 negative_index = st.floats(min_value=-5.0, max_value=-0.05, allow_nan=False)
@@ -93,6 +98,22 @@ class TestMakeCensored:
         pairs2 = sorted(zip(s2.z.tolist(), s2.delta.tolist()))
         assert pairs1 == pairs2
         assert np.all(np.diff(s1.z) >= 0)
+
+    @given(st.sampled_from([(9,), (1, 6), (4, 5)]), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_flat_gather_equals_take_along_axis(self, shape, data):
+        # few distinct values, so rows tie, and -0.0 ties with 0.0
+        value = st.sampled_from([-math.inf, -1.5, -0.0, 0.0, 0.5, 2.0, math.inf])
+        size = math.prod(shape)
+        z = np.array(data.draw(st.lists(value, min_size=size, max_size=size))).reshape(shape)
+        delta = np.array(data.draw(st.lists(st.booleans(), min_size=size, max_size=size)))
+        delta = delta.reshape(shape)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            got = _sort_with_tiebreak(z, delta)
+        for a, b in zip(got, ref.sort_with_tiebreak_reference(z, delta), strict=True):
+            assert a.shape == b.shape and a.dtype == b.dtype
+            np.testing.assert_array_equal(a.view(np.uint8), b.view(np.uint8))
 
 
 class TestFromObservations:

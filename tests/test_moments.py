@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -19,7 +20,7 @@ from censored_evi import (
     tail_moments,
 )
 
-from censored_evi.moments import _chunks, _runs, _weights
+from censored_evi.moments import _CHUNK_FLOATS, _chunks, _powers, _runs, _weights
 
 import reference as ref
 from theory import beta_function, limit_l_alpha, scale_a_nk, theory_from_indices
@@ -65,7 +66,7 @@ class TestChunks:
 
     @pytest.mark.parametrize("cap", [1, 64, 2**30])
     def test_reference_follows_a_patched_cap(self, monkeypatch, cap):
-        monkeypatch.setattr("censored_evi.moments._CHUNK_TERMS", cap)
+        monkeypatch.setattr("censored_evi.moments._CHUNK_FLOATS", cap)
         cost = np.random.default_rng(cap).integers(0, 50, 400)
         for rows in (1, 3):
             assert list(_chunks(cost, rows)) == ref.chunks_reference(cost, rows)
@@ -93,6 +94,36 @@ class TestRuns:
         assert ((0 <= index) & (index < n)).all()
 
 
+@st.composite
+def orders_and_base(draw):
+    """(orders, base): a set of distinct orders mixing integers up to 16,
+    non-integers, orders above 16 and above 65, several of them sharing
+    a fractional part, and a 1-D or 2-D base of log-excesses, zeros,
+    infinities and NaN among them."""
+    fraction = draw(st.sampled_from([0.25, 0.5, 0.7]))
+    order = (st.integers(1, 16) | st.integers(17, 90)).map(float) \
+        | st.integers(1, 90).map(lambda i: i + fraction) \
+        | st.floats(1.0, 100.0)
+    orders = draw(st.lists(order, min_size=1, max_size=8, unique=True))
+    value = st.floats(0.0, 3.0) | st.sampled_from([0.0, 1.0, math.inf, math.nan])
+    shape = draw(st.sampled_from([(7,), (1, 5), (3, 4)]))
+    base = np.array(draw(st.lists(value, min_size=math.prod(shape), max_size=math.prod(shape))))
+    return orders, base.reshape(shape)
+
+
+class TestPowers:
+    @given(orders_and_base())
+    @settings(max_examples=300, deadline=None)
+    def test_stacked_powers_equal_the_generator(self, case):
+        orders, base = case
+        stacked = _powers(base, orders)
+        assert stacked.shape == (len(orders),) + base.shape
+        # the generator reuses its buffers, so copy each power as drawn
+        want = {p: power.copy() for p, power in ref.powers_reference(base, orders)}
+        for p, power in zip(orders, stacked, strict=True):
+            np.testing.assert_array_equal(power.view(np.int64), want[p].view(np.int64))
+
+
 class TestChunkCap:
     # Ks on both sides of a block edge (64, 65), of a superblock edge
     # (4096, 4097) and past the second superblock (8193), and a stride-37
@@ -109,17 +140,56 @@ class TestChunkCap:
                              GPD(-0.2, 0.8).quantile(rng.random((3, 9000))))
 
     def outputs(self, monkeypatch, cap):
-        monkeypatch.setattr("censored_evi.moments._CHUNK_TERMS", cap)
+        monkeypatch.setattr("censored_evi.moments._CHUNK_FLOATS", cap)
         s = self.batch()
         arrays = [m[p] for m in tail_moments(s, self.KS, self.ORDERS) for p in self.ORDERS]
         return arrays + list(estimate(s, self.KS, self.SPECS))
 
     def test_bits_do_not_depend_on_the_cap(self, monkeypatch):
-        want = self.outputs(monkeypatch, 2**13)
-        for cap in (1, 64, 2**30):
+        want = self.outputs(monkeypatch, _CHUNK_FLOATS)
+        for cap in (1, 64, 2**13, 2**30):
             got = self.outputs(monkeypatch, cap)
             for a, b in zip(got, want, strict=True):
                 np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestMemory:
+    # The memory rule of the moments module docstring: with F =
+    # max(_CHUNK_FLOATS, rows * largest cost), a pass holds at most eight
+    # arrays of F floats in a run, four of rows * n floats, and 3
+    # len(orders) + 4 (p_max + 1) + 16 floats per k and row.  A k's direct
+    # segment holds at most 64 points, a shifted pair 2 (p_max + 1) sums
+    # and a block p_max * 64 powers.
+    @staticmethod
+    def bound(rows, n, n_ks, orders):
+        p_max = max(p for p in orders if p <= 16 and not p % 1)
+        largest_cost = max(64 * len(orders), 2 * (p_max + 1), 64 * p_max)
+        floats = max(_CHUNK_FLOATS, rows * largest_cost)
+        per_k = 3 * len(orders) + 4 * (p_max + 1) + 16
+        return 8 * (8 * floats + 4 * rows * n + rows * n_ks * per_k)
+
+    @staticmethod
+    def peak(s, ks, orders):
+        tracemalloc.start()
+        try:
+            tail_moments(s, ks, orders)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_dense_one_row_sweep(self):
+        rng = np.random.default_rng(2015)
+        s = make_censored(GPD(-0.25, 1.0).quantile(rng.random(20_000)),
+                          GPD(-0.2, 0.8).quantile(rng.random(20_000)))
+        ks, orders = np.arange(1, s.n), (1.0, 2.0, 3.0, 4.0)
+        assert self.peak(s, ks, orders) <= self.bound(1, s.n, len(ks), orders)
+
+    def test_figure_batch(self):
+        rng = np.random.default_rng(101)
+        s = make_censored(FIGURE1_X.quantile(rng.random((32, 500))),
+                          FIGURE1_C.quantile(rng.random((32, 500))), require_positive=False)
+        ks, orders = np.arange(10, 401, 10), (2.0, 3.0, 4.0)
+        assert self.peak(s, ks, orders) <= self.bound(32, s.n, len(ks), orders)
 
 
 class TestTailMomentsArguments:

@@ -27,6 +27,7 @@ from .estimators import (
     EstimatorSpec,
     Family,
     Method,
+    build_specs,
     combine_moment,
     combine_type1,
     combine_type2,
@@ -39,7 +40,6 @@ from .montecarlo import (
     StudyDesign,
     StudyResult,
     aggregate,
-    build_specs,
     resolve_workers,
     run_replicate,
     run_study,

@@ -31,8 +31,8 @@ import numpy as np
 from .censoring import from_observations
 from .config import _k_range, _names, _parse_list, parse_config
 from .distributions import _decimal, _fmt
-from .estimators import EstimatorSpec, Family, Method, _rank, estimate
-from .montecarlo import StudyResult, build_specs, run_study
+from .estimators import EstimatorSpec, Family, Method, _rank, build_specs, estimate
+from .montecarlo import StudyResult, run_study
 from .svg import Series, render_chart
 
 __all__ = ["main"]

@@ -29,9 +29,9 @@ from dataclasses import MISSING, dataclass, fields
 
 from .censoring import checked_ks
 from .distributions import DistributionSpec, _decimal, _fmt, distribution_literal, parse_distribution
-from .estimators import Family, Method
+from .estimators import Family, Method, build_specs
 from .moments import _check_order
-from .montecarlo import StudyDesign, _first_repeat, build_specs
+from .montecarlo import StudyDesign, _first_repeat
 
 __all__ = ["RunConfig", "parse_config", "config_text"]
 

@@ -17,9 +17,11 @@ Methods (which sample moments are fed in):
   index of Z = min(X, C), so the result is divided by the empirical
   uncensored tail proportion p_hat to point back at X.
 
-``estimate`` evaluates every spec at every k of a grid at once: the
-moments of all k come from one ``tail_moments`` pass, and the combiners
-act on whole arrays of moments.  Singular combinations
+``build_specs`` crosses families, methods and alphas into specs in the
+canonical order, and ``_COMBINATIONS`` holds each family's moment orders
+and combiner.  ``estimate`` evaluates every spec at every k of a grid at
+once: the moments of all k come from one ``tail_moments`` pass, and the
+combiners act on whole arrays of moments.  Singular combinations
 (zero moments, R = 1, V = 0, p_hat = 0) and a non-positive threshold
 Z_(n-k), whose moments are NaN, yield a NaN value, which marks the
 estimate degenerate, instead of raising, so large k-sweeps never abort.
@@ -41,6 +43,7 @@ do not underflow), so no exact test of the pole stands beside it; V = 0, at the 
 from __future__ import annotations
 
 import enum
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -54,6 +57,7 @@ __all__ = [
     "Method",
     "EstimatorSpec",
     "EstimateRecord",
+    "build_specs",
     "combine_moment",
     "combine_type1",
     "combine_type2",
@@ -112,6 +116,14 @@ class EstimatorSpec:
         return f"{self.family.value}/{self.method.value}"
 
 
+def build_specs(families, methods, alphas) -> tuple[EstimatorSpec, ...]:
+    """Cartesian product of families x methods x alphas, canonical order."""
+    return tuple(
+        EstimatorSpec(family=f, method=m, alpha=float(a))
+        for f in families for m in methods for a in alphas
+    )
+
+
 def _rank(spec: EstimatorSpec) -> tuple[int, int, float]:
     """The sort key of every listing of estimators: family, then method,
     each in declaration order, then alpha."""
@@ -124,7 +136,10 @@ class EstimateRecord:
     spec: EstimatorSpec
     value: float
     p_hat: float
-    degenerate: bool
+
+    @property
+    def degenerate(self) -> bool:
+        return not math.isfinite(self.value)
 
 
 def _at_bound(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -173,23 +188,15 @@ def combine_type2(m1, m_a, m_a1, alpha: float):
     return np.where(ok, value, _NAN)[()]
 
 
-def _orders(spec: EstimatorSpec) -> tuple[float, ...]:
-    """Moment orders the spec's family combines, in combiner argument order."""
-    a = spec.alpha
-    if spec.family is Family.MOMENT:
-        return (1.0, 2.0)
-    if spec.family is Family.TYPE1:
-        return (a, a + 1.0, a + 2.0)
-    return (1.0, a, a + 1.0)
-
-
-def _combine(spec: EstimatorSpec, moments: dict[float, np.ndarray]) -> np.ndarray:
-    ms = [moments[order] for order in _orders(spec)]
-    if spec.family is Family.MOMENT:
-        return combine_moment(*ms)
-    if spec.family is Family.TYPE1:
-        return combine_type1(*ms, spec.alpha)
-    return combine_type2(*ms, spec.alpha)
+# Each family's moment orders at alpha, in its combiner's argument order,
+# and its combiner of those moments and alpha.  Each row calls its combiner
+# through the module's name, which perfbench/bench_trace.py rebinds to
+# time it.
+_COMBINATIONS = {
+    Family.MOMENT: (lambda a: (1.0, 2.0), lambda m1, m2, a: combine_moment(m1, m2)),
+    Family.TYPE1: (lambda a: (a, a + 1.0, a + 2.0), lambda *m: combine_type1(*m)),
+    Family.TYPE2: (lambda a: (1.0, a, a + 1.0), lambda *m: combine_type2(*m)),
+}
 
 
 def estimate(s: CensoredSample, ks,
@@ -211,12 +218,14 @@ def estimate(s: CensoredSample, ks,
     by p_hat; km and l feed their weighted moments straight through.
     """
     p_hat = tail_uncensored_proportion(s, ks)
-    orders = sorted({order for spec in specs for order in _orders(spec)})
-    unweighted, km, l = tail_moments(s, ks, orders)
+    orders = {order for spec in specs for order in _COMBINATIONS[spec.family][0](spec.alpha)}
+    unweighted, km, l = tail_moments(s, ks, sorted(orders))
     by_method = {Method.KM: km, Method.LEURGANS: l, Method.EFG: unweighted}
     values = np.empty(p_hat.shape + (len(specs),))
     for j, spec in enumerate(specs):
-        value = _combine(spec, by_method[spec.method])
+        orders_at, combine = _COMBINATIONS[spec.family]
+        moments = by_method[spec.method]
+        value = combine(*(moments[order] for order in orders_at(spec.alpha)), spec.alpha)
         if spec.method is Method.EFG:
             with np.errstate(all="ignore"):
                 value = np.where(p_hat > 0, value / p_hat, _NAN)

@@ -41,7 +41,6 @@ up to three batches never starts one.
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass
 from time import perf_counter
@@ -56,7 +55,6 @@ __all__ = [
     "StudyDesign",
     "StudyCell",
     "StudyResult",
-    "build_specs",
     "run_replicate",
     "run_study",
     "aggregate",
@@ -79,14 +77,6 @@ _BATCH_VALUES = 2 ** 14
 # fork of a server process (forkserver, the default on Linux from Python
 # 3.14) imports the package again, which fork does not.
 _POOL_COST_S = {"fork": 0.03, "forkserver": 0.25, "spawn": 0.3}
-
-
-def build_specs(families, methods, alphas) -> tuple[EstimatorSpec, ...]:
-    """Cartesian product of families x methods x alphas, canonical order."""
-    return tuple(
-        EstimatorSpec(family=f, method=m, alpha=float(a))
-        for f in families for m in methods for a in alphas
-    )
 
 
 def _first_repeat(entries):
@@ -214,8 +204,7 @@ def run_replicate(design: StudyDesign, replicate_index: int) -> list[EstimateRec
     p_hat, values = _batch_values(design, replicate_index, replicate_index + 1)
     p_hat, values = p_hat[0].tolist(), values[0].tolist()
     return [
-        EstimateRecord(k=k, spec=spec, value=value, p_hat=p_hat[i],
-                       degenerate=not math.isfinite(value))
+        EstimateRecord(k=k, spec=spec, value=value, p_hat=p_hat[i])
         for i, k in enumerate(design.k_grid)
         for spec, value in zip(design.specs, values[i])
     ]

@@ -46,8 +46,7 @@ def spec_moments(s, k, spec, orders):
 def records(s, k, specs):
     """``estimate`` at one k, as one EstimateRecord per spec."""
     (p_hat,), (values,) = estimate(s, [k], specs)
-    return [EstimateRecord(k=k, spec=spec, value=value, p_hat=float(p_hat),
-                           degenerate=not math.isfinite(value))
+    return [EstimateRecord(k=k, spec=spec, value=value, p_hat=float(p_hat))
             for spec, value in zip(specs, values.tolist())]
 
 

@@ -18,14 +18,15 @@ import numpy as np
 import pytest
 
 import censored_evi
-from censored_evi import (GPD, BetaDist, ReverseBurr, cli, config, kaplan_meier, moments,
-                          montecarlo)
+from censored_evi import (GPD, BetaDist, Family, Method, ReverseBurr, cli, config, estimators,
+                          kaplan_meier, moments, montecarlo)
 from censored_evi.censoring import make_censored
 from censored_evi.distributions import _FAMILIES
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(censored_evi.__path__))
-SOURCES = sorted([*Path(censored_evi.__file__).parent.glob("*.py"),
-                  *Path(__file__).parent.glob("*.py")])
+PACKAGE = sorted(Path(censored_evi.__file__).parent.glob("*.py"))
+SOURCES = sorted([*PACKAGE, *Path(__file__).parent.glob("*.py")])
+BENCHMARK = sorted((Path(__file__).parents[1] / "perfbench").glob("*.py"))
 
 
 @pytest.mark.parametrize("name", ["censored_evi", *(f"censored_evi.{m}" for m in MODULES)])
@@ -43,6 +44,21 @@ def test_names_the_benchmark_calls():
     # the tracer books moments' calls to fit to kaplan_meier.fit through
     # this binding
     assert moments.fit is kaplan_meier.fit
+
+
+def test_estimate_calls_each_combiner_through_its_binding(monkeypatch):
+    # the tracer times the combiners by rebinding their names in estimators
+    calls = []
+
+    def counted(name, combine):
+        return lambda *args: (calls.append(name), combine(*args))[1]
+
+    for name in ("combine_moment", "combine_type1", "combine_type2"):
+        monkeypatch.setattr(estimators, name, counted(name, getattr(estimators, name)))
+    s = make_censored(GPD(-0.25, 1.0).sample(np.random.default_rng(0), 30),
+                      GPD(-0.2, 0.8).sample(np.random.default_rng(1), 30))
+    estimators.estimate(s, [5, 10], estimators.build_specs(Family, Method, (2.0,)))
+    assert sorted(calls) == sorted(3 * ["combine_moment", "combine_type1", "combine_type2"])
 
 
 BENCH_CONFIG = """\
@@ -119,3 +135,42 @@ def unused_imports(path):
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: f"{path.parent.name}/{path.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path) == []
+
+
+def private_definitions(tree):
+    """The private names a module binds at its top level with a def, a
+    class or an assignment, each with its line."""
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        defined[name.id] = node.lineno
+    return {name: lineno for name, lineno in defined.items()
+            if name.startswith("_") and not name.startswith("__")}
+
+
+def read_names(tree):
+    """Every name and attribute a module reads.  A name it imports counts
+    once the module reads it, as ``test_no_unused_imports`` requires."""
+    return ({node.id for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            | {node.attr for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)})
+
+
+def test_no_unread_private_definitions():
+    # A private function, class or constant of the package that neither
+    # the package, its tests nor the benchmark reads is dead code, such as
+    # a helper left behind when its callers moved to a table.
+    read = set().union(*(read_names(ast.parse(path.read_text(encoding="utf-8")))
+                         for path in [*SOURCES, *BENCHMARK]))
+    unread = [f"{path.name}:{lineno}: {name}" for path in PACKAGE
+              for name, lineno in private_definitions(
+                  ast.parse(path.read_text(encoding="utf-8"))).items()
+              if name not in read]
+    assert unread == []

@@ -32,7 +32,7 @@ from .censoring import from_observations
 from .config import _k_range, _names, _parse_list, parse_config
 from .distributions import _decimal, _fmt
 from .estimators import EstimatorSpec, Family, Method, _rank, build_specs, estimate
-from .montecarlo import StudyResult, run_study
+from .montecarlo import StudyResult, _listing, run_study
 from .svg import Series, render_chart
 
 __all__ = ["main"]
@@ -191,33 +191,43 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     return 0
 
 
-def estimates_csv_text(ks, specs, p_hat, values) -> str:
-    """The estimate CSV: one line per (k, spec), k-major, from ``estimate``'s
-    ``(len(ks),)`` p_hat and ``(len(ks), len(specs))`` values.
+def _texts(column) -> np.ndarray:
+    """A column's fields as an object array of its shape: text as it is,
+    numbers by ``repr`` (``_fmt``'s shortest round trip for a float)."""
+    column = np.asarray(column)
+    texts = column.ravel().tolist()
+    if column.dtype.kind != "U":
+        texts = list(map(repr, texts))
+    return np.array(texts, object).reshape(column.shape)
 
-    The lines are assembled column by column, one ``repr`` per number,
-    which is what ``_fmt`` writes for each value row by row.
+
+def _table_text(header: str, ks, specs, *columns) -> str:
+    """A result table: one line per (k, spec), k-major, the
+    ``k,family,method,alpha`` prefix and then one field per column.
+
+    Each column broadcasts to ``(len(ks), len(specs))`` and is formatted
+    before it is broadcast, so each of its numbers is formatted once: a
+    scalar once per table, a ``(len(ks), 1)`` column once per k.
     """
-    names = [f"{spec.family.value},{spec.method.value},{_fmt(spec.alpha)}," for spec in specs]
-    prefixes = [f"{k},{name}" for k in ks for name in names]
-    p_text = [text for text in (f",{p!r}," for p in p_hat.tolist()) for _ in names]
-    flat = values.ravel().tolist()
-    flags = ["0" if math.isfinite(value) else "1" for value in flat]
-    lines = map("".join, zip(prefixes, map(repr, flat), p_text, flags))
-    return "\n".join([ESTIMATES_HEADER, *lines]) + "\n"
+    names = np.array([f"{s.family.value},{s.method.value},{_fmt(s.alpha)}" for s in specs], object)
+    fields = [np.array([f"{k}," for k in ks], object)[:, None] + names, *map(_texts, columns)]
+    lines = zip(*(np.broadcast_to(f, (len(ks), len(specs))).ravel().tolist() for f in fields))
+    return "\n".join([header, *map(",".join, lines)]) + "\n"
+
+
+def estimates_csv_text(ks, specs, p_hat, values) -> str:
+    """The estimate CSV, from ``estimate``'s ``(len(ks),)`` p_hat and
+    ``(len(ks), len(specs))`` values, the specs in the order given."""
+    return _table_text(ESTIMATES_HEADER, ks, specs, values, p_hat[:, None],
+                       np.where(np.isfinite(values), "0", "1"))
 
 
 def results_csv_text(result: StudyResult) -> str:
+    """The results CSV of a study, in ``montecarlo._listing`` order."""
     design = result.design
-    lines = [RESULTS_HEADER]
-    for cell in result.cells:
-        lines.append(
-            f"{cell.k},{cell.spec.family.value},{cell.spec.method.value},"
-            f"{_fmt(cell.spec.alpha)},{_fmt(cell.median_bias)},{_fmt(cell.mse)},"
-            f"{_fmt(cell.mean)},{_fmt(cell.variance)},{cell.degenerate_count},"
-            f"{design.reps},{design.n},{_fmt(design.gamma_x)},{_fmt(design.gamma_c)}"
-        )
-    return "\n".join(lines) + "\n"
+    # float(): a law built in code may hold an int index, written as a float
+    return _table_text(RESULTS_HEADER, *_listing(result), design.reps, design.n,
+                       float(design.gamma_x), float(design.gamma_c))
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -276,7 +286,10 @@ def cmd_plot(args: argparse.Namespace) -> int:
     multi_alpha = len({spec.alpha for spec in groups}) > 1
     series = []
     for spec in sorted(groups, key=_rank):
-        label = spec.label + (f" a={spec.alpha:g}" if multi_alpha else "")
+        # :g keeps 6 digits, so two alphas may share them; _fmt tells them apart
+        short = f"{spec.alpha:g}"
+        alpha = short if float(short) == spec.alpha else _fmt(spec.alpha)
+        label = spec.label + (f" a={alpha}" if multi_alpha else "")
         pts = tuple((x, y) for x, y in sorted(groups[spec]) if math.isfinite(y))
         series.append(Series(label=label, points=pts))
     try:

@@ -142,7 +142,8 @@ def _integer(where: str, raw: str) -> int:
 
 def _alphas(where: str, raw: str) -> tuple[float, ...]:
     alphas = _parse_list(where, raw, _decimal)
-    build_specs(Family, Method, alphas)  # EstimatorSpec holds the rule for alpha
+    for alpha in alphas:
+        _check_order(alpha)
     return alphas
 
 

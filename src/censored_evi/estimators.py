@@ -17,11 +17,11 @@ Methods (which sample moments are fed in):
   index of Z = min(X, C), so the result is divided by the empirical
   uncensored tail proportion p_hat to point back at X.
 
-``build_specs`` crosses families, methods and alphas into specs in the
-canonical order, and ``_COMBINATIONS`` holds each family's moment orders
-and combiner.  ``estimate`` evaluates every spec at every k of a grid at
-once: the moments of all k come from one ``tail_moments`` pass, and the
-combiners act on whole arrays of moments.  Singular combinations
+``build_specs`` crosses families, methods and alphas into specs (``mom``
+at the first alpha only), and ``_COMBINATIONS`` holds each family's
+moment orders and combiner.  ``estimate`` evaluates every spec at every
+k of a grid at once: the moments of all k come from one ``tail_moments``
+pass, and the combiners act on whole arrays of moments.  Singular combinations
 (zero moments, R = 1, V = 0, p_hat = 0) and a non-positive threshold
 Z_(n-k), whose moments are NaN, yield a NaN value, which marks the
 estimate degenerate, instead of raising, so large k-sweeps never abort.
@@ -117,10 +117,15 @@ class EstimatorSpec:
 
 
 def build_specs(families, methods, alphas) -> tuple[EstimatorSpec, ...]:
-    """Cartesian product of families x methods x alphas, canonical order."""
+    """Families x methods x alphas in the order given, except that ``mom``,
+    which ignores alpha, takes only the first alpha.  Every alpha is
+    checked, mom's unused ones too."""
+    for alpha in alphas:
+        _check_order(alpha)
     return tuple(
         EstimatorSpec(family=f, method=m, alpha=float(a))
-        for f in families for m in methods for a in alphas
+        for f in families for m in methods
+        for a in (alphas[:1] if f is Family.MOMENT else alphas)
     )
 
 

@@ -18,7 +18,9 @@ each batch at its rows of one ``(reps, len(k_grid), len(specs))`` array,
 and a pool task is one batch.  ``aggregate`` reduces that array along
 the replicate axis.
 ``StudyResult`` keeps each statistic as a ``(len(k_grid), len(specs))``
-column and builds its per-cell ``cells`` view on demand.
+column; ``_listing`` puts the columns in the order every listing of a
+study takes, which ``simulate``'s writer and the per-cell ``cells`` view
+share.
 ``run_replicate`` is the per-record view of the batch of one replicate.
 
 Reproducibility contract: replicate r uses a fresh generator seeded by
@@ -144,7 +146,8 @@ class StudyCell:
     degenerate_count: int
 
 
-_STATISTICS = ("median_bias", "mse", "mean", "variance")
+# The columns of StudyResult, in the field order of StudyCell.
+_COLUMNS = ("median_bias", "mse", "mean", "variance", "degenerate_count")
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,18 +164,25 @@ class StudyResult:
 
     @property
     def cells(self) -> tuple[StudyCell, ...]:
-        """One StudyCell per (k, spec), sorted by (k, family, method, alpha);
-        built from the arrays on each access."""
-        design = self.design
-        rank = [_rank(spec) for spec in design.specs]
-        order = sorted((k, rank[j], i, j)
-                       for i, k in enumerate(design.k_grid) for j in range(len(rank)))
-        columns = [getattr(self, name).tolist() for name in _STATISTICS]
-        counts = self.degenerate_count.tolist()
-        return tuple(
-            StudyCell(k, design.specs[j], *(column[i][j] for column in columns), counts[i][j])
-            for k, _, i, j in order
-        )
+        """One StudyCell per (k, spec), in ``_listing`` order; built from the
+        arrays on each access.  The tests and the benchmark's output checks
+        read it; ``simulate`` writes its rows from the columns."""
+        ks, specs, *columns = _listing(self)
+        return tuple(StudyCell(k, spec, *fields)
+                     for k, *rows in zip(ks, *(column.tolist() for column in columns))
+                     for spec, *fields in zip(specs, *rows))
+
+
+def _listing(result: StudyResult) -> tuple:
+    """The k-grid, the specs and then the five columns of ``result``, in the
+    order of every listing of a study: k ascending, then the specs by
+    ``_rank``."""
+    design = result.design
+    rows = sorted(range(len(design.k_grid)), key=design.k_grid.__getitem__)
+    cols = sorted(range(len(design.specs)), key=lambda j: _rank(design.specs[j]))
+    at = np.ix_(rows, cols)
+    return ([design.k_grid[i] for i in rows], [design.specs[j] for j in cols],
+            *(getattr(result, name)[at] for name in _COLUMNS))
 
 
 def _batch_sample(design: StudyDesign, start: int, stop: int) -> CensoredSample:

@@ -16,6 +16,8 @@ and its stacked powers the generator of one power at a time they
 replaced (``powers_reference``).  The sort of a sample has its
 ``np.take_along_axis`` form (``sort_with_tiebreak_reference``), which
 the flat gather of ``censoring._sort_with_tiebreak`` is checked against.
+The results CSV has its cell-by-cell writer (``results_csv_reference``),
+which the column-wise ``cli.results_csv_text`` is checked against.
 """
 
 import math
@@ -23,7 +25,8 @@ import math
 import numpy as np
 
 import censored_evi.moments
-from censored_evi.distributions import _decimal
+from censored_evi.cli import RESULTS_HEADER
+from censored_evi.distributions import _decimal, _fmt
 
 
 def naive_survival_f(z, delta, i):
@@ -303,6 +306,21 @@ def read_data_csv_reference(path):
         z.append(zv)
         delta.append(parts[1] == "1")
     return z, delta
+
+
+def results_csv_reference(result):
+    """The results CSV of a ``StudyResult`` written cell by cell: ``_fmt`` on
+    each float field of ``result.cells``, in the cells' order."""
+    design = result.design
+    lines = [RESULTS_HEADER]
+    for cell in result.cells:
+        lines.append(
+            f"{cell.k},{cell.spec.family.value},{cell.spec.method.value},"
+            f"{_fmt(cell.spec.alpha)},{_fmt(cell.median_bias)},{_fmt(cell.mse)},"
+            f"{_fmt(cell.mean)},{_fmt(cell.variance)},{cell.degenerate_count},"
+            f"{design.reps},{design.n},{_fmt(design.gamma_x)},{_fmt(design.gamma_c)}"
+        )
+    return "\n".join(lines) + "\n"
 
 
 def chunks_reference(cost, rows):

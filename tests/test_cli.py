@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import importlib
 import importlib.metadata
 import math
@@ -16,11 +17,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import censored_evi
-from censored_evi import GPD, EstimatorSpec, Family, Method, estimate, from_observations
+from censored_evi import (GPD, EstimatorSpec, Family, Method, StudyResult, aggregate, estimate,
+                          from_observations, run_study)
 from censored_evi.cli import (ESTIMATES_HEADER, RESULTS_HEADER, _fmt, _read_data_csv,
-                              estimates_csv_text, main)
+                              estimates_csv_text, main, results_csv_text)
 from censored_evi.config import parse_config
-from reference import read_data_csv_reference
+from reference import read_data_csv_reference, results_csv_reference
 
 PACKAGE_ROOT = str(Path(censored_evi.__file__).resolve().parent.parent)
 DATA_DIR = Path(__file__).parent / "data"
@@ -580,6 +582,54 @@ class TestSimulateCommand:
         assert len(rows) == 9
         assert all(r["k"] == "45" and int(r["degenerate_count"]) >= 12 for r in rows)
 
+    # estimator lists out of their canonical order, one alpha and several
+    @pytest.mark.parametrize("lines", [
+        "alpha = 2.5\nfamilies = type2,mom\nmethods = efg,km\n",
+        "alpha = 2.5,1\nfamilies = type1,type2,mom\nmethods = l,efg,km\n",
+        "alpha = 3,1.5,2\nfamilies = mom,type2\nmethods = km,l,efg\n",
+    ])
+    def test_writer_matches_cell_by_cell_formatting(self, lines):
+        text = CONFIG_SMALL.replace("alpha = 2\nfamilies = mom\nmethods = km,l\n", lines)
+        result = run_study(parse_config(text).to_design(), workers=1)
+        out = results_csv_text(result)
+        assert out.encode() == results_csv_reference(result).encode()
+        # k ascending, then family, method and alpha, each in declaration order
+        keys = [(int(k), ["mom", "type1", "type2"].index(f), ["km", "l", "efg"].index(m), float(a))
+                for k, f, m, a, *_ in (line.split(",") for line in out.splitlines()[1:])]
+        assert keys == sorted(keys)
+
+    def test_writer_matches_cell_by_cell_formatting_on_special_values(self):
+        design = parse_config(CONFIG_SMALL.replace("families = mom", "families = type1,mom")
+                              .replace("methods = km,l", "methods = efg,km")).to_design()
+        design = dataclasses.replace(design, k_grid=design.k_grid[::-1])
+        values = np.full((design.reps, 2, 4), -0.0)
+        values[:, 0, 1] = np.nan  # a cell with no usable replicate
+        values[1:3, 1, 2] = [np.inf, -np.inf]
+        values[0, 1, 3] = 0.1
+        result = aggregate(values, design)
+        text = results_csv_text(result)
+        assert ",nan,nan,nan,nan,4," in text
+        assert text.encode() == results_csv_reference(result).encode()
+        # aggregate writes no infinity or -0.0; a result can hold them, and a
+        # law built in code an int index
+        special = np.array([[np.nan, np.inf, -np.inf, -0.0], [0.0, 5e-324, 1e16, -2.0]])
+        for design in (design, dataclasses.replace(design, dist_x=GPD(-1, 10),
+                                                   dist_c=GPD(-2, 20))):
+            result = StudyResult(design, special, special[::-1], -special, special[:, ::-1],
+                                 np.array([[0, 1, 2, 3], [4, 0, 4, 1]]))
+            assert results_csv_text(result).encode() == results_csv_reference(result).encode()
+
+    def test_mom_rows_once_with_several_alphas(self, tmp_path):
+        # mom ignores alpha, so it has one row per (k, method) at the first alpha
+        cfg, out = tmp_path / "study.cfg", tmp_path / "res.csv"
+        cfg.write_text(CONFIG_SMALL.replace("alpha = 2", "alpha = 2.5,1,2")
+                       .replace("families = mom", "families = type1,mom"))
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        keys = [(r["k"], r["family"], r["method"], r["alpha"]) for r in read_rows(out)]
+        assert len(set(keys)) == len(keys) == 2 * (2 + 2 * 3)
+        assert [key for key in keys if key[1] == "mom"] == [
+            (k, "mom", m, "2.5") for k in ("10", "20") for m in ("km", "l")]
+
 
 class TestPlotCommand:
     def test_golden_chart_bytes(self, tmp_path):
@@ -641,6 +691,17 @@ class TestPlotCommand:
         text = out.read_text()
         assert "mom/km a=1" in text
         assert "mom/km a=2" in text
+
+    def test_near_alphas_get_distinct_labels(self, tmp_path):
+        # :g writes both 2.5 and 2.5000001 as 2.5
+        src, out = tmp_path / "near.csv", tmp_path / "chart.svg"
+        src.write_text(RESULTS_HEADER + "".join(
+            f"\n10,type1,km,{alpha},-0.05,0.01,-1.05,0.0075,0,100,400,-1.0,-1.5"
+            for alpha in ("2.5", "2.5000001", "3.0")) + "\n")
+        assert main(["plot", "--input", str(src), "--metric", "mse", "--out", str(out)]) == 0
+        labels = [node.text for node in ElementTree.parse(out).iter(f"{{{SVG}}}text")
+                  if node.text.startswith("type1/km")]
+        assert labels == ["type1/km a=2.5", "type1/km a=2.5000001", "type1/km a=3"]
 
     def test_metric_choices_enforced_by_usage(self):
         proc = run_cli("plot", "--input", "x.csv", "--metric", "variance")

@@ -250,7 +250,8 @@ class TestRunConfig:
         assert design.dist_x == cfg.dist_x
         assert design.k_grid == cfg.k_grid
         assert design.seed == cfg.seed
-        assert len(design.specs) == len(cfg.families) * len(cfg.methods) * len(cfg.alphas)
+        # type1 at both alphas, mom at the first alpha only
+        assert len(design.specs) == len(cfg.methods) * (len(cfg.alphas) + 1)
 
     def test_huge_k_max_fails_before_the_grid_is_built(self):
         # k_max = 10**9 as a tuple would take tens of GiB; the range's

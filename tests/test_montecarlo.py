@@ -59,11 +59,26 @@ def records_repr(records):
 
 class TestBuildSpecs:
     def test_cartesian_product_in_canonical_order(self):
+        # mom ignores alpha, so it takes the first alpha only
         specs = build_specs(ALL_FAMILIES, ALL_METHODS, (1.0, 2.0))
-        assert len(specs) == 3 * 3 * 2
+        assert len(specs) == 3 + 2 * 3 * 2
         assert specs[0] == EstimatorSpec(Family.MOMENT, Method.KM, 1.0)
-        assert specs[1] == EstimatorSpec(Family.MOMENT, Method.KM, 2.0)
+        assert specs[1] == EstimatorSpec(Family.MOMENT, Method.LEURGANS, 1.0)
+        assert specs[3] == EstimatorSpec(Family.TYPE1, Method.KM, 1.0)
+        assert specs[4] == EstimatorSpec(Family.TYPE1, Method.KM, 2.0)
         assert specs[-1] == EstimatorSpec(Family.TYPE2, Method.EFG, 2.0)
+
+    def test_mom_appears_once_per_method(self):
+        specs = build_specs(ALL_FAMILIES, ALL_METHODS, (2.5, 1.0, 2.0))
+        assert len(specs) == 21
+        assert [s for s in specs if s.family is Family.MOMENT] == [
+            EstimatorSpec(Family.MOMENT, m, 2.5) for m in ALL_METHODS]
+        assert len(build_specs((Family.MOMENT,), (Method.KM,), (1.0, 2.0, 3.0))) == 1
+
+    def test_every_alpha_is_checked(self):
+        # an alpha that only mom would have taken is rejected all the same
+        with pytest.raises(ValueError, match="alpha must be >= 1 and finite, got 0.5"):
+            build_specs((Family.MOMENT,), ALL_METHODS, (2.0, 0.5))
 
 
 class TestStudyDesignValidation:

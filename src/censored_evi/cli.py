@@ -31,7 +31,7 @@ import numpy as np
 from .censoring import from_observations
 from .config import _k_range, _names, _parse_list, parse_config
 from .distributions import _decimal, _fmt
-from .estimators import EstimatorSpec, Family, Method, _rank, build_specs, estimate
+from .estimators import EstimatorSpec, Family, Method, _rank, _reads_alpha, build_specs, estimate
 from .montecarlo import StudyResult, _listing, run_study
 from .svg import Series, render_chart
 
@@ -283,13 +283,16 @@ def _read_results_csv(path: str, metric: str) -> dict[EstimatorSpec, list[tuple[
 
 def cmd_plot(args: argparse.Namespace) -> int:
     groups = _read_results_csv(args.input, args.metric)
-    multi_alpha = len({spec.alpha for spec in groups}) > 1
+    # A family that ignores alpha names it only to tell its own series apart.
+    multi_alpha = len({spec.alpha for spec in groups if _reads_alpha(spec.family)}) > 1
+    labels = [spec.label for spec in groups]
     series = []
     for spec in sorted(groups, key=_rank):
         # :g keeps 6 digits, so two alphas may share them; _fmt tells them apart
         short = f"{spec.alpha:g}"
         alpha = short if float(short) == spec.alpha else _fmt(spec.alpha)
-        label = spec.label + (f" a={alpha}" if multi_alpha else "")
+        named = (multi_alpha and _reads_alpha(spec.family)) or labels.count(spec.label) > 1
+        label = spec.label + (f" a={alpha}" if named else "")
         pts = tuple((x, y) for x, y in sorted(groups[spec]) if math.isfinite(y))
         series.append(Series(label=label, points=pts))
     try:

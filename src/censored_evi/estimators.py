@@ -125,8 +125,14 @@ def build_specs(families, methods, alphas) -> tuple[EstimatorSpec, ...]:
     return tuple(
         EstimatorSpec(family=f, method=m, alpha=float(a))
         for f in families for m in methods
-        for a in (alphas[:1] if f is Family.MOMENT else alphas)
+        for a in (alphas if _reads_alpha(f) else alphas[:1])
     )
+
+
+def _reads_alpha(family: Family) -> bool:
+    """Whether a family's estimate depends on alpha: ``mom`` combines
+    orders 1 and 2 whatever alpha is."""
+    return family is not Family.MOMENT
 
 
 def _rank(spec: EstimatorSpec) -> tuple[int, int, float]:

@@ -94,21 +94,29 @@ powers).  A run holds at most max(largest cost, 2**16 // rows) floats
 of them per row, so every array of a run holds at most F = max(2**16,
 rows * largest cost) floats, 512 KiB unless one k needs more, however
 long the grid, and a run holds at most eight such arrays at once.
-Beside the runs the pass holds at most four arrays of the sample's
-size, rows * n floats (the F-curve and the weights), and arrays of one
-entry per k and row: the three kinds of moment, len(orders) floats
-each, the shifted sums, 2 (p_max + 1) floats, twice while the
-superblocks are added, and at most 16 more (thresholds, normalisers,
-the k-grid's positions and costs).  No array is a (len(ks), max k)
-matrix.  The Monte Carlo engine sizes its batches by a constant of its
-own, ``montecarlo._BATCH_VALUES`` = 2**14: its ``max(1, 2**14 // n)``
-rows keep ``rows * n`` below 2**14 whenever n is, so up to four orders
-its runs stay within F = 2**16.
+A run writes its large temporaries into four scratch buffers of its
+thread (``_SCRATCH``): the gathered terms, the per-entry thresholds and
+then weights, the stacked powers or gathered sums, and the Pascal step.
+Each grows to the largest run it has served and is kept until the
+thread ends, so a thread holds at most four arrays of F floats between
+passes (2 MiB at F = 2**16), and each pool worker a set of its own.  A
+pass then faults in no fresh pages for a run no larger than one before
+it.  No array the pass returns is a view of them.  Beside the runs the
+pass holds at most four arrays of the sample's size, rows * n floats
+(the F-curve and the weights), and arrays of one entry per k and row:
+the three kinds of moment, len(orders) floats each, the shifted sums,
+2 (p_max + 1) floats, twice while the superblocks are added, and at
+most 16 more (thresholds, normalisers, the k-grid's positions and
+costs).  No array is a (len(ks), max k) matrix.  The Monte Carlo engine
+sizes its batches by a constant of its own, ``montecarlo._BATCH_VALUES``
+= 2**14: its ``max(1, 2**14 // n)`` rows keep ``rows * n`` below 2**14
+whenever n is, so up to four orders its runs stay within F = 2**16.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from collections.abc import Sequence
 
 import numpy as np
@@ -140,6 +148,38 @@ _MAX_SHIFTED_ORDER = 16
 _LONGEST_CHAIN = 64
 
 
+# This thread's scratch buffers (see "Memory." above), one flat float array
+# per slot, grown on demand and never shrunk: slot 0 holds the gathered
+# terms (points, log-excesses, shifts), 1 the per-entry thresholds and then
+# the gathered weights, 2 the stacked powers or gathered sums, 3 the Pascal
+# step.
+_SCRATCH = threading.local()
+
+
+def _scratch(slot: int, shape: tuple[int, ...]) -> np.ndarray:
+    """An uninitialised C-contiguous float array of ``shape``, a view of
+    this thread's scratch buffer ``slot``, valid until the slot is asked
+    for again."""
+    buffers = vars(_SCRATCH).setdefault("buffers", {})
+    size = math.prod(shape)
+    if slot not in buffers or buffers[slot].size < size:
+        buffers[slot] = np.empty(size)
+    return buffers[slot][:size].reshape(shape)
+
+
+def _gather(source: np.ndarray, index: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``np.take(source, index, axis=-1)`` written into ``out``.
+
+    The index is bounds-checked here, in one pass over its entries (read
+    as unsigned, a negative index is larger than any valid one), so the
+    take can clip: with ``mode="raise"`` numpy first gathers into a fresh
+    array the size of ``out``.
+    """
+    if len(index) and index.view(f"u{index.itemsize}").max() >= source.shape[-1]:
+        raise IndexError(f"gather index out of range for {source.shape[-1]} entries")
+    return np.take(source, index, axis=-1, out=out, mode="clip")
+
+
 def _check_order(alpha: float) -> None:
     if not 1 <= alpha < math.inf:
         raise ValueError(f"alpha must be >= 1 and finite, got {alpha}")
@@ -162,9 +202,11 @@ def _chunks(cost: np.ndarray, rows: int):
         start = stop
 
 
-def _powers(base: np.ndarray, orders: Sequence[float]) -> np.ndarray:
+def _powers(base: np.ndarray, orders: Sequence[float],
+            out: np.ndarray | None = None) -> np.ndarray:
     """``base ** p`` for every p in ``orders``, stacked: an array
-    ``(len(orders),) + base.shape`` whose slot i holds order ``orders[i]``.
+    ``(len(orders),) + base.shape`` whose slot i holds order ``orders[i]``,
+    written into ``out`` when given.
 
     Each order p up to _LONGEST_CHAIN + 1 is reached from q = p -
     floor(p - 1), in [1, 2), by floor(p - 1) multiplications by the base,
@@ -174,7 +216,8 @@ def _powers(base: np.ndarray, orders: Sequence[float]) -> np.ndarray:
     is ``base ** p`` in one call, so an order costs at most
     _LONGEST_CHAIN multiplications however large.
     """
-    out = np.empty((len(orders),) + base.shape)
+    if out is None:
+        out = np.empty((len(orders),) + base.shape)
     chains: dict[float, tuple[float, np.ndarray]] = {}
     for i in sorted(range(len(orders)), key=orders.__getitem__):
         p, power = orders[i], out[i]
@@ -190,6 +233,11 @@ def _powers(base: np.ndarray, orders: Sequence[float]) -> np.ndarray:
             power[...] = source
         chains[q] = (exponent, power)
     return out
+
+
+def _owners(count: np.ndarray) -> np.ndarray:
+    """The j of each entry of the runs ``_runs`` lays out for ``count``."""
+    return np.repeat(np.arange(len(count)), count)
 
 
 def _runs(first: np.ndarray, count: np.ndarray):
@@ -217,12 +265,13 @@ def _chunk_sums(top: np.ndarray, weight: np.ndarray, threshold: np.ndarray,
     count = kc - lo + 1
     index, starts = _runs(lo - 1, count)
     index[starts] = 0
-    base = np.take(top, index, axis=-1)
-    base /= np.repeat(threshold, count, axis=-1)
+    shape = (len(top), len(index))
+    base = _gather(top, index, _scratch(0, shape))
+    base /= _gather(threshold, _owners(count), _scratch(1, shape))
     np.log(base, out=base)
-    powers = _powers(base, orders)
+    powers = _powers(base, orders, _scratch(2, (len(orders),) + shape))
     plain = np.add.reduceat(powers, starts, axis=-1)
-    weighted = np.multiply(np.take(weight, index, axis=-1), powers, out=powers)
+    weighted = np.multiply(_gather(weight, index, _scratch(1, shape)), powers, out=powers)
     return plain, np.add.reduceat(weighted, starts, axis=-1)
 
 
@@ -245,11 +294,12 @@ def _block_sums(top: np.ndarray, weight: np.ndarray, count: int, p_max: int):
     sums[0, 0] = _BLOCK
     for run in _chunks(np.full(count, p_max * _BLOCK), rows):
         points = slice(1 + run.start * _BLOCK, 1 + run.stop * _BLOCK)
-        ell = top[:, points].reshape(rows, -1, _BLOCK) / t[:, run, None]
+        shape = (rows, run.stop - run.start, _BLOCK)
+        ell = np.divide(top[:, points].reshape(shape), t[:, run, None], out=_scratch(0, shape))
         np.log(ell, out=ell)
-        w = weight[:, points].reshape(rows, -1, _BLOCK)
+        w = weight[:, points].reshape(shape)
         sums[0, 1, :, run] = w.sum(axis=-1)
-        powers = _powers(ell, range(1, p_max + 1))
+        powers = _powers(ell, range(1, p_max + 1), _scratch(2, (p_max,) + shape))
         sums[1:, 0, :, run] = powers.sum(axis=-1)
         sums[1:, 1, :, run] = np.multiply(w, powers, out=powers).sum(axis=-1)
     return sums, t
@@ -287,11 +337,12 @@ def _shifted_sums(sums: np.ndarray, source_threshold: np.ndarray, first: np.ndar
     for chunk in _chunks(count * (2 * p_max + 2), len(threshold)):
         pairs = count[chunk]
         index, starts = _runs(first[chunk], pairs)
-        shift = np.take(source_threshold, index, axis=-1)
-        shift /= np.repeat(threshold[:, chunk], pairs, axis=-1)
+        shape = (len(threshold), len(index))
+        shift = _gather(source_threshold, index, _scratch(0, shape))
+        shift /= _gather(threshold[:, chunk], _owners(pairs), _scratch(1, shape))
         np.log(shift, out=shift)
-        moments = np.take(sums, index, axis=-1)
-        step = np.empty_like(moments[1:])
+        moments = _gather(sums, index, _scratch(2, sums.shape[:2] + shape))
+        step = _scratch(3, (p_max, 2) + shape)
         for j in range(1, p_max + 1):
             moments[j:] += np.multiply(shift, moments[j - 1:-1], out=step[j - 1:])
         has = np.flatnonzero(pairs) + chunk.start

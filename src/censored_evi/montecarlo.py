@@ -51,7 +51,7 @@ import numpy as np
 
 from .censoring import CensoredSample, checked_ks, make_censored
 from .distributions import DistributionSpec, _common_endpoint, _decimal
-from .estimators import EstimateRecord, EstimatorSpec, _rank, estimate
+from .estimators import EstimateRecord, EstimatorSpec, _rank, _reads_alpha, estimate
 
 __all__ = [
     "StudyDesign",
@@ -117,10 +117,13 @@ class StudyDesign:
         i = _first_repeat(self.k_grid)
         if i is not None:
             raise ValueError(f"k grid repeats k={self.k_grid[i]}")
-        i = _first_repeat(self.specs)
+        # a family that ignores alpha gives the same estimator at every alpha
+        i = _first_repeat([(s.family, s.method, s.alpha if _reads_alpha(s.family) else None)
+                           for s in self.specs])
         if i is not None:
             spec = self.specs[i]
-            raise ValueError(f"specs repeat {spec.label} at alpha {spec.alpha!r}")
+            ignored = "" if _reads_alpha(spec.family) else f"; {spec.family.value} ignores alpha"
+            raise ValueError(f"specs repeat {spec.label} at alpha {spec.alpha!r}{ignored}")
         _common_endpoint(self.dist_x, self.dist_c)
 
     @property

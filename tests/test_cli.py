@@ -692,6 +692,18 @@ class TestPlotCommand:
         assert "mom/km a=1" in text
         assert "mom/km a=2" in text
 
+    def test_alpha_suffix_only_for_families_that_read_alpha(self, tmp_path):
+        # the rows of a two-alpha study: mom, which ignores alpha, at the
+        # first alpha only
+        src, out = tmp_path / "two_alpha.csv", tmp_path / "chart.svg"
+        src.write_text(RESULTS_HEADER + "".join(
+            f"\n10,{family},km,{alpha},-0.05,0.01,-1.05,0.0075,0,100,400,-1.0,-1.5"
+            for family, alpha in (("type2", "2.5"), ("type2", "1.0"), ("mom", "2.5"))) + "\n")
+        assert main(["plot", "--input", str(src), "--metric", "mse", "--out", str(out)]) == 0
+        labels = [node.text for node in ElementTree.parse(out).iter(f"{{{SVG}}}text")
+                  if "/km" in node.text]
+        assert labels == ["mom/km", "type2/km a=1", "type2/km a=2.5"]
+
     def test_near_alphas_get_distinct_labels(self, tmp_path):
         # :g writes both 2.5 and 2.5000001 as 2.5
         src, out = tmp_path / "near.csv", tmp_path / "chart.svg"

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -20,7 +22,8 @@ from censored_evi import (
     tail_moments,
 )
 
-from censored_evi.moments import _CHUNK_FLOATS, _chunks, _powers, _runs, _weights
+from censored_evi.moments import (_CHUNK_FLOATS, _SCRATCH, _chunks, _gather, _powers, _runs,
+                                  _weights)
 
 import reference as ref
 from theory import beta_function, limit_l_alpha, scale_a_nk, theory_from_indices
@@ -153,6 +156,17 @@ class TestChunkCap:
                 np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
 
 
+def figure_batch(seed=101, rows=32):
+    rng = np.random.default_rng(seed)
+    return make_censored(FIGURE1_X.quantile(rng.random((rows, 500))),
+                         FIGURE1_C.quantile(rng.random((rows, 500))), require_positive=False)
+
+
+def clear_scratch():
+    """Drop this thread's scratch buffers, as a thread's first pass finds them."""
+    vars(_SCRATCH).clear()
+
+
 class TestMemory:
     # The memory rule of the moments module docstring: with F =
     # max(_CHUNK_FLOATS, rows * largest cost), a pass holds at most eight
@@ -161,12 +175,12 @@ class TestMemory:
     # segment holds at most 64 points, a shifted pair 2 (p_max + 1) sums
     # and a block p_max * 64 powers.
     @staticmethod
-    def bound(rows, n, n_ks, orders):
+    def bound(rows, n, n_ks, orders, run_arrays=8):
         p_max = max(p for p in orders if p <= 16 and not p % 1)
         largest_cost = max(64 * len(orders), 2 * (p_max + 1), 64 * p_max)
         floats = max(_CHUNK_FLOATS, rows * largest_cost)
         per_k = 3 * len(orders) + 4 * (p_max + 1) + 16
-        return 8 * (8 * floats + 4 * rows * n + rows * n_ks * per_k)
+        return 8 * (run_arrays * floats + 4 * rows * n + rows * n_ks * per_k)
 
     @staticmethod
     def peak(s, ks, orders):
@@ -182,14 +196,86 @@ class TestMemory:
         s = make_censored(GPD(-0.25, 1.0).quantile(rng.random(20_000)),
                           GPD(-0.2, 0.8).quantile(rng.random(20_000)))
         ks, orders = np.arange(1, s.n), (1.0, 2.0, 3.0, 4.0)
+        clear_scratch()
         assert self.peak(s, ks, orders) <= self.bound(1, s.n, len(ks), orders)
 
     def test_figure_batch(self):
-        rng = np.random.default_rng(101)
-        s = make_censored(FIGURE1_X.quantile(rng.random((32, 500))),
-                          FIGURE1_C.quantile(rng.random((32, 500))), require_positive=False)
-        ks, orders = np.arange(10, 401, 10), (2.0, 3.0, 4.0)
+        s, ks, orders = figure_batch(), np.arange(10, 401, 10), (2.0, 3.0, 4.0)
+        clear_scratch()
         assert self.peak(s, ks, orders) <= self.bound(32, s.n, len(ks), orders)
+
+    def test_second_figure_batch_reuses_the_run_arrays(self):
+        # The first pass leaves its run arrays in the thread's scratch
+        # buffers, so a second pass of the same shape allocates none: its
+        # peak fits the bound without them (a pass that allocated its run
+        # arrays afresh read 1 114 210 bytes here, against 972 800).
+        s, ks, orders = figure_batch(), np.arange(10, 401, 10), (2.0, 3.0, 4.0)
+        clear_scratch()
+        tail_moments(s, ks, orders)
+        assert self.peak(s, ks, orders) <= self.bound(32, s.n, len(ks), orders, run_arrays=0)
+
+
+class TestScratchBuffers:
+    SPECS = build_specs(Family, Method, (2.0, 2.5))
+
+    @staticmethod
+    def buffers():
+        return list(vars(_SCRATCH)["buffers"].values())
+
+    def test_returned_arrays_own_their_memory(self):
+        s, ks = figure_batch(), np.arange(10, 401, 10)
+        for moments in tail_moments(s, ks, (1.0, 2.0, 2.5, 3.0, 3.5)):
+            for m in moments.values():
+                assert not any(np.shares_memory(m, b) for b in self.buffers())
+        for out in estimate(s, ks, self.SPECS):
+            assert not any(np.shares_memory(out, b) for b in self.buffers())
+
+    def test_a_later_pass_leaves_earlier_results_alone(self):
+        s, ks = figure_batch(rows=4), np.arange(10, 401, 10)
+        p_hat, values = estimate(s, ks, self.SPECS)
+        moments = tail_moments(s, ks, (2.0, 3.0, 4.0))
+        frozen = [a.tobytes() for a in (p_hat, values)]
+        frozen_moments = [{p: m.tobytes() for p, m in kind.items()} for kind in moments]
+        # another shape, a denser grid and other orders reuse the buffers
+        other = figure_batch(seed=7, rows=9)
+        estimate(other, np.arange(1, 499), build_specs(Family, Method, (1.0, 14.0)))
+        tail_moments(other, np.arange(1, 499, 3), (1.5, 2.0, 17.0))
+        assert [a.tobytes() for a in (p_hat, values)] == frozen
+        assert [{p: m.tobytes() for p, m in kind.items()} for kind in moments] == frozen_moments
+
+    def test_threads_get_the_serial_bits(self):
+        # more threads than cores, switching often: a buffer shared between
+        # threads would let one pass overwrite another's terms
+        samples = [figure_batch(seed=seed, rows=8) for seed in (1, 2, 3, 4)]
+        grids = [np.arange(10, 401, 10), np.arange(1, 499)] * 2
+        serial = [estimate(s, ks, self.SPECS)[1].tobytes() for s, ks in zip(samples, grids)]
+        results, start = [[] for _ in samples], threading.Barrier(len(samples))
+
+        def work(i):
+            start.wait(timeout=60)
+            for _ in range(10):
+                results[i].append(estimate(samples[i], grids[i], self.SPECS)[1].tobytes())
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(samples))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [[bits] * 10 for bits in serial]
+
+    @pytest.mark.parametrize("bad", [-1, 5])
+    def test_gather_checks_its_index(self, bad):
+        source, out = np.arange(10.0).reshape(2, 5), np.empty((2, 3))
+        np.testing.assert_array_equal(_gather(source, np.array([4, 0, 2]), out),
+                                      [[4.0, 0.0, 2.0], [9.0, 5.0, 7.0]])
+        with pytest.raises(IndexError, match="out of range"):
+            _gather(source, np.array([0, bad, 1]), out)
 
 
 class TestTailMomentsArguments:

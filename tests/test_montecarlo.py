@@ -107,6 +107,18 @@ class TestStudyDesignValidation:
         with pytest.raises(ValueError, match=pattern):
             small_design(**overrides)
 
+    def test_mom_specs_that_differ_only_in_alpha_repeat(self):
+        # mom combines orders 1 and 2 whatever alpha is, so both specs would
+        # compute and list the same columns
+        specs = (EstimatorSpec(Family.MOMENT, Method.KM, 1.0),
+                 EstimatorSpec(Family.TYPE1, Method.KM, 1.0),
+                 EstimatorSpec(Family.TYPE1, Method.KM, 2.0),
+                 EstimatorSpec(Family.MOMENT, Method.KM, 2.0))
+        with pytest.raises(ValueError,
+                           match="specs repeat mom/km at alpha 2.0; mom ignores alpha"):
+            small_design(specs=specs)
+        assert small_design(specs=specs[:3]).specs == specs[:3]
+
 
 class TestRunReplicate:
     def test_deterministic_in_seed_and_index(self):

@@ -26,10 +26,16 @@ share.
 Reproducibility contract: replicate r uses a fresh generator seeded by
 SeedSequence(entropy=(seed, r)) and draws its X uniforms first, then its
 C uniforms with ``Generator.random``, and maps each through its law's
-quantile as drawn, an exact zero included.  Replicates are therefore
-independent of scheduling, each lands at its own index, and the
-aggregation sums in replicate order, so the result is bitwise identical
-for any batch size and any worker count.
+quantile as drawn, an exact zero included.  A study computes those
+SeedSequence states for all its replicates in one vectorised pass,
+``_seed_words``, which runs numpy's SeedSequence algorithm and gives the
+words numpy's ``generate_state(4, np.uint64)`` gives; each row's words
+seed ``PCG64`` through a ``numpy.random.bit_generator.ISeedSequence``,
+and a pool task receives its rows' words.  The replicate index is one
+32-bit entropy word, so a study has at most 2**32 replicates.
+Replicates are therefore independent of scheduling, each lands at its
+own index, and the aggregation sums in replicate order, so the result is
+bitwise identical for any batch size and any worker count.
 The worker count comes from the CENSORED_EVI_THREADS environment
 variable when not given explicitly, and is a maximum.  The first two
 batches run in-process, and the second is timed, since the first also
@@ -43,6 +49,7 @@ up to three batches never starts one.
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass
 from time import perf_counter
@@ -80,6 +87,14 @@ _BATCH_VALUES = 2 ** 14
 # 3.14) imports the package again, which fork does not.
 _POOL_COST_S = {"fork": 0.03, "forkserver": 0.25, "spawn": 0.3}
 
+# numpy's SeedSequence (numpy/random/bit_generator.pyx): a pool of four
+# uint32 words, the hash constants of its entropy mixing (A) and of its
+# state output (B), and the multipliers of its word mix.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+
 
 def _first_repeat(entries):
     """The index of the first entry that occurs earlier in ``entries``,
@@ -107,6 +122,8 @@ class StudyDesign:
             raise ValueError("n must be >= 2")
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
+        if self.reps > 2 ** 32:  # a replicate index is one uint32 entropy word
+            raise ValueError(f"reps must be <= 2**32, got {self.reps}")
         if not self.k_grid:
             raise ValueError("k grid must not be empty")
         checked_ks(self.k_grid, self.n)
@@ -188,25 +205,111 @@ def _listing(result: StudyResult) -> tuple:
             *(getattr(result, name)[at] for name in _COLUMNS))
 
 
-def _batch_sample(design: StudyDesign, start: int, stop: int) -> CensoredSample:
-    """The censored samples of replicates ``start`` to ``stop - 1``, one
-    row each; deterministic in design.seed and the replicate indices."""
-    # The X and C uniforms of each row, replaced by their quantiles below.
-    u = np.empty((2, stop - start, design.n))
-    for row, r in enumerate(range(start, stop)):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=(design.seed, r)))
-        rng.random(out=u[0, row])  # X first, then C
-        rng.random(out=u[1, row])
-    x, c = design.dist_x.quantile(u[0]), design.dist_c.quantile(u[1])
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    """SeedSequence's hash constants ``init * mult**i`` mod 2**32 for ``i``
+    from 0 to ``count``, as a uint32 column."""
+    h = [init]
+    for _ in range(count):
+        h.append(h[-1] * mult & 0xFFFFFFFF)
+    return np.array(h, dtype=np.uint32)[:, None]
+
+
+def _hashmix(value, h):
+    """SeedSequence's ``hashmix`` of ``value`` into row i of the result,
+    under the hash constant ``h[i]`` and then ``h[i + 1]``."""
+    out = value ^ h[:-1]
+    out *= h[1:]
+    out ^= out >> 16
+    return out
+
+
+def _mix(x, y):
+    """SeedSequence's ``mix`` of ``x`` and ``y``, elementwise."""
+    out = x * _MIX_L
+    out -= y * _MIX_R
+    out ^= out >> 16
+    return out
+
+
+def _seed_words(seed: int, start: int, stop: int) -> np.ndarray:
+    """``(stop - start, 4)`` uint64: row i is
+    ``np.random.SeedSequence(entropy=(seed, start + i)).generate_state(4,
+    np.uint64)``, computed for all rows at once by numpy's algorithm.
+    Requires ``0 <= start <= stop <= 2**32``, so each index is one word."""
+    words = []  # the seed as uint32 words, least significant first
+    while True:
+        words.append(seed & 0xFFFFFFFF)
+        seed >>= 32
+        if not seed:
+            break
+    entropy = np.zeros((max(len(words) + 1, _POOL_SIZE), stop - start), dtype=np.uint32)
+    entropy[:len(words)] = np.array(words, dtype=np.uint32)[:, None]
+    entropy[len(words)] = np.arange(start, stop, dtype=np.uint32)
+    h = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * len(entropy))
+    pool = _hashmix(entropy[:_POOL_SIZE], h[:_POOL_SIZE + 1])
+    used = _POOL_SIZE  # hash constants taken so far
+    for src in range(_POOL_SIZE):  # each pool word into the other three
+        others = [dst for dst in range(_POOL_SIZE) if dst != src]
+        pool[others] = _mix(pool[others], _hashmix(pool[src], h[used:used + _POOL_SIZE]))
+        used += _POOL_SIZE - 1
+    for word in entropy[_POOL_SIZE:]:  # then each further entropy word into all four
+        pool = _mix(pool, _hashmix(word, h[used:used + _POOL_SIZE + 1]))
+        used += _POOL_SIZE
+    state = _hashmix(np.concatenate([pool, pool]),
+                     _hash_constants(_INIT_B, _MULT_B, 2 * _POOL_SIZE))
+    # generate_state's uint64 words are its uint32 words in pairs, low first
+    return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64, copy=False)
+
+
+@functools.cache
+def _generator_parts() -> tuple:
+    """``(Generator, PCG64, SeedWords)``, where a ``SeedWords(words)``
+    hands PCG64 the state words of ``_seed_words`` as numpy's
+    ``ISeedSequence`` interface asks.  Imported and defined on first use,
+    so that importing the package does not import ``numpy.random``."""
+    from numpy.random import PCG64, Generator
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedWords(ISeedSequence):
+        __slots__ = ("words",)
+
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            # PCG64 reads four contiguous uint64 words, all it asks for
+            if n_words != _POOL_SIZE or (dtype is not np.uint64
+                                         and np.dtype(dtype) != np.uint64):
+                raise ValueError("SeedWords holds the 4 uint64 words of one PCG64 state")
+            return self.words
+
+    return Generator, PCG64, SeedWords
+
+
+def _uniforms(words: np.ndarray, n: int) -> np.ndarray:
+    """``(rows, 2, n)``: row i holds the n X uniforms and then the n C
+    uniforms of the generator seeded by ``words[i]``, in one draw."""
+    Generator, PCG64, SeedWords = _generator_parts()
+    u = np.empty((len(words), 2, n))
+    for row, state in zip(u, np.ascontiguousarray(words, dtype=np.uint64)):
+        Generator(PCG64(SeedWords(state))).random(out=row)
+    return u
+
+
+def _batch_sample(design: StudyDesign, words: np.ndarray) -> CensoredSample:
+    """The censored samples of the replicates whose ``_seed_words`` rows
+    are ``words``, one row each."""
+    u = _uniforms(words, design.n)
+    x, c = design.dist_x.quantile(u[:, 0]), design.dist_c.quantile(u[:, 1])
     # Positivity is not enforced here: endpoint-anchored families may put
     # mass below zero, while only the top-k statistics enter any formula.
     return make_censored(x, c, require_positive=False)
 
 
-def _batch_values(design: StudyDesign, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-    """(p_hat, values) of ``estimate`` over the whole k-grid on the
-    samples of replicates ``start`` to ``stop - 1``, one row each."""
-    return estimate(_batch_sample(design, start, stop), design.k_grid, design.specs)
+def _batch_values(design: StudyDesign, words: np.ndarray) -> np.ndarray:
+    """The ``(rows, len(k_grid), len(specs))`` values of ``estimate`` over
+    the whole k-grid on the samples of ``_batch_sample``; a pool task."""
+    return estimate(_batch_sample(design, words), design.k_grid, design.specs)[1]
 
 
 def run_replicate(design: StudyDesign, replicate_index: int) -> list[EstimateRecord]:
@@ -214,7 +317,8 @@ def run_replicate(design: StudyDesign, replicate_index: int) -> list[EstimateRec
     order; deterministic in (design.seed, replicate_index) alone."""
     if not 0 <= replicate_index < design.reps:
         raise ValueError(f"replicate_index out of range: {replicate_index}")
-    p_hat, values = _batch_values(design, replicate_index, replicate_index + 1)
+    words = _seed_words(design.seed, replicate_index, replicate_index + 1)
+    p_hat, values = estimate(_batch_sample(design, words), design.k_grid, design.specs)
     p_hat, values = p_hat[0].tolist(), values[0].tolist()
     return [
         EstimateRecord(k=k, spec=spec, value=value, p_hat=p_hat[i])
@@ -290,13 +394,15 @@ def _pool_cost_s() -> float:
 def run_study(design: StudyDesign, workers: int | None = None) -> StudyResult:
     """Run all replicates in batches and aggregate.
 
-    The first two batches run in-process, and the second is timed.  The
-    remaining batches run on a pool of ``w = min(workers, remaining
-    batches)`` processes when ``second batch time * remaining batches *
-    (1 - 1/w)``, the time the pool would save, exceeds its fixed cost
-    ``_POOL_COST_S`` for the start method that multiprocessing would use,
-    and in-process otherwise; ``workers`` (or CENSORED_EVI_THREADS) is
-    thus a maximum.  The output is independent of the worker count and of
+    The seed words of all replicates come from one ``_seed_words`` pass,
+    and each batch, a pool task too, takes its rows of them and returns
+    its values alone.  The first two batches run in-process, and the
+    second is timed.  The remaining batches run on a pool of ``w =
+    min(workers, remaining batches)`` processes when ``second batch time *
+    remaining batches * (1 - 1/w)``, the time the pool would save, exceeds
+    its fixed cost ``_POOL_COST_S`` for the start method that
+    multiprocessing would use, and in-process otherwise; ``workers`` (or
+    CENSORED_EVI_THREADS) is thus a maximum.  The output is independent of the worker count and of
     the batch size: replicates are pure functions of (seed, index), stored
     at their index and reduced in index order.
     """
@@ -306,16 +412,17 @@ def run_study(design: StudyDesign, workers: int | None = None) -> StudyResult:
     remaining = max(len(starts) - 2, 0)  # the batches after the first two
     workers = resolve_workers(workers, max(remaining, 1))
     values = np.empty((design.reps, len(design.k_grid), len(design.specs)))
+    words = _seed_words(design.seed, 0, design.reps)
     # The first batch also pays for what numpy and the library load and
     # warm on first use, so the second is the one timed.
     for start, stop in zip(starts[:2], stops):
         clock = perf_counter()
-        values[start:stop] = _batch_values(design, start, stop)[1]
+        values[start:stop] = _batch_values(design, words[start:stop])
     saving = (perf_counter() - clock) * remaining * (1 - 1 / workers)
-    tasks = ([design] * remaining, starts[2:], stops[2:])
+    tasks = ([design] * remaining, [words[a:b] for a, b in zip(starts[2:], stops[2:])])
 
     def store(batches):
-        for start, stop, (_, batch) in zip(*tasks[1:], batches):
+        for start, stop, batch in zip(starts[2:], stops[2:], batches):
             values[start:stop] = batch
 
     if saving <= 0 or saving <= _pool_cost_s():

@@ -30,7 +30,7 @@ from censored_evi import (
 from censored_evi import montecarlo
 from censored_evi.estimators import Family, Method
 from censored_evi.moments import _weights
-from censored_evi.montecarlo import _batch_values
+from censored_evi.montecarlo import _batch_sample, _batch_values, _seed_words
 
 from conftest import DESIGNS, FIGURE1_C, FIGURE1_X, FREE_POOL
 
@@ -192,7 +192,9 @@ def replicate_bits(design, r):
 
 
 def assert_batch_matches_replicates(design, start, stop):
-    p_hat, values = _batch_values(design, start, stop)
+    words = _seed_words(design.seed, start, stop)
+    values = _batch_values(design, words)
+    p_hat = tail_uncensored_proportion(_batch_sample(design, words), design.k_grid)
     assert values.shape == (stop - start, len(design.k_grid), len(design.specs))
     for row, r in enumerate(range(start, stop)):
         want_values, want_p_hat = replicate_bits(design, r)
@@ -221,14 +223,22 @@ class TestBatchInvariance:
 
     @staticmethod
     def zero_at(monkeypatch, design, replicate, draw):
-        """Every generator of ``replicate`` draws an exact zero at place 7
-        of its X (draw 0) or its C (draw 1) uniforms; returns a maker of
-        such a generator."""
-        real = np.random.default_rng
+        """Every batch that holds ``replicate`` draws an exact zero at place
+        7 of its X (draw 0) or its C (draw 1) uniforms; returns a maker of a
+        generator that draws the same, built by the documented contract."""
+        real = montecarlo._uniforms
+        target = _seed_words(design.seed, replicate, replicate + 1)
+
+        def uniforms(words, n):
+            u = real(words, n)
+            u[(words == target).all(axis=1), draw, 7] = 0.0
+            return u
 
         class ZeroAt:
-            def __init__(self, seed):
-                self.rng, self.draws = real(seed), 0
+            def __init__(self):
+                self.rng = np.random.default_rng(
+                    np.random.SeedSequence(entropy=(design.seed, replicate)))
+                self.draws = 0
 
             def random(self, size=None, out=None):
                 got = self.rng.random(size, out=out)
@@ -237,11 +247,8 @@ class TestBatchInvariance:
                 self.draws += 1
                 return got
 
-        def default_rng(seed):
-            return ZeroAt(seed) if seed.entropy == (design.seed, replicate) else real(seed)
-
-        monkeypatch.setattr(np.random, "default_rng", default_rng)
-        return lambda: default_rng(np.random.SeedSequence(entropy=(design.seed, replicate)))
+        monkeypatch.setattr(montecarlo, "_uniforms", uniforms)
+        return ZeroAt
 
     @pytest.mark.parametrize("draw", [0, 1])
     def test_row_with_a_zero_uniform_keeps_its_draws(self, monkeypatch, draw):
@@ -250,9 +257,10 @@ class TestBatchInvariance:
         # -inf at its bottom, and the other rows keep their bits
         design = StudyDesign(dist_x=FIGURE1_X, dist_c=FIGURE1_C, n=50, reps=8, k_grid=(5,),
                              specs=ALL_SPECS, seed=11)
-        clean = montecarlo._batch_sample(design, 0, 8)
+        words = _seed_words(design.seed, 0, 8)
+        clean = _batch_sample(design, words)
         generator = self.zero_at(monkeypatch, design, 5, draw)
-        got = montecarlo._batch_sample(design, 0, 8)
+        got = _batch_sample(design, words)
         rng = generator()
         u = rng.random(50), rng.random(50)
         assert u[draw][7] == 0.0
@@ -280,7 +288,7 @@ class TestBatchInvariance:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             result = run_study(design, workers=1)
-            zero_row = _batch_values(design, 5, 6)[1][0]
+            zero_row = _batch_values(design, _seed_words(design.seed, 5, 6))[0]
         rng = generator()
         x, c = FIGURE1_X.sample(rng, 50), FIGURE1_C.sample(rng, 50)
         (x if draw == 0 else c)[7] = -1e6

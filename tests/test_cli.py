@@ -559,6 +559,14 @@ class TestSimulateCommand:
         assert capsys.readouterr().err == "error: seed must be >= 0, got -5\n"
         assert not out.exists()
 
+    def test_reps_beyond_one_entropy_word_are_rejected(self, config, tmp_path, capsys):
+        # a replicate index is one 32-bit SeedSequence entropy word
+        out = tmp_path / "r.csv"
+        assert main(["simulate", "--config", str(config), "--out", str(out),
+                     "--reps", str(2**32 + 1)]) == 1
+        assert capsys.readouterr().err == "error: reps must be <= 2**32, got 4294967297\n"
+        assert not out.exists()
+
     def test_bad_thread_count_names_the_variable(self, config, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("CENSORED_EVI_THREADS", "abc")
         assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "r.csv")]) == 1

@@ -33,6 +33,7 @@ from censored_evi.config import parse_config
 
 from conftest import FIGURE1_C, FIGURE1_X, FREE_POOL
 
+FIGURE1_CFG = Path(__file__).resolve().parent.parent / "scripts" / "figure1.cfg"
 FIGURE3 = Path(__file__).resolve().parent.parent / "scripts" / "figure3.cfg"
 ALL_FAMILIES = tuple(Family)
 ALL_METHODS = tuple(Method)
@@ -101,6 +102,7 @@ class TestStudyDesignValidation:
             (dict(specs=build_specs([Family.MOMENT] * 2, [Method.KM], (2.0,))),
              "specs repeat mom/km at alpha 2.0"),
             (dict(seed=-5), "seed must be >= 0, got -5"),
+            (dict(reps=2**32 + 1), r"reps must be <= 2\*\*32, got 4294967297"),
         ],
     )
     def test_invalid_designs_raise(self, overrides, pattern):
@@ -140,6 +142,60 @@ class TestRunReplicate:
     def test_index_out_of_range(self, idx):
         with pytest.raises(ValueError, match="replicate_index"):
             run_replicate(small_design(), idx)
+
+
+# Seeds of 1 (0 to 2**32 - 1), 2, 3, 4, 5 and 6 uint32 words; with the
+# replicate index, 2**130 + 3 and the 50-digit seed give SeedSequence
+# more entropy words than its pool of four holds.
+SEEDS = [0, 1, 2015, 2**32 - 1, 2**32, 2**64 + 5, 2**100 + 7, 2**130 + 3,
+         31415926535897932384626433832795028841971693993751]
+
+
+def numpy_words(seed, r):
+    return np.random.SeedSequence(entropy=(seed, r)).generate_state(4, np.uint64)
+
+
+class TestSeedWords:
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("start", [0, 2**32 - 40])
+    def test_equal_numpys_seed_sequence_states(self, seed, start):
+        # from r = 0 to the last replicate of the largest design, r = 2**32 - 1
+        words = montecarlo._seed_words(seed, start, start + 40)
+        assert words.dtype == np.uint64 and words.shape == (40, 4)
+        assert words.flags.c_contiguous
+        for r in [*range(start, start + 40, 13), start + 39]:
+            np.testing.assert_array_equal(words[r - start], numpy_words(seed, r))
+
+    @given(seed=st.integers(0, 2**200), start=st.integers(0, 2**32 - 1), rows=st.integers(1, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_any_seed_and_start(self, seed, start, rows):
+        stop = min(start + rows, 2**32)
+        words = montecarlo._seed_words(seed, start, stop)
+        for r in range(start, stop):
+            np.testing.assert_array_equal(words[r - start], numpy_words(seed, r))
+
+    def test_batch_follows_the_documented_contract(self):
+        # a 32-row batch from r = 64: each row is default_rng(SeedSequence(
+        # entropy=(seed, r))), X's uniforms drawn before C's, mapped through
+        # each law's quantile and censored
+        d = small_design(n=500, reps=200, seed=2**130 + 3)
+        got = montecarlo._batch_sample(d, montecarlo._seed_words(d.seed, 64, 96))
+        for row, r in enumerate(range(64, 96)):
+            rng = np.random.default_rng(np.random.SeedSequence(entropy=(d.seed, r)))
+            u_x, u_c = rng.random(d.n), rng.random(d.n)
+            want = make_censored(d.dist_x.quantile(u_x), d.dist_c.quantile(u_c),
+                                 require_positive=False)
+            np.testing.assert_array_equal(got.z[row].view(np.int64), want.z.view(np.int64))
+            np.testing.assert_array_equal(got.delta[row], want.delta)
+
+    def test_seed_words_hands_pcg64_only_its_state(self):
+        # PCG64 reads four uint64 words straight from the array it is given
+        _, _, seed_words = montecarlo._generator_parts()
+        state = seed_words(montecarlo._seed_words(5, 0, 1)[0])
+        np.testing.assert_array_equal(state.generate_state(4, np.uint64), numpy_words(5, 0))
+        for request in [(8, np.uint32), (4, np.uint32), (2, np.uint64)]:
+            with pytest.raises(ValueError, match="4 uint64 words"):
+                state.generate_state(*request)
 
 
 def fake_records(design, values_by_rep):
@@ -406,6 +462,17 @@ class TestWorkerIndependence:
         self.run_fresh("""
             run_study(design, workers=1)
             assert "concurrent.futures" not in sys.modules
+        """)
+
+    def test_import_and_design_do_not_import_numpy_random(self):
+        # numpy.random is imported by the first batch, not by the package,
+        # its config reader or its front end
+        self.run_fresh(f"""
+            from censored_evi import config
+            config.parse_config(open({str(FIGURE1_CFG)!r}).read()).to_design()
+            assert "numpy.random" not in sys.modules
+            run_study(design, workers=1)
+            assert "numpy.random" in sys.modules
         """)
 
     def test_environment_variable_path(self, monkeypatch, started_pools):

@@ -10,13 +10,14 @@ value index) regime:
   ``(1 + gamma*x/sigma)^(-1/gamma)`` on ``[0, sigma/|gamma|]``.
 * ``BetaDist(a, b)`` -- Beta law on ``[0, 1]``, index ``-1/b``.
 
-Every family exposes ``survival``, ``quantile``, ``sample``,
-``theoretical_evi`` and ``endpoint``.  ``quantile`` takes any probability
-in [0, 1] and is exact at both ends: u = 0 gives the lower end of the
-support (-inf for ReverseBurr, 0 for GPD and BetaDist) and u = 1 the
-endpoint.  ``sample`` is the quantile of ``Generator.random`` draws on
-[0, 1), so draws are reproducible from the generator state alone.  Specs
-are immutable and hashable; ``parse_distribution`` /
+Every family exposes ``quantile``, ``sample``, ``theoretical_evi`` and
+``endpoint``.  The survival functions above are the tests' reference
+(``tests/theory.py``), not part of the library.  ``quantile`` takes any
+probability in [0, 1] and is exact at both ends: u = 0 gives the lower
+end of the support (-inf for ReverseBurr, 0 for GPD and BetaDist) and
+u = 1 the endpoint.  ``sample`` is the quantile of ``Generator.random``
+draws on [0, 1), so draws are reproducible from the generator state
+alone.  Specs are immutable and hashable; ``parse_distribution`` /
 ``distribution_literal`` convert to and from the textual form used in
 config files, e.g. ``revburr(1,1,1,10)``, ``gpd(-0.5,1)``, ``beta(2,4)``.
 """
@@ -89,13 +90,6 @@ class ReverseBurr(_Law):
     def theoretical_evi(self) -> float:
         return -1.0 / (self.lam * self.tau)
 
-    def survival(self, x) -> Union[float, np.ndarray]:
-        x = np.asarray(x, dtype=float)
-        gap = self.xstar - x
-        safe = np.where(gap > 0.0, gap, 1.0)
-        val = (1.0 + safe ** (-self.tau) / self.beta) ** (-self.lam)
-        return _scalar_or_array(np.where(gap > 0.0, val, 0.0))
-
     def quantile(self, u) -> Union[float, np.ndarray]:
         s = 1.0 - _check_unit(u)
         with np.errstate(divide="ignore"):  # 0 ** negative at u = 0 and u = 1
@@ -124,12 +118,6 @@ class GPD(_Law):
     def theoretical_evi(self) -> float:
         return self.gamma
 
-    def survival(self, x) -> Union[float, np.ndarray]:
-        x = np.asarray(x, dtype=float)
-        base = np.clip(1.0 + self.gamma * x / self.sigma, 0.0, None)
-        val = base ** (-1.0 / self.gamma)
-        return _scalar_or_array(np.where(x < 0.0, 1.0, val))
-
     def quantile(self, u) -> Union[float, np.ndarray]:
         u = _check_unit(u)
         return _scalar_or_array(
@@ -154,14 +142,6 @@ class BetaDist(_Law):
 
     def theoretical_evi(self) -> float:
         return -1.0 / self.b
-
-    def survival(self, x) -> Union[float, np.ndarray]:
-        from scipy.special import betainc
-
-        x = np.asarray(x, dtype=float)
-        # I_x(a,b) complement via the swap identity; avoids cancellation near 1
-        val = betainc(self.b, self.a, np.clip(1.0 - x, 0.0, 1.0))
-        return _scalar_or_array(np.where(x < 0.0, 1.0, np.where(x >= 1.0, 0.0, val)))
 
     def quantile(self, u) -> Union[float, np.ndarray]:
         from scipy.special import betaincinv

@@ -26,7 +26,7 @@ from censored_evi.moments import (_CHUNK_FLOATS, _SCRATCH, _chunks, _gather, _po
                                   _weights)
 
 import reference as ref
-from theory import beta_function, limit_l_alpha, scale_a_nk, theory_from_indices
+from theory import beta_function, limit_l_alpha, scale_a_nk, survival, theory_from_indices
 from conftest import (DESIGNS, FIGURE1_C, FIGURE1_X, draw_sample, draw_sample_with_k,
                       sample_from)
 
@@ -663,7 +663,7 @@ class TestScaleANk:
     @pytest.mark.parametrize("fx,gc", DESIGNS)
     def test_solves_the_pooled_survival(self, fx, gc):
         sc = scale_a_nk(fx, gc, 1000, 50)
-        pooled = float(fx.survival(sc.u_of_t)) * float(gc.survival(sc.u_of_t))
+        pooled = survival(fx, sc.u_of_t) * survival(gc, sc.u_of_t)
         assert pooled == pytest.approx(50.0 / 1000.0, rel=1e-10)
         th = theory_from_indices(fx.theoretical_evi(), gc.theoretical_evi())
         assert sc.a_of_t == pytest.approx(abs(th.gamma) * (sc.xstar - sc.u_of_t), rel=1e-14)

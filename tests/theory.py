@@ -9,14 +9,36 @@ uncensored in the limit (``theory_from_indices``).  ``limit_l_alpha``
 gives the constant the weighted tail moments approach after division by
 a_nk^alpha, and ``scale_a_nk`` computes that normalizing scale for a
 known censoring pair by solving for the pooled upper quantile
-numerically.
+numerically, through each law's survival function (``survival``).
 """
 
 import math
 from dataclasses import dataclass
 
-from censored_evi.distributions import DistributionSpec, _common_endpoint
+import numpy as np
+from scipy.special import betainc
+
+from censored_evi.distributions import GPD, DistributionSpec, ReverseBurr, _common_endpoint
 from censored_evi.moments import _check_order
+
+
+def survival(spec: DistributionSpec, x):
+    """P(X > x) for the law ``spec``: a float for a scalar ``x``, else an
+    array of x's shape.  ReverseBurr and GPD in closed form, BetaDist
+    through the regularized incomplete Beta function."""
+    x = np.asarray(x, dtype=float)
+    if isinstance(spec, ReverseBurr):
+        gap = spec.xstar - x
+        safe = np.where(gap > 0.0, gap, 1.0)
+        val = np.where(gap > 0.0, (1.0 + safe ** (-spec.tau) / spec.beta) ** (-spec.lam), 0.0)
+    elif isinstance(spec, GPD):
+        base = np.clip(1.0 + spec.gamma * x / spec.sigma, 0.0, None)
+        val = np.where(x < 0.0, 1.0, base ** (-1.0 / spec.gamma))
+    else:
+        # I_x(a,b) complement via the swap identity; avoids cancellation near 1
+        val = betainc(spec.b, spec.a, np.clip(1.0 - x, 0.0, 1.0))
+        val = np.where(x < 0.0, 1.0, np.where(x >= 1.0, 0.0, val))
+    return float(val) if val.ndim == 0 else val
 
 
 @dataclass(frozen=True)
@@ -86,7 +108,7 @@ def scale_a_nk(fx: DistributionSpec, gc: DistributionSpec, n: int, k: int) -> As
     target = 1.0 / t
 
     def pooled_survival(u: float) -> float:
-        return float(fx.survival(u)) * float(gc.survival(u))
+        return survival(fx, u) * survival(gc, u)
 
     # Bracket downward from the endpoint; the pooled survival rises to 1
     # as u decreases, so a finite expansion always brackets target < 1.

@@ -52,6 +52,13 @@ def _check_unit(u) -> np.ndarray:
     return u
 
 
+def _one_minus(u) -> np.ndarray:
+    """``1 - u`` for a checked ``u``, in a fresh array of its shape (0-d
+    for a scalar), which a quantile then maps in place."""
+    u = _check_unit(u)
+    return np.subtract(1.0, u, out=np.empty(u.shape))
+
+
 class _Law:
     """What every family shares: finite parameters, and draws through its
     own quantile."""
@@ -91,11 +98,14 @@ class ReverseBurr(_Law):
         return -1.0 / (self.lam * self.tau)
 
     def quantile(self, u) -> Union[float, np.ndarray]:
-        s = 1.0 - _check_unit(u)
+        # xstar - (beta * ((1 - u) ** (-1/lam) - 1)) ** (-1/tau), step by step in one array
+        out = _one_minus(u)
         with np.errstate(divide="ignore"):  # 0 ** negative at u = 0 and u = 1
-            return _scalar_or_array(
-                self.xstar - (self.beta * (s ** (-1.0 / self.lam) - 1.0)) ** (-1.0 / self.tau)
-            )
+            np.power(out, -1.0 / self.lam, out=out)
+            out -= 1.0
+            out *= self.beta
+            np.power(out, -1.0 / self.tau, out=out)
+        return _scalar_or_array(np.subtract(self.xstar, out, out=out))
 
 
 @dataclass(frozen=True)
@@ -119,10 +129,13 @@ class GPD(_Law):
         return self.gamma
 
     def quantile(self, u) -> Union[float, np.ndarray]:
-        u = _check_unit(u)
-        return _scalar_or_array(
-            self.sigma * ((1.0 - u) ** (-self.gamma) - 1.0) / self.gamma
-        )
+        # sigma * ((1 - u) ** (-gamma) - 1) / gamma, step by step in one array
+        out = _one_minus(u)
+        np.power(out, -self.gamma, out=out)
+        out -= 1.0
+        out *= self.sigma
+        out /= self.gamma
+        return _scalar_or_array(out)
 
 
 @dataclass(frozen=True)

@@ -118,8 +118,12 @@ the three kinds of moment, len(orders) floats each, the shifted sums,
 most 16 more (thresholds, normalisers, the k-grid's positions and
 costs).  No array is a (len(ks), max k) matrix.  The Monte Carlo engine
 sizes its batches by a constant of its own, ``montecarlo._BATCH_VALUES``
-= 2**14: its ``max(1, 2**14 // n)`` rows keep ``rows * n`` below 2**14
-whenever n is, so up to four orders its runs stay within F = 2**16.
+= 2**15: its at most ``max(1, 2**15 // n)`` rows keep ``rows * n`` at
+most 2**15 whenever n is.  A k of an order read over whole tails then
+costs its rows at most 2**15 floats per order, so with up to two such
+orders the runs stay within F = 2**16, and with four within 2**17.  A
+shifted order's segment has at most 65 points, so a figure batch (65
+rows at n = 500) at orders 1 to 4 stays within F = 2**16.
 """
 
 from __future__ import annotations

@@ -6,11 +6,15 @@ grid, and aggregates per (k, estimator) cell: median bias, MSE about the
 true index of X, mean, variance and the count of degenerate replicates
 (which are excluded from the statistics).
 
-Replicates run in batches of ``R = max(1, _BATCH_VALUES // n)``
-consecutive indices (32 at n = 500), so a batch's sample arrays hold at
-most about ``_BATCH_VALUES`` values.  ``_batch_values`` maps the batch's
-uniforms through each family's quantile once, builds one ``(R, n)``
-censored sample and makes one ``estimate`` call over the whole k-grid,
+Replicates run in the fewest batches of at most ``max(1, _BATCH_VALUES
+// n)`` consecutive indices, with sizes that differ by at most one
+(``_batches``): at n = 500, 2 of 60 for 120 replicates and 31 of 64 or
+65 for 2 000.  A batch's sample arrays thus hold at most about
+``_BATCH_VALUES`` values, and since every batch pays a fixed cost of
+Python calls whatever its size, a study pays it as few times as that
+bound allows.  ``_batch_values`` maps the batch's uniforms through each
+family's quantile once, builds one ``(R, n)`` censored sample of its
+``R`` rows and makes one ``estimate`` call over the whole k-grid,
 which yields the batch's ``(R, len(k_grid), len(specs))`` value array;
 every library call on the way acts along the last axis, so a row of the
 batch gets the bits its sample gets on its own.  ``run_study`` stores
@@ -27,11 +31,13 @@ Reproducibility contract: replicate r uses a fresh generator seeded by
 SeedSequence(entropy=(seed, r)) and draws its X uniforms first, then its
 C uniforms with ``Generator.random``, and maps each through its law's
 quantile as drawn, an exact zero included.  A study computes those
-SeedSequence states for all its replicates in one vectorised pass,
-``_seed_words``, which runs numpy's SeedSequence algorithm and gives the
-words numpy's ``generate_state(4, np.uint64)`` gives; each row's words
-seed ``PCG64`` through a ``numpy.random.bit_generator.ISeedSequence``,
-and a pool task receives its rows' words.  The replicate index is one
+SeedSequence states in vectorised passes of ``_seed_words``, which runs
+numpy's SeedSequence algorithm and gives the words numpy's
+``generate_state(4, np.uint64)`` gives, one pass per block of whole
+batches of at most ``_SEED_BLOCK`` = 4096 replicates (``_batch_words``),
+made when the block's first batch is handed out.  Each row's words seed
+``PCG64`` through a ``numpy.random.bit_generator.ISeedSequence``, and a
+pool task receives its rows' words.  The replicate index is one
 32-bit entropy word, so a study has at most 2**32 replicates.
 Replicates are therefore independent of scheduling, each lands at its
 own index, and the aggregation sums in replicate order, so the result is
@@ -49,6 +55,7 @@ up to three batches never starts one.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import os
 from dataclasses import dataclass
@@ -72,11 +79,18 @@ __all__ = [
 
 ENV_THREADS = "CENSORED_EVI_THREADS"
 
-# Sample values one batch holds: a batch has max(1, _BATCH_VALUES // n)
-# rows of n.  Larger batches make fewer Python calls per replicate but hold
-# larger arrays; 2**14 was chosen from the benchmark's speed and peak
-# memory at 2**13, 2**14 and 2**15 (CHANGES.md).
-_BATCH_VALUES = 2 ** 14
+# Sample values one batch holds at most: a study of reps replicates runs
+# in the fewest batches of at most max(1, _BATCH_VALUES // n) rows of n,
+# with sizes that differ by at most one.  Each batch pays a fixed cost of
+# about a millisecond of Python calls whatever its size, so a study pays
+# it as few times as its batches allow; 2**15 was chosen from the
+# benchmark's speed, peak memory and page faults (CHANGES.md).
+_BATCH_VALUES = 2 ** 15
+
+# Replicates whose seed words one ``_seed_words`` call computes at most,
+# unless one batch alone holds more: the pass holds about 128 bytes a
+# replicate while it runs.
+_SEED_BLOCK = 4096
 
 # Seconds a process pool costs whatever its work, by the start method of
 # its workers: starting them, handing out the batches and collecting their
@@ -286,6 +300,31 @@ def _generator_parts() -> tuple:
     return Generator, PCG64, SeedWords
 
 
+def _batches(reps: int, n: int) -> list[tuple[int, int]]:
+    """``(start, stop)`` of each batch of a study: the fewest batches of at
+    most ``max(1, _BATCH_VALUES // n)`` consecutive replicates, the first
+    ``reps % count`` of them one replicate larger than the rest."""
+    count = -(-reps // max(1, _BATCH_VALUES // n))
+    size, larger = divmod(reps, count)
+    bounds = [i * size + min(i, larger) for i in range(count + 1)]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+def _batch_words(seed: int, batches: list[tuple[int, int]]):
+    """Yield the ``_seed_words`` rows of each batch in turn.  The words are
+    computed per block of whole batches, as many as hold at most
+    ``_SEED_BLOCK`` replicates and at least one, when the block's first
+    batch is asked for."""
+    stops = [stop for _, stop in batches]
+    block_start = block_stop = 0
+    for i, (start, stop) in enumerate(batches):
+        if stop > block_stop:
+            last = max(i, bisect.bisect_right(stops, start + _SEED_BLOCK) - 1)
+            block_start, block_stop = start, stops[last]
+            words = _seed_words(seed, block_start, block_stop)
+        yield words[start - block_start:stop - block_start]
+
+
 def _uniforms(words: np.ndarray, n: int) -> np.ndarray:
     """``(rows, 2, n)``: row i holds the n X uniforms and then the n C
     uniforms of the generator seeded by ``words[i]``, in one draw."""
@@ -301,6 +340,10 @@ def _batch_sample(design: StudyDesign, words: np.ndarray) -> CensoredSample:
     are ``words``, one row each."""
     u = _uniforms(words, design.n)
     x, c = design.dist_x.quantile(u[:, 0]), design.dist_c.quantile(u[:, 1])
+    # Freed here, the uniforms' memory serves the sample's arrays: holding
+    # it through make_censored grew the heap by that much on every batch,
+    # which the allocator gave back and faulted in again.
+    del u
     # Positivity is not enforced here: endpoint-anchored families may put
     # mass below zero, while only the top-k statistics enter any formula.
     return make_censored(x, c, require_positive=False)
@@ -394,10 +437,10 @@ def _pool_cost_s() -> float:
 def run_study(design: StudyDesign, workers: int | None = None) -> StudyResult:
     """Run all replicates in batches and aggregate.
 
-    The seed words of all replicates come from one ``_seed_words`` pass,
-    and each batch, a pool task too, takes its rows of them and returns
-    its values alone.  The first two batches run in-process, and the
-    second is timed.  The remaining batches run on a pool of ``w =
+    The batches are those of ``_batches``, and each batch, a pool task
+    too, takes its rows of the seed words from ``_batch_words`` and
+    returns its values alone.  The first two batches run in-process, and
+    the second is timed.  The remaining batches run on a pool of ``w =
     min(workers, remaining batches)`` processes when ``second batch time *
     remaining batches * (1 - 1/w)``, the time the pool would save, exceeds
     its fixed cost ``_POOL_COST_S`` for the start method that
@@ -406,23 +449,21 @@ def run_study(design: StudyDesign, workers: int | None = None) -> StudyResult:
     the batch size: replicates are pure functions of (seed, index), stored
     at their index and reduced in index order.
     """
-    rows = max(1, _BATCH_VALUES // design.n)
-    starts = range(0, design.reps, rows)
-    stops = [min(start + rows, design.reps) for start in starts]
-    remaining = max(len(starts) - 2, 0)  # the batches after the first two
+    batches = _batches(design.reps, design.n)
+    words = _batch_words(design.seed, batches)
+    remaining = max(len(batches) - 2, 0)  # the batches after the first two
     workers = resolve_workers(workers, max(remaining, 1))
     values = np.empty((design.reps, len(design.k_grid), len(design.specs)))
-    words = _seed_words(design.seed, 0, design.reps)
     # The first batch also pays for what numpy and the library load and
     # warm on first use, so the second is the one timed.
-    for start, stop in zip(starts[:2], stops):
+    for (start, stop), batch_words in zip(batches[:2], words):
         clock = perf_counter()
-        values[start:stop] = _batch_values(design, words[start:stop])
+        values[start:stop] = _batch_values(design, batch_words)
     saving = (perf_counter() - clock) * remaining * (1 - 1 / workers)
-    tasks = ([design] * remaining, [words[a:b] for a, b in zip(starts[2:], stops[2:])])
+    tasks = ([design] * remaining, words)
 
-    def store(batches):
-        for start, stop, batch in zip(starts[2:], stops[2:], batches):
+    def store(results):
+        for (start, stop), batch in zip(batches[2:], results):
             values[start:stop] = batch
 
     if saving <= 0 or saving <= _pool_cost_s():

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -102,6 +103,37 @@ class TestQuantile:
             warnings.simplefilter("error")
             q = spec.quantile(np.array([0.0, 0.5, 1.0]))
         assert q[0] == low and low < q[1] < spec.endpoint and q[2] == spec.endpoint
+
+    @staticmethod
+    def closed_form(spec, u):
+        """The quantile as one expression of temporaries, the form it
+        had before it was written in place."""
+        if isinstance(spec, ReverseBurr):
+            with np.errstate(divide="ignore"):
+                s = 1.0 - u
+                return spec.xstar - (spec.beta * (s ** (-1.0 / spec.lam) - 1.0)) ** (-1.0 / spec.tau)
+        return spec.sigma * ((1.0 - u) ** (-spec.gamma) - 1.0) / spec.gamma
+
+    @pytest.mark.parametrize("spec", [s for s in ALL_SPECS if not isinstance(s, BetaDist)])
+    def test_closed_forms_fill_one_array(self, spec):
+        # a (64, 500) batch of uniforms, both ends included: the quantile
+        # has the bits of its closed form, and holds no array beside its
+        # output (the form above holds 1 - u and the first power at once)
+        u = np.random.default_rng(29).random((64, 500))
+        u[0, :2] = 0.0, 1.0
+        spec.quantile(u)  # loads what the first call loads
+        tracemalloc.start()
+        try:
+            q = spec.quantile(u)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= q.nbytes + 4096  # slack for the call's small objects
+        np.testing.assert_array_equal(q.view(np.int64), self.closed_form(spec, u).view(np.int64))
+        for x in (0.0, 0.3, 1.0):  # a scalar gives a float, its array element's bits
+            assert type(spec.quantile(x)) is float
+            assert (np.float64(spec.quantile(x)).view(np.int64)
+                    == spec.quantile(np.array([x])).view(np.int64)[0])
 
     @given(beta=params, tau=params, lam=params, u=st.floats(0.001, 0.999))
     @settings(max_examples=60)

@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import itertools
 import math
@@ -198,6 +199,48 @@ class TestSeedWords:
                 state.generate_state(*request)
 
 
+class TestSeedBlocks:
+    # run_study computes its seed words per block of whole batches of at
+    # most _SEED_BLOCK replicates, and at least one batch
+    @staticmethod
+    def spans(monkeypatch, design):
+        """The (start, stop) of each _seed_words call of ``run_study`` on
+        ``design`` in-process, with each batch's values stubbed out."""
+        spans, real = [], montecarlo._seed_words
+
+        def seed_words(seed, start, stop):
+            spans.append((start, stop))
+            return real(seed, start, stop)
+
+        def batch_values(design, words):
+            return np.zeros((len(words), len(design.k_grid), len(design.specs)))
+
+        monkeypatch.setattr(montecarlo, "_seed_words", seed_words)
+        monkeypatch.setattr(montecarlo, "_batch_values", batch_values)
+        run_study(design, workers=1)
+        return spans
+
+    @pytest.mark.parametrize("reps", [5000, 9000])
+    def test_blocks_of_whole_batches_tile_the_study(self, monkeypatch, reps):
+        design = one_cell_design(reps)  # n = 60: batches of at most 546 rows
+        spans = self.spans(monkeypatch, design)
+        assert len(spans) > 1 and all(stop - start <= montecarlo._SEED_BLOCK
+                                      for start, stop in spans)
+        assert [start for start, _ in spans] == [0] + [stop for _, stop in spans[:-1]]
+        assert spans[-1][1] == reps
+        stops = {stop for _, stop in montecarlo._batches(reps, design.n)}
+        assert {stop for _, stop in spans} <= stops
+
+    @pytest.mark.parametrize("reps", [1, 2000, 4096])
+    def test_a_study_of_one_block_makes_one_call(self, monkeypatch, reps):
+        assert self.spans(monkeypatch, one_cell_design(reps)) == [(0, reps)]
+
+    def test_a_batch_larger_than_a_block_is_its_own_block(self, monkeypatch):
+        design = dataclasses.replace(one_cell_design(5000), n=2, k_grid=(1,))
+        assert montecarlo._batches(5000, 2) == [(0, 5000)]
+        assert self.spans(monkeypatch, design) == [(0, 5000)]
+
+
 def fake_records(design, values_by_rep):
     """The (reps, 1, 1) value array of a single-cell design from plain
     floats (None marks a degenerate draw)."""
@@ -352,7 +395,7 @@ class TestPoolSize:
 
     def test_long_study_starts_a_pool(self, monkeypatch, started_pools):
         # the figure-3 study at 2 workers with its second batch timed at
-        # 5 ms, about what 32 of its replicates take on a 2-CPU machine:
+        # 5 ms, about what 65 of its replicates take on a 2-CPU machine:
         # with fork workers the pool pays at 2000 replicates, at 80 it
         # does not
         self.batches_take(monkeypatch, 0.005)
@@ -367,7 +410,7 @@ class TestPoolSize:
     @pytest.mark.parametrize("method", ["forkserver", "spawn"])
     def test_long_study_keeps_a_slow_starting_pool_out(self, monkeypatch, started_pools,
                                                         method):
-        # the same study saves about 0.15 s on the pool, less than a pool
+        # the same study saves about 0.07 s on the pool, less than a pool
         # costs whose workers import the package again
         self.batches_take(monkeypatch, 0.005)
         self.pools_start_by(monkeypatch, method)
@@ -395,6 +438,40 @@ class TestPoolSize:
         assert design.reps == 2000
         run_study(design, workers=2)
         assert started_pools == pool
+
+    @pytest.mark.parametrize("reps,sizes", [
+        (120, [60] * 2), (80, [40] * 2), (2000, [65] * 16 + [64] * 15), (1, [1]),
+        (montecarlo._BATCH_VALUES // 500 + 1, [33] * 2)])
+    @pytest.mark.parametrize("pool", [False, True])
+    def test_fewest_batches_of_equal_sizes(self, monkeypatch, started_pools, reps, sizes, pool):
+        # at n = 500 a batch has at most 65 rows: a study takes the fewest
+        # batches that allows, their sizes differing by at most one, in
+        # process and through a pool that always pays (from four batches)
+        assert max(sizes) <= montecarlo._BATCH_VALUES // 500
+        assert len(sizes) == math.ceil(reps / (montecarlo._BATCH_VALUES // 500))
+        got, real = [], montecarlo._batch_values
+
+        def batch_values(design, words):
+            got.append(len(words))
+            return real(design, words)
+
+        class Pool(concurrent.futures.ProcessPoolExecutor):
+            def map(self, fn, designs, words):
+                assert fn is batch_values
+                words = list(words)
+                got.extend(map(len, words))
+                # the workers get the batch function by name
+                monkeypatch.setattr(montecarlo, "_batch_values", real)
+                return super().map(real, designs, words)
+
+        monkeypatch.setattr(montecarlo, "_batch_values", batch_values)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+        if pool:
+            self.batches_take(monkeypatch, 1.0)
+            monkeypatch.setattr(montecarlo, "_POOL_COST_S", FREE_POOL)
+        run_study(dataclasses.replace(one_cell_design(reps), n=500), workers=2 if pool else 1)
+        assert got == sizes
+        assert started_pools == ([2] if pool and len(sizes) > 3 else [])
 
     def test_pool_cost_follows_the_default_start_method(self, monkeypatch):
         # before any start method is set, the cost is that of the default,
@@ -433,7 +510,10 @@ class TestWorkerIndependence:
     def test_pool_of_several_batches_gives_equal_arrays(self, monkeypatch, started_pools):
         monkeypatch.setattr(montecarlo, "_POOL_COST_S", FREE_POOL)
         monkeypatch.setattr(montecarlo, "_BATCH_VALUES", 16 * 500)
-        d = small_design(n=500, reps=60)  # four batches of at most 16 rows
+        monkeypatch.setattr(montecarlo, "_SEED_BLOCK", 30)
+        # four batches of 15 rows, whose seed words come in two blocks of
+        # two batches: the second block's are made for the pool's tasks
+        d = small_design(n=500, reps=60)
         serial, pooled = run_study(d, workers=1), run_study(d, workers=2)
         assert started_pools == [2]
         for name in ("median_bias", "mse", "mean", "variance", "degenerate_count"):

@@ -15,7 +15,11 @@ For every end-to-end metric of ``BENCHMARK.json`` it prints each run's
 value, then both medians, both interquartile ranges, the pairs the change
 wins (a lower or higher value, as the metric's ``better`` says) and
 whether the gap between the medians exceeds the parent's interquartile
-range.  Each run's ``correct`` is printed beside its values.  The runs
+range.  Each run's ``correct`` and its failed and attempted operations
+are printed beside its values.  A run whose last stdout line is not such
+a summary, or whose exit status disagrees with its ``correct``, stops the
+script with an error that names the tree, the exit status and the end of
+the run's stderr.  The runs
 write only what ``perfbench/run.py`` writes, under each tree's
 ``perfbench/out/``.  Exit status 0 when every run was correct.
 """
@@ -29,14 +33,30 @@ import sys
 from pathlib import Path
 
 
+SUMMARY_KEYS = ("correct", "attempted", "failed", "metrics")
+STDERR_TAIL_LINES = 20
+
+
 def run_once(tree: Path, command: list[str]) -> dict:
     """The last stdout line of the benchmark ``command`` run in ``tree``,
-    parsed: the ``{"correct", "attempted", "failed", "metrics"}`` summary."""
+    parsed: the ``{"correct", "attempted", "failed", "metrics"}`` summary.
+    Raises RuntimeError when that line is not one, or when the exit status
+    is not 0 exactly when the run was correct."""
     proc = subprocess.run(command, cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
-    if not lines:
-        raise RuntimeError(f"no output from the benchmark in {tree}:\n{proc.stderr}")
-    return json.loads(lines[-1])
+    try:
+        summary = json.loads(lines[-1])
+        problem = None if all(key in summary for key in SUMMARY_KEYS) else (
+            f"its last line lacks one of {', '.join(SUMMARY_KEYS)}")
+    except (IndexError, ValueError, TypeError):
+        problem = "its last line is not a JSON summary"
+    if problem is None and (proc.returncode == 0) != bool(summary["correct"]):
+        problem = f"its exit status disagrees with correct={summary['correct']}"
+    if problem is not None:
+        tail = "\n".join(proc.stderr.splitlines()[-STDERR_TAIL_LINES:])
+        raise RuntimeError(f"the benchmark in {tree} exited {proc.returncode} and {problem}; "
+                           f"the end of its stderr:\n{tail}")
+    return summary
 
 
 def quartiles(values: list[float]) -> tuple[float, float]:
@@ -75,7 +95,8 @@ def main(argv=None) -> int:
             runs[side].append(summary)
             values = " ".join(f"{m['name']}={summary['metrics'][m['name']]['value']}"
                               for m in metrics)
-            print(f"pair {pair + 1} {side:6} correct={summary['correct']} {values}", flush=True)
+            print(f"pair {pair + 1} {side:6} correct={summary['correct']} "
+                  f"failed={summary['failed']}/{summary['attempted']} {values}", flush=True)
 
     print(f"\n{args.workload}: {args.pairs} pairs of --seconds {args.seconds:g}")
     for m in metrics:

@@ -11,11 +11,14 @@ Writes OUTDIR/digests.sha256, one line ``<digest>  <name>`` per output:
   seed through the library's own quantiles, at ``--k-step 50``,
   ``--k-step 1``, ``--k-step 50 --alpha 2.5`` and ``--k-step 7 --alpha 17``;
 * the two-alpha study of CI's criterion-7 step, and its ``plot``;
+* figure 1 at the seed 2**130 + 3, five 32-bit words, and 2 000
+  replicates, at CENSORED_EVI_THREADS 1 and 2, and a one-cell study of
+  5 000 replicates at n = 60, which runs in ten batches;
 * every array that ``tail_moments`` and ``estimate`` return over a fixed
   catalogue of samples, k-grids, orders and alphas.  An array's digest
   covers its dtype, its shape and its bytes.
 
-The files behind the first three groups are kept in OUTDIR.  The package
+The files behind the first four groups are kept in OUTDIR.  The package
 is imported from this tree's ``src``, whatever is installed, so a copy of
 another commit with this script in its ``scripts`` gives that commit's
 digests.  A change keeps every output bit for bit when
@@ -31,6 +34,7 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from unittest import mock
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
@@ -78,6 +82,25 @@ k_step = 10
 alpha = 2.5,1
 families = type2,mom
 methods = efg,km
+"""
+
+# Figure 1 at a seed of five 32-bit words: with the replicate index,
+# SeedSequence mixes in more entropy words than its pool of four holds.
+LONG_SEED_RUN = ["--config", ROOT / "scripts" / "figure1.cfg", "--seed", 2**130 + 3,
+                 "--reps", 2000]
+
+TEN_BATCH_CONFIG = """\
+dist_x = revburr(1,1,1,10)
+dist_c = revburr(10,0.6666666666666666,1,10)
+n = 60
+reps = 5000
+seed = 101
+k_min = 10
+k_max = 10
+k_step = 1
+alpha = 2
+families = mom
+methods = km
 """
 
 
@@ -138,6 +161,20 @@ def two_alpha_study(outdir: Path):
         yield f"{target.name}/{path.name}", file_digest(path)
 
 
+def seeding_studies(outdir: Path):
+    target = outdir / "seeding"
+    target.mkdir(exist_ok=True)
+    for threads in (1, 2):
+        out = target / f"figure1-long-seed-threads-{threads}.csv"
+        with mock.patch.dict(os.environ, CENSORED_EVI_THREADS=str(threads)):
+            run_cli(["simulate", *LONG_SEED_RUN, "--out", out])
+        yield f"{target.name}/{out.name}", file_digest(out)
+    config, results = target / "ten-batches.cfg", target / "ten-batches.csv"
+    config.write_text(TEN_BATCH_CONFIG)
+    run_cli(["simulate", "--config", config, "--out", results])
+    yield f"{target.name}/{results.name}", file_digest(results)
+
+
 def reads_whole_tails(orders) -> bool:
     return any(p % 1 or p > 16 for p in orders)
 
@@ -193,7 +230,8 @@ def main() -> int:
     outdir = Path(sys.argv[1])
     outdir.mkdir(parents=True, exist_ok=True)
     lines = []
-    for group in (figures(outdir), estimates(outdir), two_alpha_study(outdir), catalogue()):
+    for group in (figures(outdir), estimates(outdir), two_alpha_study(outdir),
+                  seeding_studies(outdir), catalogue()):
         lines.extend(f"{digest}  {name}\n" for name, digest in group)
     (outdir / "digests.sha256").write_text("".join(lines))
     print(f"wrote {len(lines)} digests to {outdir / 'digests.sha256'}")

@@ -12,10 +12,11 @@ Replicates run in the fewest batches of at most ``max(1, _BATCH_VALUES
 65 for 2 000.  A batch's sample arrays thus hold at most about
 ``_BATCH_VALUES`` values, and since every batch pays a fixed cost of
 Python calls whatever its size, a study pays it as few times as that
-bound allows.  ``_batch_values`` maps the batch's uniforms through each
-family's quantile once, builds one ``(R, n)`` censored sample of its
-``R`` rows and makes one ``estimate`` call over the whole k-grid,
-which yields the batch's ``(R, len(k_grid), len(specs))`` value array;
+bound allows.  ``_batch_values`` of ``(start, stop)`` seeds and draws the
+uniforms of those ``R`` rows, maps them through each family's quantile
+once, builds one ``(R, n)`` censored sample and makes one ``estimate``
+call over the whole k-grid, which yields the batch's ``(R,
+len(k_grid), len(specs))`` value array;
 every library call on the way acts along the last axis, so a row of the
 batch gets the bits its sample gets on its own.  ``run_study`` stores
 each batch at its rows of one ``(reps, len(k_grid), len(specs))`` array,
@@ -30,15 +31,14 @@ share.
 Reproducibility contract: replicate r uses a fresh generator seeded by
 SeedSequence(entropy=(seed, r)) and draws its X uniforms first, then its
 C uniforms with ``Generator.random``, and maps each through its law's
-quantile as drawn, an exact zero included.  A study computes those
-SeedSequence states in vectorised passes of ``_seed_words``, which runs
-numpy's SeedSequence algorithm and gives the words numpy's
-``generate_state(4, np.uint64)`` gives, one pass per block of whole
-batches of at most ``_SEED_BLOCK`` = 4096 replicates (``_batch_words``),
-made when the block's first batch is handed out.  Each row's words seed
-``PCG64`` through a ``numpy.random.bit_generator.ISeedSequence``, and a
-pool task receives its rows' words.  The replicate index is one
-32-bit entropy word, so a study has at most 2**32 replicates.
+quantile as drawn, an exact zero included.  Each batch computes the
+SeedSequence states of its rows in one vectorised pass of
+``_seed_words``, which runs numpy's SeedSequence algorithm and gives the
+words numpy's ``generate_state(4, np.uint64)`` gives; the pass holds
+about 128 bytes a row, so the batch's size bounds it too.  Each row's
+words seed ``PCG64`` through a ``numpy.random.bit_generator.ISeedSequence``,
+and a pool task is the batch's ``(design, start, stop)``.  The replicate
+index is one 32-bit entropy word, so a study has at most 2**32 replicates.
 Replicates are therefore independent of scheduling, each lands at its
 own index, and the aggregation sums in replicate order, so the result is
 bitwise identical for any batch size and any worker count.
@@ -55,8 +55,8 @@ up to three batches never starts one.
 
 from __future__ import annotations
 
-import bisect
 import functools
+import operator
 import os
 from dataclasses import dataclass
 from time import perf_counter
@@ -86,11 +86,6 @@ ENV_THREADS = "CENSORED_EVI_THREADS"
 # it as few times as its batches allow; 2**15 was chosen from the
 # benchmark's speed, peak memory and page faults (CHANGES.md).
 _BATCH_VALUES = 2 ** 15
-
-# Replicates whose seed words one ``_seed_words`` call computes at most,
-# unless one batch alone holds more: the pass holds about 128 bytes a
-# replicate while it runs.
-_SEED_BLOCK = 4096
 
 # Seconds a process pool costs whatever its work, by the start method of
 # its workers: starting them, handing out the batches and collecting their
@@ -132,6 +127,11 @@ class StudyDesign:
     seed: int
 
     def __post_init__(self):
+        for name in ("n", "reps", "seed"):
+            try:
+                operator.index(getattr(self, name))
+            except TypeError:
+                raise TypeError(f"{name} must be an integer, got {getattr(self, name)!r}") from None
         if self.n < 2:
             raise ValueError("n must be >= 2")
         if self.reps < 1:
@@ -310,21 +310,6 @@ def _batches(reps: int, n: int) -> list[tuple[int, int]]:
     return list(zip(bounds[:-1], bounds[1:]))
 
 
-def _batch_words(seed: int, batches: list[tuple[int, int]]):
-    """Yield the ``_seed_words`` rows of each batch in turn.  The words are
-    computed per block of whole batches, as many as hold at most
-    ``_SEED_BLOCK`` replicates and at least one, when the block's first
-    batch is asked for."""
-    stops = [stop for _, stop in batches]
-    block_start = block_stop = 0
-    for i, (start, stop) in enumerate(batches):
-        if stop > block_stop:
-            last = max(i, bisect.bisect_right(stops, start + _SEED_BLOCK) - 1)
-            block_start, block_stop = start, stops[last]
-            words = _seed_words(seed, block_start, block_stop)
-        yield words[start - block_start:stop - block_start]
-
-
 def _uniforms(words: np.ndarray, n: int) -> np.ndarray:
     """``(rows, 2, n)``: row i holds the n X uniforms and then the n C
     uniforms of the generator seeded by ``words[i]``, in one draw."""
@@ -335,10 +320,10 @@ def _uniforms(words: np.ndarray, n: int) -> np.ndarray:
     return u
 
 
-def _batch_sample(design: StudyDesign, words: np.ndarray) -> CensoredSample:
-    """The censored samples of the replicates whose ``_seed_words`` rows
-    are ``words``, one row each."""
-    u = _uniforms(words, design.n)
+def _batch_sample(design: StudyDesign, start: int, stop: int) -> CensoredSample:
+    """The censored samples of replicates ``start`` to ``stop - 1``, one
+    row each."""
+    u = _uniforms(_seed_words(design.seed, start, stop), design.n)
     x, c = design.dist_x.quantile(u[:, 0]), design.dist_c.quantile(u[:, 1])
     # Freed here, the uniforms' memory serves the sample's arrays: holding
     # it through make_censored grew the heap by that much on every batch,
@@ -349,10 +334,11 @@ def _batch_sample(design: StudyDesign, words: np.ndarray) -> CensoredSample:
     return make_censored(x, c, require_positive=False)
 
 
-def _batch_values(design: StudyDesign, words: np.ndarray) -> np.ndarray:
-    """The ``(rows, len(k_grid), len(specs))`` values of ``estimate`` over
-    the whole k-grid on the samples of ``_batch_sample``; a pool task."""
-    return estimate(_batch_sample(design, words), design.k_grid, design.specs)[1]
+def _batch_values(design: StudyDesign, start: int, stop: int) -> np.ndarray:
+    """The ``(stop - start, len(k_grid), len(specs))`` values of
+    ``estimate`` over the whole k-grid on the samples of ``_batch_sample``;
+    a pool task."""
+    return estimate(_batch_sample(design, start, stop), design.k_grid, design.specs)[1]
 
 
 def run_replicate(design: StudyDesign, replicate_index: int) -> list[EstimateRecord]:
@@ -360,8 +346,8 @@ def run_replicate(design: StudyDesign, replicate_index: int) -> list[EstimateRec
     order; deterministic in (design.seed, replicate_index) alone."""
     if not 0 <= replicate_index < design.reps:
         raise ValueError(f"replicate_index out of range: {replicate_index}")
-    words = _seed_words(design.seed, replicate_index, replicate_index + 1)
-    p_hat, values = estimate(_batch_sample(design, words), design.k_grid, design.specs)
+    p_hat, values = estimate(_batch_sample(design, replicate_index, replicate_index + 1),
+                             design.k_grid, design.specs)
     p_hat, values = p_hat[0].tolist(), values[0].tolist()
     return [
         EstimateRecord(k=k, spec=spec, value=value, p_hat=p_hat[i])
@@ -438,32 +424,32 @@ def run_study(design: StudyDesign, workers: int | None = None) -> StudyResult:
     """Run all replicates in batches and aggregate.
 
     The batches are those of ``_batches``, and each batch, a pool task
-    too, takes its rows of the seed words from ``_batch_words`` and
-    returns its values alone.  The first two batches run in-process, and
-    the second is timed.  The remaining batches run on a pool of ``w =
-    min(workers, remaining batches)`` processes when ``second batch time *
-    remaining batches * (1 - 1/w)``, the time the pool would save, exceeds
-    its fixed cost ``_POOL_COST_S`` for the start method that
-    multiprocessing would use, and in-process otherwise; ``workers`` (or
-    CENSORED_EVI_THREADS) is thus a maximum.  The output is independent of the worker count and of
-    the batch size: replicates are pure functions of (seed, index), stored
-    at their index and reduced in index order.
+    too, is ``_batch_values`` of its ``(start, stop)``: it seeds, samples
+    and estimates its own rows and returns their values alone.  The first
+    two batches run in-process, and the second is timed.  The remaining
+    batches run on a pool of ``w = min(workers, remaining batches)``
+    processes when ``second batch time * remaining batches * (1 - 1/w)``,
+    the time the pool would save, exceeds its fixed cost ``_POOL_COST_S``
+    for the start method that multiprocessing would use, and in-process
+    otherwise; ``workers`` (or CENSORED_EVI_THREADS) is thus a maximum.
+    The output is independent of the worker count and of the batch size:
+    replicates are pure functions of (seed, index), stored at their index
+    and reduced in index order.
     """
     batches = _batches(design.reps, design.n)
-    words = _batch_words(design.seed, batches)
-    remaining = max(len(batches) - 2, 0)  # the batches after the first two
-    workers = resolve_workers(workers, max(remaining, 1))
+    rest = batches[2:]  # the batches after the first two
+    workers = resolve_workers(workers, max(len(rest), 1))
     values = np.empty((design.reps, len(design.k_grid), len(design.specs)))
     # The first batch also pays for what numpy and the library load and
     # warm on first use, so the second is the one timed.
-    for (start, stop), batch_words in zip(batches[:2], words):
+    for start, stop in batches[:2]:
         clock = perf_counter()
-        values[start:stop] = _batch_values(design, batch_words)
-    saving = (perf_counter() - clock) * remaining * (1 - 1 / workers)
-    tasks = ([design] * remaining, words)
+        values[start:stop] = _batch_values(design, start, stop)
+    saving = (perf_counter() - clock) * len(rest) * (1 - 1 / workers)
+    tasks = ([design] * len(rest), [start for start, _ in rest], [stop for _, stop in rest])
 
     def store(results):
-        for (start, stop), batch in zip(batches[2:], results):
+        for (start, stop), batch in zip(rest, results):
             values[start:stop] = batch
 
     if saving <= 0 or saving <= _pool_cost_s():

@@ -192,9 +192,8 @@ def replicate_bits(design, r):
 
 
 def assert_batch_matches_replicates(design, start, stop):
-    words = _seed_words(design.seed, start, stop)
-    values = _batch_values(design, words)
-    p_hat = tail_uncensored_proportion(_batch_sample(design, words), design.k_grid)
+    values = _batch_values(design, start, stop)
+    p_hat = tail_uncensored_proportion(_batch_sample(design, start, stop), design.k_grid)
     assert values.shape == (stop - start, len(design.k_grid), len(design.specs))
     for row, r in enumerate(range(start, stop)):
         want_values, want_p_hat = replicate_bits(design, r)
@@ -257,10 +256,9 @@ class TestBatchInvariance:
         # -inf at its bottom, and the other rows keep their bits
         design = StudyDesign(dist_x=FIGURE1_X, dist_c=FIGURE1_C, n=50, reps=8, k_grid=(5,),
                              specs=ALL_SPECS, seed=11)
-        words = _seed_words(design.seed, 0, 8)
-        clean = _batch_sample(design, words)
+        clean = _batch_sample(design, 0, 8)
         generator = self.zero_at(monkeypatch, design, 5, draw)
-        got = _batch_sample(design, words)
+        got = _batch_sample(design, 0, 8)
         rng = generator()
         u = rng.random(50), rng.random(50)
         assert u[draw][7] == 0.0
@@ -288,7 +286,7 @@ class TestBatchInvariance:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             result = run_study(design, workers=1)
-            zero_row = _batch_values(design, _seed_words(design.seed, 5, 6))[0]
+            zero_row = _batch_values(design, 5, 6)[0]
         rng = generator()
         x, c = FIGURE1_X.sample(rng, 50), FIGURE1_C.sample(rng, 50)
         (x if draw == 0 else c)[7] = -1e6

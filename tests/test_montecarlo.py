@@ -110,6 +110,17 @@ class TestStudyDesignValidation:
         with pytest.raises(ValueError, match=pattern):
             small_design(**overrides)
 
+    @pytest.mark.parametrize("field", ["n", "reps", "seed"])
+    def test_integer_fields_reject_other_numbers(self, field):
+        # a float would build and then fail deep inside run_study; numpy
+        # integers are integers, and give the same study
+        value = getattr(small_design(), field)
+        with pytest.raises(TypeError, match=f"^{field} must be an integer, got {value}.0$"):
+            small_design(**{field: float(value)})
+        design = small_design(**{field: np.int64(value)})
+        want = run_study(small_design(), workers=1)
+        np.testing.assert_array_equal(run_study(design, workers=1).mse, want.mse)
+
     def test_mom_specs_that_differ_only_in_alpha_repeat(self):
         # mom combines orders 1 and 2 whatever alpha is, so both specs would
         # compute and list the same columns
@@ -180,7 +191,7 @@ class TestSeedWords:
         # entropy=(seed, r))), X's uniforms drawn before C's, mapped through
         # each law's quantile and censored
         d = small_design(n=500, reps=200, seed=2**130 + 3)
-        got = montecarlo._batch_sample(d, montecarlo._seed_words(d.seed, 64, 96))
+        got = montecarlo._batch_sample(d, 64, 96)
         for row, r in enumerate(range(64, 96)):
             rng = np.random.default_rng(np.random.SeedSequence(entropy=(d.seed, r)))
             u_x, u_c = rng.random(d.n), rng.random(d.n)
@@ -199,46 +210,54 @@ class TestSeedWords:
                 state.generate_state(*request)
 
 
-class TestSeedBlocks:
-    # run_study computes its seed words per block of whole batches of at
-    # most _SEED_BLOCK replicates, and at least one batch
-    @staticmethod
-    def spans(monkeypatch, design):
-        """The (start, stop) of each _seed_words call of ``run_study`` on
-        ``design`` in-process, with each batch's values stubbed out."""
+def spanned_batch_values(design, start, stop):
+    """``montecarlo._batch_values`` of one batch and the (start, stop) of
+    each ``_seed_words`` call it makes; a pool task that any worker
+    process can run, however it was started."""
+    spans, real = [], montecarlo._seed_words
+
+    def seed_words(seed, start, stop):
+        spans.append((start, stop))
+        return real(seed, start, stop)
+
+    montecarlo._seed_words = seed_words
+    try:
+        return montecarlo._batch_values(design, start, stop), spans
+    finally:
+        montecarlo._seed_words = real
+
+
+class TestSeedSpans:
+    # each batch seeds its own rows with one _seed_words call, in-process
+    # and in a pool's workers
+    @pytest.mark.parametrize("n,reps", [(60, 1), (60, 120), (60, 5000), (2, 5000)])
+    @pytest.mark.parametrize("pool", [False, True])
+    def test_one_call_per_batch(self, monkeypatch, started_pools, n, reps, pool):
+        # n = 60: batches of at most 546 rows, so 5 000 replicates make
+        # ten; n = 2: 5 000 replicates make one batch
         spans, real = [], montecarlo._seed_words
 
         def seed_words(seed, start, stop):
             spans.append((start, stop))
             return real(seed, start, stop)
 
-        def batch_values(design, words):
-            return np.zeros((len(words), len(design.k_grid), len(design.specs)))
+        class Pool(concurrent.futures.ProcessPoolExecutor):
+            def map(self, fn, *tasks):
+                assert fn is montecarlo._batch_values
+                for values, task_spans in super().map(spanned_batch_values, *tasks):
+                    spans.extend(task_spans)
+                    yield values
 
         monkeypatch.setattr(montecarlo, "_seed_words", seed_words)
-        monkeypatch.setattr(montecarlo, "_batch_values", batch_values)
-        run_study(design, workers=1)
-        return spans
-
-    @pytest.mark.parametrize("reps", [5000, 9000])
-    def test_blocks_of_whole_batches_tile_the_study(self, monkeypatch, reps):
-        design = one_cell_design(reps)  # n = 60: batches of at most 546 rows
-        spans = self.spans(monkeypatch, design)
-        assert len(spans) > 1 and all(stop - start <= montecarlo._SEED_BLOCK
-                                      for start, stop in spans)
-        assert [start for start, _ in spans] == [0] + [stop for _, stop in spans[:-1]]
-        assert spans[-1][1] == reps
-        stops = {stop for _, stop in montecarlo._batches(reps, design.n)}
-        assert {stop for _, stop in spans} <= stops
-
-    @pytest.mark.parametrize("reps", [1, 2000, 4096])
-    def test_a_study_of_one_block_makes_one_call(self, monkeypatch, reps):
-        assert self.spans(monkeypatch, one_cell_design(reps)) == [(0, reps)]
-
-    def test_a_batch_larger_than_a_block_is_its_own_block(self, monkeypatch):
-        design = dataclasses.replace(one_cell_design(5000), n=2, k_grid=(1,))
-        assert montecarlo._batches(5000, 2) == [(0, 5000)]
-        assert self.spans(monkeypatch, design) == [(0, 5000)]
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+        if pool:
+            TestPoolSize.batches_take(monkeypatch, 1.0)
+            monkeypatch.setattr(montecarlo, "_POOL_COST_S", FREE_POOL)
+        design = dataclasses.replace(one_cell_design(reps), n=n, k_grid=(1,))
+        run_study(design, workers=2 if pool else 1)
+        batches = montecarlo._batches(reps, n)
+        assert spans == batches
+        assert started_pools == ([2] if pool and len(batches) > 3 else [])
 
 
 def fake_records(design, values_by_rep):
@@ -451,18 +470,18 @@ class TestPoolSize:
         assert len(sizes) == math.ceil(reps / (montecarlo._BATCH_VALUES // 500))
         got, real = [], montecarlo._batch_values
 
-        def batch_values(design, words):
-            got.append(len(words))
-            return real(design, words)
+        def batch_values(design, start, stop):
+            got.append(stop - start)
+            return real(design, start, stop)
 
         class Pool(concurrent.futures.ProcessPoolExecutor):
-            def map(self, fn, designs, words):
+            def map(self, fn, designs, starts, stops):
                 assert fn is batch_values
-                words = list(words)
-                got.extend(map(len, words))
+                starts, stops = list(starts), list(stops)
+                got.extend(stop - start for start, stop in zip(starts, stops))
                 # the workers get the batch function by name
                 monkeypatch.setattr(montecarlo, "_batch_values", real)
-                return super().map(real, designs, words)
+                return super().map(real, designs, starts, stops)
 
         monkeypatch.setattr(montecarlo, "_batch_values", batch_values)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
@@ -510,9 +529,7 @@ class TestWorkerIndependence:
     def test_pool_of_several_batches_gives_equal_arrays(self, monkeypatch, started_pools):
         monkeypatch.setattr(montecarlo, "_POOL_COST_S", FREE_POOL)
         monkeypatch.setattr(montecarlo, "_BATCH_VALUES", 16 * 500)
-        monkeypatch.setattr(montecarlo, "_SEED_BLOCK", 30)
-        # four batches of 15 rows, whose seed words come in two blocks of
-        # two batches: the second block's are made for the pool's tasks
+        # four batches of 15 rows, the last two on the pool
         d = small_design(n=500, reps=60)
         serial, pooled = run_study(d, workers=1), run_study(d, workers=2)
         assert started_pools == [2]

@@ -3,7 +3,10 @@
 
 Usage: python3 scripts/output_digests.py OUTDIR
 
-Writes OUTDIR/digests.sha256, one line ``<digest>  <name>`` per output:
+Writes OUTDIR/digests.sha256.  Its first line names numpy's version and
+the SIMD target that numpy dispatches ``log``, ``log1p``, ``exp`` and
+``power`` on float64 to on this machine, since the output bits depend on
+them; then comes one line ``<digest>  <name>`` per output:
 
 * the figure CSVs and SVGs that ``scripts/reproduce_figures.sh`` writes at
   CENSORED_EVI_THREADS 1 and 2;
@@ -25,7 +28,8 @@ digests.  A change keeps every output bit for bit when
 
     diff parent/digests.sha256 change/digests.sha256
 
-is empty; a change that moves bits on purpose lists the lines that differ.
+is empty when both ran under the same numpy and dispatch; a change that
+moves bits on purpose lists the lines that differ.
 """
 
 import hashlib
@@ -102,6 +106,23 @@ alpha = 2
 families = mom
 methods = km
 """
+
+
+# The float64 ufuncs whose bits differ between numpy's SIMD targets.
+DISPATCHED = ("log", "log1p", "exp", "power")
+
+
+def dispatch_line() -> str:
+    """``# numpy V dispatch: log=T ...``, with the target each of
+    DISPATCHED runs on float64 here."""
+    try:
+        from numpy.lib.introspect import opt_func_info
+    except ImportError:  # numpy before 2.0 does not report it
+        targets = ["unknown"]
+    else:
+        info = opt_func_info(func_name="^(" + "|".join(DISPATCHED) + ")$", signature="float64")
+        targets = [f"{name}={next(iter(info[name].values()))['current']}" for name in DISPATCHED]
+    return f"# numpy {np.__version__} dispatch: {' '.join(targets)}\n"
 
 
 def file_digest(path: Path) -> str:
@@ -229,12 +250,12 @@ def main() -> int:
         return 2
     outdir = Path(sys.argv[1])
     outdir.mkdir(parents=True, exist_ok=True)
-    lines = []
+    lines = [dispatch_line()]
     for group in (figures(outdir), estimates(outdir), two_alpha_study(outdir),
                   seeding_studies(outdir), catalogue()):
         lines.extend(f"{digest}  {name}\n" for name, digest in group)
     (outdir / "digests.sha256").write_text("".join(lines))
-    print(f"wrote {len(lines)} digests to {outdir / 'digests.sha256'}")
+    print(f"wrote {len(lines) - 1} digests to {outdir / 'digests.sha256'}")
     return 0
 
 

@@ -43,14 +43,22 @@ Replicates are therefore independent of scheduling, each lands at its
 own index, and the aggregation sums in replicate order, so the result is
 bitwise identical for any batch size and any worker count.
 The worker count comes from the CENSORED_EVI_THREADS environment
-variable when not given explicitly, and is a maximum.  The first two
-batches run in-process, and the second is timed, since the first also
-pays for what is loaded and warmed on first use; the other batches go to
-a pool only when the time a pool would save on them, as measured by the
-second, exceeds the pool's fixed cost ``_POOL_COST_S``, which depends on
-how the pool starts its workers.  A pool starts all its workers up
-front, so it has at most one worker per remaining batch, and a study of
-up to three batches never starts one.
+variable when not given explicitly, and is a maximum.  A process keeps
+the one pool it starts until it exits (``_KEPT``).  The pool has ``w``
+workers: the maximum, or the study's batch count when that is less.  A
+study that finds a kept pool of from ``w`` workers to its maximum sends
+all its batches to it.  Otherwise it runs the first two batches
+in-process and times the second, since the first also pays for what is
+loaded and warmed on first use, and adds what such a pool would have
+saved on the study, as measured by the second, to ``_FORGONE_S``.  Once
+that total exceeds the pool's fixed cost ``_POOL_COST_S``, which depends
+on how the pool starts its workers, the pool starts (replacing a kept
+one) and runs the rest.  With forked workers this is a rent-or-buy
+rule: studies run in-process until the saving they gave up would have
+paid for a pool.  Workers that start afresh cost ten times as much, so
+there the total starts again from 0 after each study, and only a study
+that pays for the pool alone starts it.  Studies with ``w = 1`` leave
+this state alone.
 """
 
 from __future__ import annotations
@@ -58,6 +66,7 @@ from __future__ import annotations
 import functools
 import operator
 import os
+import threading
 from dataclasses import dataclass
 from time import perf_counter
 
@@ -88,13 +97,23 @@ ENV_THREADS = "CENSORED_EVI_THREADS"
 _BATCH_VALUES = 2 ** 15
 
 # Seconds a process pool costs whatever its work, by the start method of
-# its workers: starting them, handing out the batches and collecting their
-# values, and stopping it.  Measured on a 2-CPU Linux machine with workers
-# that import the package (CHANGES.md); a pool pays only when it saves more
-# than this.  A new process (spawn, the default on macOS and Windows) or a
-# fork of a server process (forkserver, the default on Linux from Python
-# 3.14) imports the package again, which fork does not.
+# its workers: chiefly starting them, and the hand-out and collection of a
+# study's batches.  Measured on a 2-CPU Linux machine with 2-worker pools
+# whose workers import the package (CHANGES.md); a pool has at most one
+# worker per batch of the study that starts it, and is kept once started.
+# A new process (spawn, the default on macOS and Windows) or a fork of a
+# server process (forkserver, the default on Linux from Python 3.14)
+# imports the package again, which fork does not.
 _POOL_COST_S = {"fork": 0.03, "forkserver": 0.25, "spawn": 0.3}
+
+# The pool this process keeps, as (workers, ProcessPoolExecutor), or
+# None; the seconds that studies run in-process since a pool last started
+# would have saved on one (with forked workers; with others the total
+# starts again after each study); and the lock held while the pool is
+# priced, replaced or used, so that no thread shuts it down under another.
+_KEPT = None
+_FORGONE_S = 0.0
+_POOL_LOCK = threading.Lock()
 
 # numpy's SeedSequence (numpy/random/bit_generator.pyx): a pool of four
 # uint32 words, the hash constants of its entropy mixing (A) and of its
@@ -391,10 +410,10 @@ def aggregate(values, design: StudyDesign) -> StudyResult:
     return StudyResult(design=design, **columns)
 
 
-def resolve_workers(workers: int | None, tasks: int) -> int:
-    """The most workers a pool may have for ``tasks`` tasks: ``workers``,
-    or CENSORED_EVI_THREADS when it is None, or else the CPUs this process
-    may run on; never more than ``tasks``."""
+def resolve_workers(workers: int | None, tasks: int | None = None) -> int:
+    """The most workers a pool may have: ``workers``, or
+    CENSORED_EVI_THREADS when it is None, or else the CPUs this process
+    may run on; never more than ``tasks`` when given."""
     if workers is None:
         env = os.environ.get(ENV_THREADS)
         if not env:  # the CPUs this process may run on
@@ -409,15 +428,56 @@ def resolve_workers(workers: int | None, tasks: int) -> int:
                 raise ValueError(f"{ENV_THREADS} must be a positive integer, got {env!r}")
     if workers < 1:
         raise ValueError(f"worker count must be >= 1, got {workers}")
-    return min(workers, tasks)
+    return workers if tasks is None else min(workers, tasks)
+
+
+def _start_method() -> str:
+    """The start method a new pool's workers would take."""
+    import multiprocessing  # here, so that serial studies do not load it
+
+    method = multiprocessing.get_start_method(allow_none=True)
+    return method or multiprocessing.get_all_start_methods()[0]
 
 
 def _pool_cost_s() -> float:
     """_POOL_COST_S of the start method a new pool would take."""
-    import multiprocessing  # here, so that serial studies do not load it
+    return _POOL_COST_S[_start_method()]
 
-    method = multiprocessing.get_start_method(allow_none=True)
-    return _POOL_COST_S[method or multiprocessing.get_all_start_methods()[0]]
+
+def _saving(seconds: float, batches: int, workers: int) -> float:
+    """Seconds a pool of ``workers`` saves on ``batches`` batches of
+    ``seconds`` each."""
+    return seconds * (batches - -(-batches // workers))
+
+
+def _start_pool(workers: int) -> None:
+    """Shut the kept pool down and keep a new one of ``workers`` workers;
+    the forgone total starts again from 0."""
+    global _KEPT, _FORGONE_S
+    # imported here, so that studies without a pool do not load its machinery
+    from concurrent.futures import ProcessPoolExecutor
+
+    _drop_pool()
+    _KEPT, _FORGONE_S = (workers, ProcessPoolExecutor(max_workers=workers)), 0.0
+
+
+def _drop_pool():
+    """Shut the kept pool down, if there is one, and keep none."""
+    global _KEPT
+    if _KEPT is not None:
+        (_, pool), _KEPT = _KEPT, None
+        pool.shutdown(cancel_futures=True)
+
+
+def _forget_pool():
+    """Keep no pool and no forgone total in a forked child: the pool's
+    workers and threads belong to the parent, and so may the lock."""
+    global _KEPT, _FORGONE_S, _POOL_LOCK
+    _KEPT, _FORGONE_S, _POOL_LOCK = None, 0.0, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def run_study(design: StudyDesign, workers: int | None = None) -> StudyResult:
@@ -425,39 +485,73 @@ def run_study(design: StudyDesign, workers: int | None = None) -> StudyResult:
 
     The batches are those of ``_batches``, and each batch, a pool task
     too, is ``_batch_values`` of its ``(start, stop)``: it seeds, samples
-    and estimates its own rows and returns their values alone.  The first
-    two batches run in-process, and the second is timed.  The remaining
-    batches run on a pool of ``w = min(workers, remaining batches)``
-    processes when ``second batch time * remaining batches * (1 - 1/w)``,
-    the time the pool would save, exceeds its fixed cost ``_POOL_COST_S``
-    for the start method that multiprocessing would use, and in-process
-    otherwise; ``workers`` (or CENSORED_EVI_THREADS) is thus a maximum.
+    and estimates its own rows and returns their values alone.  The study
+    may use ``w`` workers: ``workers`` (or CENSORED_EVI_THREADS, a
+    maximum), or its batch count when that is less.  With ``w = 1`` it
+    runs in-process and leaves the process's pool state alone.  When the
+    process keeps a pool of from ``w`` workers to the maximum, all batches
+    run on it.  Otherwise the first two batches run in-process and the
+    second is timed, at ``t`` seconds, and the study adds ``_saving(t,
+    batches, w)``, what such a pool would have saved on it, to
+    ``_FORGONE_S``.  Once that total exceeds the pool's fixed cost
+    ``_POOL_COST_S`` for the start method that multiprocessing would use,
+    a kept pool of ``w`` workers replaces any other, the total starts
+    again from 0, and the rest of the batches run on the pool; until
+    then they run in-process, and for a start method other than fork
+    the total starts again from 0 after the study.  A pool that fails is
+    dropped before the error propagates.  ``_POOL_LOCK`` is held while
+    the pool is priced, replaced or used, and not over in-process
+    batches.
     The output is independent of the worker count and of the batch size:
     replicates are pure functions of (seed, index), stored at their index
     and reduced in index order.
     """
+    global _FORGONE_S
     batches = _batches(design.reps, design.n)
-    rest = batches[2:]  # the batches after the first two
-    workers = resolve_workers(workers, max(len(rest), 1))
+    most, workers = resolve_workers(workers), resolve_workers(workers, len(batches))
     values = np.empty((design.reps, len(design.k_grid), len(design.specs)))
+
+    def run(bounds, pool=None):
+        tasks = ([design] * len(bounds), [start for start, _ in bounds],
+                 [stop for _, stop in bounds])
+        try:
+            for (start, stop), batch in zip(
+                    bounds, (map if pool is None else pool.map)(_batch_values, *tasks)):
+                values[start:stop] = batch
+        except BaseException:
+            if pool is not None:
+                _drop_pool()  # a broken or interrupted pool is not kept
+            raise
+
+    def kept():
+        return _KEPT is not None and workers <= _KEPT[0] <= most
+
+    if workers == 1:
+        run(batches)
+        return aggregate(values, design)
+    with _POOL_LOCK:
+        if kept():
+            run(batches, _KEPT[1])
+            return aggregate(values, design)
     # The first batch also pays for what numpy and the library load and
     # warm on first use, so the second is the one timed.
-    for start, stop in batches[:2]:
-        clock = perf_counter()
-        values[start:stop] = _batch_values(design, start, stop)
-    saving = (perf_counter() - clock) * len(rest) * (1 - 1 / workers)
-    tasks = ([design] * len(rest), [start for start, _ in rest], [stop for _, stop in rest])
-
-    def store(results):
-        for (start, stop), batch in zip(rest, results):
-            values[start:stop] = batch
-
-    if saving <= 0 or saving <= _pool_cost_s():
-        store(map(_batch_values, *tasks))
-    else:
-        # imported here, so that studies without a pool do not load its machinery
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            store(pool.map(_batch_values, *tasks))
+    run(batches[:1])
+    clock = perf_counter()
+    run(batches[1:2])
+    seconds = perf_counter() - clock
+    rest = batches[2:]
+    with _POOL_LOCK:
+        if not kept():
+            _FORGONE_S += _saving(seconds, len(batches), workers)
+            if _FORGONE_S > _pool_cost_s():
+                _start_pool(workers)
+            elif _start_method() != "fork":
+                # A pool whose workers start afresh costs ten times a forked
+                # one, and _saving was measured to overestimate what a pool
+                # saves (CHANGES.md), so a total that buys it late loses.
+                _FORGONE_S = 0.0
+        if kept():
+            run(rest, _KEPT[1])
+            return aggregate(values, design)
+    run(rest)
     return aggregate(values, design)

@@ -5,7 +5,7 @@ import concurrent.futures
 import numpy as np
 import pytest
 
-from censored_evi import GPD, ReverseBurr, from_observations, make_censored
+from censored_evi import GPD, ReverseBurr, from_observations, make_censored, montecarlo
 
 # Censoring pairs with matching endpoints covering weak and strong
 # censoring, pure Reverse Burr, pure GPD and mixed designs.
@@ -52,6 +52,15 @@ def draw_sample_with_k(rng, n, design=None, k_hi=None):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20140331)
+
+
+@pytest.fixture(autouse=True)
+def no_kept_pool():
+    """Each test starts with no kept pool and no forgone total, so that no
+    test runs on workers forked before its own monkeypatches."""
+    yield
+    montecarlo._drop_pool()
+    montecarlo._FORGONE_S = 0.0
 
 
 @pytest.fixture

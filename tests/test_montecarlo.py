@@ -4,9 +4,12 @@ import itertools
 import math
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import textwrap
+import time
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -257,7 +260,7 @@ class TestSeedSpans:
         run_study(design, workers=2 if pool else 1)
         batches = montecarlo._batches(reps, n)
         assert spans == batches
-        assert started_pools == ([2] if pool and len(batches) > 3 else [])
+        assert started_pools == ([2] if pool and len(batches) > 1 else [])
 
 
 def fake_records(design, values_by_rep):
@@ -332,6 +335,7 @@ class TestAggregate:
 class TestResolveWorkers:
     def test_explicit(self):
         assert resolve_workers(3, 100) == 3
+        assert resolve_workers(3) == 3
 
     def test_clamped_by_reps(self):
         assert resolve_workers(16, 5) == 5
@@ -369,11 +373,18 @@ class TestResolveWorkers:
         assert str(info.value) == message
 
 
+def same_columns(result, want):
+    return all(np.array_equal(getattr(result, name), getattr(want, name), equal_nan=True)
+               for name in montecarlo._COLUMNS)
+
+
 class TestPoolSize:
-    # run_study runs its first two batches in-process and times the
-    # second; it hands the remaining batches to a pool of w = min(workers,
-    # remaining batches) workers only when second batch time * remaining
-    # batches * (1 - 1/w) exceeds montecarlo._POOL_COST_S.
+    # The process keeps one pool.  A study of w workers, its maximum or
+    # its batch count when that is less, runs on a kept pool of from w
+    # workers to its maximum.  Without one, run_study runs its first two
+    # batches in-process, times the second, t, and adds _saving(t,
+    # batches, w) to montecarlo._FORGONE_S; once that total exceeds
+    # montecarlo._POOL_COST_S, a pool of w workers starts and runs the rest.
     @staticmethod
     def batches_take(monkeypatch, seconds):
         """A clock that advances ``seconds`` at each reading, so each
@@ -382,61 +393,231 @@ class TestPoolSize:
         monkeypatch.setattr(montecarlo, "perf_counter", lambda: seconds * next(ticks))
 
     @staticmethod
-    def never_pooled(monkeypatch, started_pools, batches, full):
-        """A study of ``batches`` batches of n = 500, the last one full or
-        of one replicate, starts no pool however long its batches take and
-        however cheap a pool is."""
-        TestPoolSize.batches_take(monkeypatch, 1e6)
-        monkeypatch.setattr(montecarlo, "_POOL_COST_S", FREE_POOL)
-        rows = montecarlo._BATCH_VALUES // 500
-        design = small_design(n=500, reps=(batches - 1) * rows + (rows if full else 1))
-        result = run_study(design, workers=8)
-        assert started_pools == []
-        assert np.array_equal(result.mse, run_study(design, workers=1).mse, equal_nan=True)
-
-    @pytest.mark.parametrize("batches,full", [(1, True), (1, False), (2, True), (2, False)])
-    def test_one_or_two_batches_never_start_a_pool(self, monkeypatch, started_pools, batches,
-                                                    full):
-        # both run in-process, and no batch is left for a pool
-        self.never_pooled(monkeypatch, started_pools, batches, full)
-
-    @pytest.mark.parametrize("full", [True, False])
-    def test_three_batches_never_start_a_pool(self, monkeypatch, started_pools, full):
-        # the one batch after the first two would run on one worker, which
-        # saves nothing
-        self.never_pooled(monkeypatch, started_pools, 3, full)
-
-    @staticmethod
     def pools_start_by(monkeypatch, method):
         """run_study prices its pool as one whose workers start by
         ``method``; the pool it starts still takes the default method."""
         monkeypatch.setattr(multiprocessing, "get_start_method", lambda allow_none=False: method)
 
+    @staticmethod
+    def figure3(reps=2000):
+        design = parse_config(FIGURE3.read_text()).to_design()
+        assert design.reps == 2000
+        return dataclasses.replace(design, reps=reps)
+
+    def test_repeated_small_studies_buy_one_pool(self, monkeypatch, started_pools):
+        # the 80-replicate figure-3 study has two batches of 40: at 2 fork
+        # workers with its second batch timed at 4 ms, each study forgoes
+        # 4 ms, and the eighth takes the total past the 0.03 s a pool
+        # costs and starts it; later studies run on it, and every result
+        # keeps its bits
+        self.batches_take(monkeypatch, 0.004)
+        self.pools_start_by(monkeypatch, "fork")
+        design = self.figure3(80)
+        assert montecarlo._batches(80, design.n) == [(0, 40), (40, 80)]
+        want = run_study(design, workers=1)
+        studies = math.floor(montecarlo._POOL_COST_S["fork"] / 0.004) + 1
+        assert studies == 8
+        for study in range(1, studies + 3):
+            assert same_columns(run_study(design, workers=2), want)
+            assert started_pools == ([2] if study >= studies else [])
+            if study == studies:
+                pool = montecarlo._KEPT[1]
+                assert montecarlo._FORGONE_S == 0.0
+        assert montecarlo._KEPT == (2, pool)
+        assert montecarlo._FORGONE_S == 0.0
+        assert len(pool._processes) == 2  # the studies after it ran on its workers
+
     def test_long_study_starts_a_pool(self, monkeypatch, started_pools):
         # the figure-3 study at 2 workers with its second batch timed at
         # 5 ms, about what 65 of its replicates take on a 2-CPU machine:
-        # with fork workers the pool pays at 2000 replicates, at 80 it
-        # does not
+        # a pool would save 15 of its 31 batch times, 0.075 s, more than a
+        # fork pool costs
         self.batches_take(monkeypatch, 0.005)
         self.pools_start_by(monkeypatch, "fork")
-        design = parse_config(FIGURE3.read_text()).to_design()
-        assert design.reps == 2000
-        run_study(dataclasses.replace(design, reps=80), workers=2)
-        assert started_pools == []
-        run_study(design, workers=2)
+        design = self.figure3()
+        assert montecarlo._saving(0.005, 31, 2) == pytest.approx(0.075)
+        want = run_study(design, workers=1)
+        assert same_columns(run_study(design, workers=2), want)
         assert started_pools == [2]
+        pool = montecarlo._KEPT[1]
+        assert same_columns(run_study(design, workers=2), want)
+        assert started_pools == [2]
+        assert montecarlo._KEPT == (2, pool)
 
     @pytest.mark.parametrize("method", ["forkserver", "spawn"])
     def test_long_study_keeps_a_slow_starting_pool_out(self, monkeypatch, started_pools,
                                                         method):
-        # the same study saves about 0.07 s on the pool, less than a pool
-        # costs whose workers import the package again
+        # the same study saves 0.075 s, less than a pool costs whose
+        # workers import the package again; such a pool is bought by no
+        # total, so however many of these studies run, none starts one
         self.batches_take(monkeypatch, 0.005)
         self.pools_start_by(monkeypatch, method)
-        design = parse_config(FIGURE3.read_text()).to_design()
-        assert design.reps == 2000
-        run_study(design, workers=2)
+        for _ in range(2 + math.ceil(montecarlo._POOL_COST_S[method] / 0.075)):
+            run_study(self.figure3(), workers=2)
+            assert started_pools == []
+            assert (montecarlo._KEPT, montecarlo._FORGONE_S) == (None, 0.0)
+
+    @pytest.mark.parametrize("method", ["forkserver", "spawn"])
+    def test_long_study_that_pays_keeps_a_slow_starting_pool(self, monkeypatch, started_pools,
+                                                             method):
+        # at 25 ms batches the figure-3 study saves 0.375 s, more than
+        # either costs: it starts the pool, and the next study reuses it
+        self.batches_take(monkeypatch, 0.025)
+        self.pools_start_by(monkeypatch, method)
+        for _ in range(2):
+            run_study(self.figure3(), workers=2)
+            assert started_pools == [2]
+
+    @pytest.mark.parametrize("batches,full", [(1, True), (1, False), (2, True), (2, False),
+                                              (3, True), (3, False)])
+    def test_few_batches_run_in_process_and_count_toward_a_pool(self, monkeypatch,
+                                                                 started_pools, batches, full):
+        # a study of batches batches of n = 500, the last one full or of
+        # one replicate, with 1e6 s batches and a free pool: one batch
+        # leaves the pool state alone; with two or three, the first two
+        # run in-process, and their forgone saving buys a pool of one
+        # worker per batch, which runs the third
+        self.batches_take(monkeypatch, 1e6)
+        monkeypatch.setattr(montecarlo, "_POOL_COST_S", FREE_POOL)
+        rows = montecarlo._BATCH_VALUES // 500
+        design = small_design(n=500, reps=(batches - 1) * rows + (rows if full else 1))
+        ran, real = [], montecarlo._batch_sample
+
+        def batch_sample(design, start, stop):  # in-process, what a pool's workers do apart
+            ran.append((start, stop))
+            return real(design, start, stop)
+
+        monkeypatch.setattr(montecarlo, "_batch_sample", batch_sample)
+        result = run_study(design, workers=3)
+        assert ran == montecarlo._batches(design.reps, 500)[:2]
+        assert started_pools == ([] if batches == 1 else [batches])
+        assert montecarlo._FORGONE_S == 0.0
+        assert same_columns(result, run_study(design, workers=1))
+
+    def test_saving_of_a_kept_pool(self):
+        # the pool runs every batch, w at a time
+        assert montecarlo._saving(1.0, 1, 8) == 0
+        assert montecarlo._saving(1.0, 2, 2) == 1
+        assert montecarlo._saving(1.0, 3, 2) == 1
+        assert montecarlo._saving(1.0, 31, 2) == 15
+        assert montecarlo._saving(1.0, 31, 4) == 23
+
+    @pytest.mark.parametrize("batches", [1, 2, 3, 31])
+    def test_one_worker_never_starts_or_uses_a_pool(self, monkeypatch, started_pools, batches):
+        # nor reads or writes the process's pool state, however long its
+        # batches take and however cheap a pool is
+        self.batches_take(monkeypatch, 1e6)
+        monkeypatch.setattr(montecarlo, "_POOL_COST_S", FREE_POOL)
+        design = small_design(n=500, reps=65 * batches)
+        assert len(montecarlo._batches(design.reps, 500)) == batches
+        want = run_study(design, workers=1)
         assert started_pools == []
+        assert (montecarlo._KEPT, montecarlo._FORGONE_S) == (None, 0.0)
+        kept = (2, object())  # a pool that fails on any use
+        monkeypatch.setattr(montecarlo, "_KEPT", kept)
+        monkeypatch.setattr(montecarlo, "_FORGONE_S", 0.01)
+        assert same_columns(run_study(design, workers=1), want)
+        assert (montecarlo._KEPT, montecarlo._FORGONE_S) == (kept, 0.01)
+
+    def test_a_new_maximum_replaces_the_pool(self, monkeypatch, started_pools):
+        # a larger one, which the kept pool is too small for, and a smaller
+        # one, which it is too large for
+        self.batches_take(monkeypatch, 1.0)
+        monkeypatch.setattr(montecarlo, "_POOL_COST_S", FREE_POOL)
+        design = small_design(n=500, reps=300)  # five batches
+        want = run_study(design, workers=1)
+        assert same_columns(run_study(design, workers=2), want)
+        old = montecarlo._KEPT[1]
+        assert same_columns(run_study(design, workers=3), want)
+        assert started_pools == [2, 3]
+        assert montecarlo._KEPT[0] == 3
+        with pytest.raises(RuntimeError, match="shutdown"):  # shut down before the new one
+            old.submit(int)
+        assert same_columns(run_study(design, workers=2), want)
+        assert started_pools == [2, 3, 2]
+
+    def test_pool_grows_to_the_batches_a_study_can_use(self, monkeypatch, started_pools):
+        # at a maximum of 4, a two-batch study keeps a pool of 2; a
+        # five-batch study replaces it by one of 4, which the two-batch
+        # study then shares
+        self.batches_take(monkeypatch, 1.0)
+        monkeypatch.setattr(montecarlo, "_POOL_COST_S", FREE_POOL)
+        short, long = small_design(n=500, reps=130), small_design(n=500, reps=300)
+        want = [run_study(design, workers=1) for design in (short, long)]
+        for design, sizes in ((short, [2]), (short, [2]), (long, [2, 4]), (short, [2, 4])):
+            assert same_columns(run_study(design, workers=4), want[design is long])
+            assert started_pools == sizes
+        assert montecarlo._KEPT[0] == 4
+        assert len(montecarlo._KEPT[1]._processes) == 4
+
+    @pytest.mark.parametrize("reps", [65, 130, 195, 2000])
+    def test_kept_pool_keeps_every_bit(self, monkeypatch, started_pools, reps):
+        # 1, 2, 3 and 31 batches of at most 65 rows at n = 500; one batch
+        # runs in-process, as a one-worker study
+        monkeypatch.setattr(montecarlo, "_POOL_COST_S", FREE_POOL)
+        run_study(small_design(n=500, reps=66), workers=2)  # two batches keep a free pool
+        assert montecarlo._KEPT[0] == 2
+        design = small_design(n=500, reps=reps)
+        assert same_columns(run_study(design, workers=2), run_study(design, workers=1))
+        assert started_pools == [2]
+
+    def test_a_broken_pool_is_dropped_before_the_error_propagates(self, monkeypatch,
+                                                                  started_pools):
+        self.batches_take(monkeypatch, 1.0)
+        monkeypatch.setattr(montecarlo, "_POOL_COST_S", FREE_POOL)
+        design = small_design(n=500, reps=300)  # five batches: the last three start a pool
+        want = run_study(design, workers=1)
+        assert same_columns(run_study(design, workers=2), want)
+        pool = montecarlo._KEPT[1]
+        os.kill(next(iter(pool._processes)), signal.SIGKILL)
+        with pytest.raises(BrokenProcessPool):
+            for _ in range(200):  # until the pool notices its worker's death
+                run_study(design, workers=2)
+                time.sleep(0.05)
+        assert montecarlo._KEPT is None
+        assert same_columns(run_study(design, workers=2), want)
+        assert started_pools == [2, 2]
+
+    def test_threads_never_run_on_a_pool_another_shut_down(self, monkeypatch):
+        # more threads than CPUs run studies at two maxima, which replace
+        # the kept pool in turn; the pools run their batches in the
+        # calling thread, so that no process forks beside threads
+        class Pool:
+            def __init__(self, max_workers):
+                self.open = True
+
+            def map(self, fn, *tasks):
+                for args in zip(*tasks):
+                    assert self.open, "a batch ran on a pool that was shut down"
+                    yield fn(*args)
+
+            def shutdown(self, cancel_futures=False):
+                self.open = False
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(montecarlo, "_POOL_COST_S", FREE_POOL)
+        design = small_design(n=500, reps=300)  # five batches
+        want = run_study(design, workers=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with concurrent.futures.ThreadPoolExecutor(max_workers=6) as threads:
+                results = list(threads.map(lambda i: run_study(design, workers=2 + i % 2),
+                                           range(24), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(same_columns(result, want) for result in results)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
+    def test_a_forked_child_keeps_no_pool(self, monkeypatch):
+        kept = (2, object())
+        monkeypatch.setattr(montecarlo, "_KEPT", kept)
+        monkeypatch.setattr(montecarlo, "_FORGONE_S", 0.02)
+        pid = os.fork()
+        if pid == 0:  # the child reports through its exit status alone
+            os._exit(0 if (montecarlo._KEPT, montecarlo._FORGONE_S) == (None, 0.0) else 1)
+        assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
+        assert (montecarlo._KEPT, montecarlo._FORGONE_S) == (kept, 0.02)
 
     @pytest.mark.parametrize("second,pool", [(0.0, []), (0.005, [2])])
     def test_only_the_second_batch_is_timed(self, monkeypatch, started_pools, second, pool):
@@ -465,7 +646,7 @@ class TestPoolSize:
     def test_fewest_batches_of_equal_sizes(self, monkeypatch, started_pools, reps, sizes, pool):
         # at n = 500 a batch has at most 65 rows: a study takes the fewest
         # batches that allows, their sizes differing by at most one, in
-        # process and through a pool that always pays (from four batches)
+        # process and through a pool that always pays
         assert max(sizes) <= montecarlo._BATCH_VALUES // 500
         assert len(sizes) == math.ceil(reps / (montecarlo._BATCH_VALUES // 500))
         got, real = [], montecarlo._batch_values
@@ -490,7 +671,7 @@ class TestPoolSize:
             monkeypatch.setattr(montecarlo, "_POOL_COST_S", FREE_POOL)
         run_study(dataclasses.replace(one_cell_design(reps), n=500), workers=2 if pool else 1)
         assert got == sizes
-        assert started_pools == ([2] if pool and len(sizes) > 3 else [])
+        assert started_pools == ([2] if pool and len(sizes) > 1 else [])
 
     def test_pool_cost_follows_the_default_start_method(self, monkeypatch):
         # before any start method is set, the cost is that of the default,
@@ -500,17 +681,18 @@ class TestPoolSize:
             monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: methods)
             assert montecarlo._pool_cost_s() == montecarlo._POOL_COST_S[methods[0]]
 
-    @pytest.mark.parametrize("reps,workers,pool", [(10, 8, 3), (10, 2, 2), (10, 1, None),
-                                                   (7, 8, 2), (4, 8, None)])
-    def test_pool_has_one_worker_per_remaining_batch_at_most(self, monkeypatch, started_pools,
-                                                             reps, workers, pool):
+    @pytest.mark.parametrize("reps,workers,pool", [(10, 8, 5), (10, 2, 2), (10, 1, None),
+                                                   (7, 8, 4), (4, 8, 2)])
+    def test_pool_has_one_worker_per_batch_at_most(self, monkeypatch, started_pools,
+                                                   reps, workers, pool):
+        # a study of 5, 4 or 2 batches keeps no worker it cannot use
         self.batches_take(monkeypatch, 1.0)
         monkeypatch.setattr(montecarlo, "_POOL_COST_S", FREE_POOL)
         monkeypatch.setattr(montecarlo, "_BATCH_VALUES", 2 * 60)  # 2 rows at n = 60
         design = small_design(reps=reps)
         result = run_study(design, workers=workers)
         assert started_pools == ([] if pool is None else [pool])
-        assert np.array_equal(result.mse, run_study(design, workers=1).mse, equal_nan=True)
+        assert same_columns(result, run_study(design, workers=1))
 
 
 class TestWorkerIndependence:
@@ -554,6 +736,22 @@ class TestWorkerIndependence:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": path})
         assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    def test_kept_pool_workers_end_with_the_process(self):
+        # a process that keeps a pool and exits normally leaves no worker
+        pids = self.run_fresh("""
+            import dataclasses, multiprocessing
+            from censored_evi import montecarlo
+            montecarlo._POOL_COST_S = dict.fromkeys(montecarlo._POOL_COST_S, 0.0)
+            run_study(dataclasses.replace(design, reps=200), workers=2)  # four batches
+            assert montecarlo._KEPT[0] == 2
+            print(*[child.pid for child in multiprocessing.active_children()])
+        """).split()
+        assert pids
+        for pid in map(int, pids):
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
 
     def test_serial_runs_do_not_import_the_pool(self):
         self.run_fresh("""

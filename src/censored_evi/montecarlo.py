@@ -8,11 +8,11 @@ true index of X, mean, variance and the count of degenerate replicates
 
 Replicates run in the fewest batches of at most ``max(1, _BATCH_VALUES
 // n)`` consecutive indices, with sizes that differ by at most one
-(``_batches``): at n = 500, 2 of 60 for 120 replicates and 31 of 64 or
-65 for 2 000.  A batch's sample arrays thus hold at most about
-``_BATCH_VALUES`` values, and since every batch pays a fixed cost of
-Python calls whatever its size, a study pays it as few times as that
-bound allows.  ``_batch_values`` of ``(start, stop)`` seeds and draws the
+(``_batches``, through ``_split``): at n = 500, 2 of 60 for 120
+replicates and 31 of 64 or 65 for 2 000.  A batch's sample arrays thus
+hold at most about ``_BATCH_VALUES`` values, and since every batch pays a
+fixed cost of Python calls whatever its size, a study pays it as few
+times as that bound allows.  ``_batch_values`` of ``(start, stop)`` seeds and draws the
 uniforms of those ``R`` rows, maps them through each family's quantile
 once, builds one ``(R, n)`` censored sample and makes one ``estimate``
 call over the whole k-grid, which yields the batch's ``(R,
@@ -20,8 +20,8 @@ len(k_grid), len(specs))`` value array;
 every library call on the way acts along the last axis, so a row of the
 batch gets the bits its sample gets on its own.  ``run_study`` stores
 each batch at its rows of one ``(reps, len(k_grid), len(specs))`` array,
-and a pool task is one batch.  ``aggregate`` reduces that array along
-the replicate axis.
+and a pool worker runs whole batches.  ``aggregate`` reduces that array
+along the replicate axis.
 ``StudyResult`` keeps each statistic as a ``(len(k_grid), len(specs))``
 column; ``_listing`` puts the columns in the order every listing of a
 study takes, which ``simulate``'s writer and the per-cell ``cells`` view
@@ -37,28 +37,36 @@ SeedSequence states of its rows in one vectorised pass of
 words numpy's ``generate_state(4, np.uint64)`` gives; the pass holds
 about 128 bytes a row, so the batch's size bounds it too.  Each row's
 words seed ``PCG64`` through a ``numpy.random.bit_generator.ISeedSequence``,
-and a pool task is the batch's ``(design, start, stop)``.  The replicate
-index is one 32-bit entropy word, so a study has at most 2**32 replicates.
+and a pool worker gets the ``(design, batch bounds)`` of its share.  The
+replicate index is one 32-bit entropy word, so a study has at most 2**32
+replicates.
 Replicates are therefore independent of scheduling, each lands at its
 own index, and the aggregation sums in replicate order, so the result is
 bitwise identical for any batch size and any worker count.
 The worker count comes from the CENSORED_EVI_THREADS environment
 variable when not given explicitly, and is a maximum.  A process keeps
 the one pool it starts until it exits (``_KEPT``).  The pool has ``w``
-workers: the maximum, or the study's batch count when that is less.  A
-study that finds a kept pool of from ``w`` workers to its maximum sends
-all its batches to it.  Otherwise it runs the first two batches
-in-process and times the second, since the first also pays for what is
-loaded and warmed on first use, and adds what such a pool would have
-saved on the study, as measured by the second, to ``_FORGONE_S``.  Once
-that total exceeds the pool's fixed cost ``_POOL_COST_S``, which depends
-on how the pool starts its workers, the pool starts (replacing a kept
-one) and runs the rest.  With forked workers this is a rent-or-buy
-rule: studies run in-process until the saving they gave up would have
-paid for a pool.  Workers that start afresh cost ten times as much, so
-there the total starts again from 0 after each study, and only a study
-that pays for the pool alone starts it.  Studies with ``w = 1`` leave
-this state alone.
+participants: the maximum, or the study's batch count when that is
+less.  One is the study's own process and the other ``w - 1`` are
+``multiprocessing`` processes, each serving one pipe (``_serve``), so
+the pool runs no thread.  A pool runs a list of batches as ``w``
+consecutive shares of whole batches whose sizes differ by at most one:
+each worker is sent its share, the study's own process runs the last
+and smallest one meanwhile, and then receives each worker's values as
+one array.  A worker ends at its pipe's EOF, so it ends with the process
+that started it however that process ends.  A study that finds a kept
+pool of from ``w`` participants to its maximum runs all its batches on
+it.  Otherwise it runs the first two batches in-process and times the
+second, since the first also pays for what is loaded and warmed on
+first use, and adds what such a pool would have saved on the study, as
+measured by the second, to ``_FORGONE_S``.  Once that total exceeds the
+pool's fixed cost ``_POOL_COST_S``, which depends on how the pool starts
+its workers, the pool starts (replacing a kept one) and runs the rest.
+With forked workers this is a rent-or-buy rule: studies run in-process
+until the saving they gave up would have paid for a pool.  Workers that
+start afresh cost ten times as much, so there the total starts again
+from 0 after each study, and only a study that pays for the pool alone
+starts it.  Studies with ``w = 1`` leave this state alone.
 """
 
 from __future__ import annotations
@@ -96,21 +104,22 @@ ENV_THREADS = "CENSORED_EVI_THREADS"
 # benchmark's speed, peak memory and page faults (CHANGES.md).
 _BATCH_VALUES = 2 ** 15
 
-# Seconds a process pool costs whatever its work, by the start method of
-# its workers: chiefly starting them, and the hand-out and collection of a
-# study's batches.  Measured on a 2-CPU Linux machine with 2-worker pools
-# whose workers import the package (CHANGES.md); a pool has at most one
-# worker per batch of the study that starts it, and is kept once started.
-# A new process (spawn, the default on macOS and Windows) or a fork of a
-# server process (forkserver, the default on Linux from Python 3.14)
-# imports the package again, which fork does not.
+# Seconds a pool costs whatever its work, by the start method of its
+# workers: chiefly starting them, and the hand-out and collection of a
+# study's shares.  Measured on a 2-CPU Linux machine with pools of two
+# participants whose workers import the package (CHANGES.md); a pool has
+# at most one participant per batch of the study that starts it, and is
+# kept once started.  A new process (spawn, the default on macOS and
+# Windows) or a fork of a server process (forkserver, the default on
+# Linux from Python 3.14) imports the package again, which fork does not.
 _POOL_COST_S = {"fork": 0.03, "forkserver": 0.25, "spawn": 0.3}
 
-# The pool this process keeps, as (workers, ProcessPoolExecutor), or
-# None; the seconds that studies run in-process since a pool last started
-# would have saved on one (with forked workers; with others the total
-# starts again after each study); and the lock held while the pool is
-# priced, replaced or used, so that no thread shuts it down under another.
+# The pool this process keeps, a _Pool, or None; the seconds that studies
+# run in-process since a pool last started would have saved on one (with
+# forked workers; with others the total starts again after each study);
+# and the lock held while the pool is priced, replaced or used, its own
+# share run by this process included, so that no thread shuts it down
+# under another.
 _KEPT = None
 _FORGONE_S = 0.0
 _POOL_LOCK = threading.Lock()
@@ -319,14 +328,20 @@ def _generator_parts() -> tuple:
     return Generator, PCG64, SeedWords
 
 
+def _split(total: int, parts: int) -> list[tuple[int, int]]:
+    """``(start, stop)`` of ``parts`` consecutive ranges that cover ``0`` to
+    ``total``, the first ``total % parts`` of them one larger than the
+    rest."""
+    size, larger = divmod(total, parts)
+    bounds = [i * size + min(i, larger) for i in range(parts + 1)]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
 def _batches(reps: int, n: int) -> list[tuple[int, int]]:
     """``(start, stop)`` of each batch of a study: the fewest batches of at
-    most ``max(1, _BATCH_VALUES // n)`` consecutive replicates, the first
-    ``reps % count`` of them one replicate larger than the rest."""
-    count = -(-reps // max(1, _BATCH_VALUES // n))
-    size, larger = divmod(reps, count)
-    bounds = [i * size + min(i, larger) for i in range(count + 1)]
-    return list(zip(bounds[:-1], bounds[1:]))
+    most ``max(1, _BATCH_VALUES // n)`` consecutive replicates, their sizes
+    differing by at most one (``_split``)."""
+    return _split(reps, -(-reps // max(1, _BATCH_VALUES // n)))
 
 
 def _uniforms(words: np.ndarray, n: int) -> np.ndarray:
@@ -355,9 +370,14 @@ def _batch_sample(design: StudyDesign, start: int, stop: int) -> CensoredSample:
 
 def _batch_values(design: StudyDesign, start: int, stop: int) -> np.ndarray:
     """The ``(stop - start, len(k_grid), len(specs))`` values of
-    ``estimate`` over the whole k-grid on the samples of ``_batch_sample``;
-    a pool task."""
+    ``estimate`` over the whole k-grid on the samples of ``_batch_sample``."""
     return estimate(_batch_sample(design, start, stop), design.k_grid, design.specs)[1]
+
+
+def _run_batches(design: StudyDesign, bounds, values: np.ndarray) -> None:
+    """Store each batch of ``bounds`` at its rows of ``values``, in-process."""
+    for start, stop in bounds:
+        values[start:stop] = _batch_values(design, start, stop)
 
 
 def run_replicate(design: StudyDesign, replicate_index: int) -> list[EstimateRecord]:
@@ -445,34 +465,127 @@ def _pool_cost_s() -> float:
 
 
 def _saving(seconds: float, batches: int, workers: int) -> float:
-    """Seconds a pool of ``workers`` saves on ``batches`` batches of
-    ``seconds`` each."""
+    """Seconds a pool of ``workers`` participants saves on ``batches``
+    batches of ``seconds`` each."""
     return seconds * (batches - -(-batches // workers))
 
 
-def _start_pool(workers: int) -> None:
-    """Shut the kept pool down and keep a new one of ``workers`` workers;
-    the forgone total starts again from 0."""
-    global _KEPT, _FORGONE_S
-    # imported here, so that studies without a pool do not load its machinery
-    from concurrent.futures import ProcessPoolExecutor
+def _serve(end) -> None:
+    """A pool worker: for each ``(design, bounds)`` that arrives on ``end``,
+    send back the values of those batches as one array, or the exception
+    that computing them raised; return at the pipe's EOF, which comes when
+    the process that started the worker closes its end or dies.  A forked
+    worker holds no parent-side end open, since the fork hook closed them
+    (``_forget_pool``)."""
+    import signal  # here, so that importing the package does not load it
 
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the study's own process handles it
+    while True:
+        try:
+            design, bounds = end.recv()
+        except EOFError:
+            return
+        try:
+            reply = np.concatenate([_batch_values(design, start, stop)
+                                    for start, stop in bounds])
+        except Exception as error:  # raised again by the study's own process
+            reply = error
+        try:
+            end.send(reply)
+        except OSError:  # that process is gone
+            return
+
+
+def _piped(process, call, *args):
+    """``call(*args)`` on the pipe of the pool worker ``process``, with an
+    error that names the worker when the pipe breaks."""
+    try:
+        return call(*args)
+    except (EOFError, OSError) as error:
+        process.join(1)
+        raise RuntimeError(f"pool worker {process.name} (pid {process.pid}) stopped, "
+                           f"exit code {process.exitcode}") from error
+
+
+class _Pool:
+    """The study's own process and ``workers - 1`` worker processes, each
+    serving one pipe (``_serve``) once started."""
+
+    def __init__(self, workers: int):
+        self.workers, self.ends, self.processes = workers, [], []
+
+    def start(self) -> None:
+        """Start the workers; a worker forked meanwhile closes its copies of
+        the ends made before it, its own pipe's included (``_forget_pool``),
+        when this pool is the kept one."""
+        import multiprocessing  # here, so that studies without a pool do not load it
+
+        for _ in range(self.workers - 1):
+            end, theirs = multiprocessing.Pipe()
+            self.ends.append(end)
+            process = multiprocessing.Process(target=_serve, args=(theirs,), daemon=True)
+            process.start()
+            theirs.close()
+            self.processes.append(process)
+
+    def run(self, design: StudyDesign, shares, values: np.ndarray) -> None:
+        """Store the batches of ``shares``, lists of consecutive
+        ``(start, stop)``, at their rows of ``values``: the workers run one
+        share each, the last share runs here meanwhile, and an exception a
+        worker's share raised is raised here."""
+        *theirs, mine = shares
+        asked = [(end, process, share) for end, process, share
+                 in zip(self.ends, self.processes, theirs) if share]
+        for end, process, share in asked:
+            _piped(process, end.send, (design, share))
+        _run_batches(design, mine, values)
+        for end, process, share in asked:
+            reply = _piped(process, end.recv)
+            if isinstance(reply, BaseException):
+                raise reply
+            values[share[0][0]:share[-1][1]] = reply
+
+    def close(self) -> None:
+        """Close the pipes, then terminate and join the workers."""
+        for end in self.ends:
+            end.close()
+        for process in self.processes:
+            process.terminate()
+        for process in self.processes:
+            process.join()
+
+
+def _start_pool(workers: int) -> None:
+    """Shut the kept pool down and keep a new one of ``workers``
+    participants, kept before its workers start so that the fork hook
+    sees its ends; the forgone total starts again from 0."""
+    global _KEPT, _FORGONE_S
     _drop_pool()
-    _KEPT, _FORGONE_S = (workers, ProcessPoolExecutor(max_workers=workers)), 0.0
+    _KEPT, _FORGONE_S = _Pool(workers), 0.0
+    try:
+        _KEPT.start()
+    except BaseException:
+        _drop_pool()
+        raise
 
 
 def _drop_pool():
     """Shut the kept pool down, if there is one, and keep none."""
     global _KEPT
     if _KEPT is not None:
-        (_, pool), _KEPT = _KEPT, None
-        pool.shutdown(cancel_futures=True)
+        pool, _KEPT = _KEPT, None
+        pool.close()
 
 
 def _forget_pool():
-    """Keep no pool and no forgone total in a forked child: the pool's
-    workers and threads belong to the parent, and so may the lock."""
+    """In a forked child, the kept pool's own workers included, close the
+    copies of the kept pool's pipe ends, so that its workers still end
+    with the process that started them, and keep no pool and no forgone
+    total: the workers belong to that process, and so may the lock."""
     global _KEPT, _FORGONE_S, _POOL_LOCK
+    if _KEPT is not None:
+        for end in _KEPT.ends:
+            end.close()
     _KEPT, _FORGONE_S, _POOL_LOCK = None, 0.0, threading.Lock()
 
 
@@ -483,25 +596,30 @@ if hasattr(os, "register_at_fork"):
 def run_study(design: StudyDesign, workers: int | None = None) -> StudyResult:
     """Run all replicates in batches and aggregate.
 
-    The batches are those of ``_batches``, and each batch, a pool task
-    too, is ``_batch_values`` of its ``(start, stop)``: it seeds, samples
+    The batches are those of ``_batches``, and each batch, wherever it
+    runs, is ``_batch_values`` of its ``(start, stop)``: it seeds, samples
     and estimates its own rows and returns their values alone.  The study
-    may use ``w`` workers: ``workers`` (or CENSORED_EVI_THREADS, a
+    may use ``w`` participants: ``workers`` (or CENSORED_EVI_THREADS, a
     maximum), or its batch count when that is less.  With ``w = 1`` it
-    runs in-process and leaves the process's pool state alone.  When the
-    process keeps a pool of from ``w`` workers to the maximum, all batches
-    run on it.  Otherwise the first two batches run in-process and the
-    second is timed, at ``t`` seconds, and the study adds ``_saving(t,
-    batches, w)``, what such a pool would have saved on it, to
+    runs in-process and leaves the process's pool state alone.  On a pool
+    the batches run as ``w`` consecutive shares of whole batches
+    (``_split``), sizes differing by at most one: the first ``w - 1`` go
+    to the pool's workers, and this process runs the last and smallest.
+    When the process keeps a pool of from ``w`` participants to the
+    maximum, all batches run on it.  Otherwise the first two batches run
+    in-process and the second is timed, at ``t`` seconds, and the study
+    adds ``_saving(t, batches, w)``, what such a pool would have saved on
+    it, to
     ``_FORGONE_S``.  Once that total exceeds the pool's fixed cost
     ``_POOL_COST_S`` for the start method that multiprocessing would use,
-    a kept pool of ``w`` workers replaces any other, the total starts
+    a kept pool of ``w`` participants replaces any other, the total starts
     again from 0, and the rest of the batches run on the pool; until
     then they run in-process, and for a start method other than fork
-    the total starts again from 0 after the study.  A pool that fails is
-    dropped before the error propagates.  ``_POOL_LOCK`` is held while
-    the pool is priced, replaced or used, and not over in-process
-    batches.
+    the total starts again from 0 after the study.  A pool that fails (a
+    worker that stops, an exception in a share, an interrupt) is dropped,
+    its pipes closed and its workers terminated and joined, before the
+    error propagates.  ``_POOL_LOCK`` is held while the pool is priced,
+    replaced or used, and not over in-process batches.
     The output is independent of the worker count and of the batch size:
     replicates are pure functions of (seed, index), stored at their index
     and reduced in index order.
@@ -511,33 +629,28 @@ def run_study(design: StudyDesign, workers: int | None = None) -> StudyResult:
     most, workers = resolve_workers(workers), resolve_workers(workers, len(batches))
     values = np.empty((design.reps, len(design.k_grid), len(design.specs)))
 
-    def run(bounds, pool=None):
-        tasks = ([design] * len(bounds), [start for start, _ in bounds],
-                 [stop for _, stop in bounds])
+    def pooled(bounds):
         try:
-            for (start, stop), batch in zip(
-                    bounds, (map if pool is None else pool.map)(_batch_values, *tasks)):
-                values[start:stop] = batch
+            _KEPT.run(design, [bounds[a:b] for a, b in _split(len(bounds), workers)], values)
         except BaseException:
-            if pool is not None:
-                _drop_pool()  # a broken or interrupted pool is not kept
+            _drop_pool()  # a broken or interrupted pool is not kept
             raise
+        return aggregate(values, design)
 
     def kept():
-        return _KEPT is not None and workers <= _KEPT[0] <= most
+        return _KEPT is not None and workers <= _KEPT.workers <= most
 
     if workers == 1:
-        run(batches)
+        _run_batches(design, batches, values)
         return aggregate(values, design)
     with _POOL_LOCK:
         if kept():
-            run(batches, _KEPT[1])
-            return aggregate(values, design)
+            return pooled(batches)
     # The first batch also pays for what numpy and the library load and
     # warm on first use, so the second is the one timed.
-    run(batches[:1])
+    _run_batches(design, batches[:1], values)
     clock = perf_counter()
-    run(batches[1:2])
+    _run_batches(design, batches[1:2], values)
     seconds = perf_counter() - clock
     rest = batches[2:]
     with _POOL_LOCK:
@@ -551,7 +664,6 @@ def run_study(design: StudyDesign, workers: int | None = None) -> StudyResult:
                 # saves (CHANGES.md), so a total that buys it late loses.
                 _FORGONE_S = 0.0
         if kept():
-            run(rest, _KEPT[1])
-            return aggregate(values, design)
-    run(rest)
+            return pooled(rest)
+    _run_batches(design, rest, values)
     return aggregate(values, design)

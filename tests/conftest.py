@@ -1,7 +1,5 @@
 """Shared fixtures and sample builders for the test suite."""
 
-import concurrent.futures
-
 import numpy as np
 import pytest
 
@@ -65,15 +63,15 @@ def no_kept_pool():
 
 @pytest.fixture
 def started_pools(monkeypatch):
-    """The worker counts of the process pools ``run_study`` starts during
-    the test, in order; the pools are real."""
+    """The participant counts of the pools ``run_study`` starts during the
+    test, in order; the pools are real."""
     sizes = []
 
-    class Recording(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-            super().__init__(max_workers=max_workers)
+    class Recording(montecarlo._Pool):
+        def __init__(self, workers):
+            sizes.append(workers)
+            super().__init__(workers)
 
-    # run_study imports the pool class from here when it starts a pool
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    # run_study's _start_pool reads the pool class from the module
+    monkeypatch.setattr(montecarlo, "_Pool", Recording)
     return sizes

@@ -300,7 +300,8 @@ class TestBatchInvariance:
     def test_study_equals_aggregate_of_replicates(self, monkeypatch, started_pools, workers):
         # 16 replicates in a batch at n = 300, so 60 replicates make four
         # batches, the last one short; at 2 workers the last two run on a
-        # pool of 2 processes, which always pays here
+        # pool of 2 participants, one batch in a worker and one in this
+        # process, and the pool always pays here
         monkeypatch.setattr(montecarlo, "_BATCH_VALUES", 16 * 300)
         monkeypatch.setattr(montecarlo, "_POOL_COST_S", FREE_POOL)
         design = StudyDesign(dist_x=FIGURE1_X, dist_c=FIGURE1_C, n=300, reps=60,

@@ -1,5 +1,6 @@
 import concurrent.futures
 import dataclasses
+import functools
 import itertools
 import math
 import multiprocessing
@@ -9,7 +10,7 @@ import subprocess
 import sys
 import textwrap
 import time
-from concurrent.futures.process import BrokenProcessPool
+import types
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +42,32 @@ FIGURE1_CFG = Path(__file__).resolve().parent.parent / "scripts" / "figure1.cfg"
 FIGURE3 = Path(__file__).resolve().parent.parent / "scripts" / "figure3.cfg"
 ALL_FAMILIES = tuple(Family)
 ALL_METHODS = tuple(Method)
+
+
+class RefusedInWorkers(ReverseBurr):
+    """A Reverse Burr law whose quantile raises in any process that
+    multiprocessing started, such as a pool worker."""
+
+    def quantile(self, u):
+        if multiprocessing.parent_process() is not None:
+            raise ValueError("refused in a pool worker")
+        return super().quantile(u)
+
+
+def ended(pid):
+    """Whether the process ``pid`` has ended: it is gone, or on Linux a
+    zombie that its new parent has not reaped yet."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    if not sys.platform.startswith("linux"):
+        return False
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return True
+    return stat.rpartition(")")[2].split()[0] == "Z"
 
 
 def small_design(**overrides):
@@ -213,21 +240,25 @@ class TestSeedWords:
                 state.generate_state(*request)
 
 
-def spanned_batch_values(design, start, stop):
-    """``montecarlo._batch_values`` of one batch and the (start, stop) of
-    each ``_seed_words`` call it makes; a pool task that any worker
-    process can run, however it was started."""
-    spans, real = [], montecarlo._seed_words
+# montecarlo._serve before any test patches it: a forked worker inherits
+# the patched module
+SERVE = montecarlo._serve
+
+
+def serve_recording(path, end):
+    """A pool worker that appends the ``(start, stop)`` of each
+    ``_seed_words`` call it makes to the file ``path``, one line each, then
+    serves as ``montecarlo._serve`` does; it is a module function so that
+    workers of every start method can load it."""
+    real = montecarlo._seed_words
 
     def seed_words(seed, start, stop):
-        spans.append((start, stop))
+        with open(path, "a") as spans:
+            spans.write(f"{start} {stop}\n")
         return real(seed, start, stop)
 
     montecarlo._seed_words = seed_words
-    try:
-        return montecarlo._batch_values(design, start, stop), spans
-    finally:
-        montecarlo._seed_words = real
+    SERVE(end)
 
 
 class TestSeedSpans:
@@ -235,31 +266,31 @@ class TestSeedSpans:
     # and in a pool's workers
     @pytest.mark.parametrize("n,reps", [(60, 1), (60, 120), (60, 5000), (2, 5000)])
     @pytest.mark.parametrize("pool", [False, True])
-    def test_one_call_per_batch(self, monkeypatch, started_pools, n, reps, pool):
+    def test_one_call_per_batch(self, monkeypatch, tmp_path, started_pools, n, reps, pool):
         # n = 60: batches of at most 546 rows, so 5 000 replicates make
-        # ten; n = 2: 5 000 replicates make one batch
+        # ten; n = 2: 5 000 replicates make one batch.  The workers record
+        # the calls they make in a file, under any start method
         spans, real = [], montecarlo._seed_words
 
         def seed_words(seed, start, stop):
             spans.append((start, stop))
             return real(seed, start, stop)
 
-        class Pool(concurrent.futures.ProcessPoolExecutor):
-            def map(self, fn, *tasks):
-                assert fn is montecarlo._batch_values
-                for values, task_spans in super().map(spanned_batch_values, *tasks):
-                    spans.extend(task_spans)
-                    yield values
-
+        in_workers = tmp_path / "spans"
+        in_workers.touch()
         monkeypatch.setattr(montecarlo, "_seed_words", seed_words)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(montecarlo, "_serve", functools.partial(serve_recording,
+                                                                    str(in_workers)))
         if pool:
             TestPoolSize.batches_take(monkeypatch, 1.0)
             monkeypatch.setattr(montecarlo, "_POOL_COST_S", FREE_POOL)
         design = dataclasses.replace(one_cell_design(reps), n=n, k_grid=(1,))
         run_study(design, workers=2 if pool else 1)
         batches = montecarlo._batches(reps, n)
-        assert spans == batches
+        theirs = [tuple(map(int, line.split())) for line in in_workers.read_text().splitlines()]
+        assert bool(theirs) == (pool and len(batches) > 2)
+        # the batches each ran once, wherever they ran
+        assert sorted(spans + theirs) == batches
         assert started_pools == ([2] if pool and len(batches) > 1 else [])
 
 
@@ -379,12 +410,13 @@ def same_columns(result, want):
 
 
 class TestPoolSize:
-    # The process keeps one pool.  A study of w workers, its maximum or
-    # its batch count when that is less, runs on a kept pool of from w
-    # workers to its maximum.  Without one, run_study runs its first two
-    # batches in-process, times the second, t, and adds _saving(t,
-    # batches, w) to montecarlo._FORGONE_S; once that total exceeds
-    # montecarlo._POOL_COST_S, a pool of w workers starts and runs the rest.
+    # The process keeps one pool, of itself and w - 1 worker processes.  A
+    # study of w participants, its maximum or its batch count when that is
+    # less, runs on a kept pool of from w participants to its maximum.
+    # Without one, run_study runs its first two batches in-process, times
+    # the second, t, and adds _saving(t, batches, w) to
+    # montecarlo._FORGONE_S; once that total exceeds
+    # montecarlo._POOL_COST_S, a pool of w starts and runs the rest.
     @staticmethod
     def batches_take(monkeypatch, seconds):
         """A clock that advances ``seconds`` at each reading, so each
@@ -421,11 +453,19 @@ class TestPoolSize:
             assert same_columns(run_study(design, workers=2), want)
             assert started_pools == ([2] if study >= studies else [])
             if study == studies:
-                pool = montecarlo._KEPT[1]
+                pool = montecarlo._KEPT
                 assert montecarlo._FORGONE_S == 0.0
-        assert montecarlo._KEPT == (2, pool)
+                runs, real = [], pool.run
+
+                def run(*args):
+                    runs.append(args)
+                    real(*args)
+
+                monkeypatch.setattr(pool, "run", run)
+        assert montecarlo._KEPT is pool
         assert montecarlo._FORGONE_S == 0.0
-        assert len(pool._processes) == 2  # the studies after it ran on its workers
+        assert len(runs) == 2  # the studies after it ran on it
+        assert all(process.is_alive() for process in pool.processes)
 
     def test_long_study_starts_a_pool(self, monkeypatch, started_pools):
         # the figure-3 study at 2 workers with its second batch timed at
@@ -439,10 +479,10 @@ class TestPoolSize:
         want = run_study(design, workers=1)
         assert same_columns(run_study(design, workers=2), want)
         assert started_pools == [2]
-        pool = montecarlo._KEPT[1]
+        pool = montecarlo._KEPT
         assert same_columns(run_study(design, workers=2), want)
         assert started_pools == [2]
-        assert montecarlo._KEPT == (2, pool)
+        assert montecarlo._KEPT is pool
 
     @pytest.mark.parametrize("method", ["forkserver", "spawn"])
     def test_long_study_keeps_a_slow_starting_pool_out(self, monkeypatch, started_pools,
@@ -476,7 +516,8 @@ class TestPoolSize:
         # one replicate, with 1e6 s batches and a free pool: one batch
         # leaves the pool state alone; with two or three, the first two
         # run in-process, and their forgone saving buys a pool of one
-        # worker per batch, which runs the third
+        # participant per batch, whose first worker runs the third, since
+        # the share of the study's own process is the smallest
         self.batches_take(monkeypatch, 1e6)
         monkeypatch.setattr(montecarlo, "_POOL_COST_S", FREE_POOL)
         rows = montecarlo._BATCH_VALUES // 500
@@ -495,7 +536,7 @@ class TestPoolSize:
         assert same_columns(result, run_study(design, workers=1))
 
     def test_saving_of_a_kept_pool(self):
-        # the pool runs every batch, w at a time
+        # the pool's w participants run every batch, w at a time
         assert montecarlo._saving(1.0, 1, 8) == 0
         assert montecarlo._saving(1.0, 2, 2) == 1
         assert montecarlo._saving(1.0, 3, 2) == 1
@@ -513,7 +554,7 @@ class TestPoolSize:
         want = run_study(design, workers=1)
         assert started_pools == []
         assert (montecarlo._KEPT, montecarlo._FORGONE_S) == (None, 0.0)
-        kept = (2, object())  # a pool that fails on any use
+        kept = object()  # a pool that fails on any use
         monkeypatch.setattr(montecarlo, "_KEPT", kept)
         monkeypatch.setattr(montecarlo, "_FORGONE_S", 0.01)
         assert same_columns(run_study(design, workers=1), want)
@@ -527,12 +568,13 @@ class TestPoolSize:
         design = small_design(n=500, reps=300)  # five batches
         want = run_study(design, workers=1)
         assert same_columns(run_study(design, workers=2), want)
-        old = montecarlo._KEPT[1]
+        old = montecarlo._KEPT
         assert same_columns(run_study(design, workers=3), want)
         assert started_pools == [2, 3]
-        assert montecarlo._KEPT[0] == 3
-        with pytest.raises(RuntimeError, match="shutdown"):  # shut down before the new one
-            old.submit(int)
+        assert montecarlo._KEPT.workers == 3
+        # shut down before the new one
+        assert all(end.closed for end in old.ends)
+        assert not any(process.is_alive() for process in old.processes)
         assert same_columns(run_study(design, workers=2), want)
         assert started_pools == [2, 3, 2]
 
@@ -547,54 +589,109 @@ class TestPoolSize:
         for design, sizes in ((short, [2]), (short, [2]), (long, [2, 4]), (short, [2, 4])):
             assert same_columns(run_study(design, workers=4), want[design is long])
             assert started_pools == sizes
-        assert montecarlo._KEPT[0] == 4
-        assert len(montecarlo._KEPT[1]._processes) == 4
+        assert montecarlo._KEPT.workers == 4
+        assert len(montecarlo._KEPT.processes) == 3
 
-    @pytest.mark.parametrize("reps", [65, 130, 195, 2000])
-    def test_kept_pool_keeps_every_bit(self, monkeypatch, started_pools, reps):
-        # 1, 2, 3 and 31 batches of at most 65 rows at n = 500; one batch
-        # runs in-process, as a one-worker study
+    @pytest.mark.parametrize("reps,workers,kept,shares", [
+        pytest.param(65, 2, 2, [], id="65"), pytest.param(130, 2, 2, [[1, 1]], id="130"),
+        pytest.param(195, 2, 2, [[2, 1]], id="195"),
+        pytest.param(2000, 2, 2, [[16, 15]], id="2000"),
+        pytest.param(325, 2, 2, [[3, 2]], id="325-shares-of-3-and-2"),
+        pytest.param(2000, None, 3, [[11, 10, 10]], id="2000-at-3-threads"),
+        pytest.param(130, 4, 4, [[1, 1]], id="130-on-a-kept-pool-of-4")])
+    def test_kept_pool_keeps_every_bit(self, monkeypatch, started_pools, reps, workers, kept,
+                                       shares):
+        # 1, 2, 3, 5 and 31 batches of at most 65 rows at n = 500 (one
+        # batch runs in-process, as a one-worker study), on a kept pool of
+        # 2, of 3 from CENSORED_EVI_THREADS=3 (None), and of 4 that a
+        # two-batch study shares at 2.  Each study's batches split into
+        # shares of whole batches whose sizes differ by at most one, the
+        # last and smallest one the study's own; the study that buys the
+        # pool splits what its first two batches leave
         monkeypatch.setattr(montecarlo, "_POOL_COST_S", FREE_POOL)
-        run_study(small_design(n=500, reps=66), workers=2)  # two batches keep a free pool
-        assert montecarlo._KEPT[0] == 2
+        if workers is None:
+            monkeypatch.setenv("CENSORED_EVI_THREADS", str(kept))
+        buyer = small_design(n=500, reps=65 * kept)  # a batch per participant
+        assert same_columns(run_study(buyer, workers=workers), run_study(buyer, workers=1))
+        assert montecarlo._KEPT.workers == kept
+        sizes, real = [], montecarlo._KEPT.run
+
+        def run(design, parts, values):
+            sizes.append([len(part) for part in parts])
+            real(design, parts, values)
+
+        monkeypatch.setattr(montecarlo._KEPT, "run", run)
         design = small_design(n=500, reps=reps)
-        assert same_columns(run_study(design, workers=2), run_study(design, workers=1))
-        assert started_pools == [2]
+        assert same_columns(run_study(design, workers=workers), run_study(design, workers=1))
+        assert sizes == shares
+        assert started_pools == [kept]
 
     def test_a_broken_pool_is_dropped_before_the_error_propagates(self, monkeypatch,
                                                                   started_pools):
+        # a worker killed between studies or while the study's own share
+        # runs, an exception raised in a worker's share, and an interrupt
+        # in the study's own share: each reaches the caller after the pool
+        # is dropped, its pipes closed and its workers terminated and
+        # joined, and the next study succeeds on a new pool
         self.batches_take(monkeypatch, 1.0)
         monkeypatch.setattr(montecarlo, "_POOL_COST_S", FREE_POOL)
         design = small_design(n=500, reps=300)  # five batches: the last three start a pool
         want = run_study(design, workers=1)
         assert same_columns(run_study(design, workers=2), want)
-        pool = montecarlo._KEPT[1]
-        os.kill(next(iter(pool._processes)), signal.SIGKILL)
-        with pytest.raises(BrokenProcessPool):
-            for _ in range(200):  # until the pool notices its worker's death
-                run_study(design, workers=2)
-                time.sleep(0.05)
-        assert montecarlo._KEPT is None
-        assert same_columns(run_study(design, workers=2), want)
-        assert started_pools == [2, 2]
+        real, here = montecarlo._batch_values, os.getpid()
+        # on a kept pool of 2, the worker runs batches 0-2 and this process 3-4
+        own = montecarlo._batches(300, 500)[3]
+        for fault in ("killed", "killed mid-study", "raises", "interrupted"):
+            pool = montecarlo._KEPT
+            worker, failing = pool.processes[0], design
+            error, match = RuntimeError, rf"pool worker {worker.name} \(pid {worker.pid}\) stopped"
+            if fault == "killed":
+                os.kill(worker.pid, signal.SIGKILL)
+                worker.join(10)
+            elif fault == "raises":
+                failing = dataclasses.replace(design, dist_x=RefusedInWorkers(1, 1, 1, 10))
+                error, match = ValueError, "refused in a pool worker"
+            else:
+                def batch_values(design, start, stop, fault=fault, worker=worker):
+                    if (start, stop) == own and os.getpid() == here:
+                        if fault == "interrupted":
+                            raise KeyboardInterrupt
+                        os.kill(worker.pid, signal.SIGKILL)
+                        worker.join(10)
+                    return real(design, start, stop)
+
+                monkeypatch.setattr(montecarlo, "_batch_values", batch_values)
+                if fault == "interrupted":
+                    error, match = KeyboardInterrupt, None
+            with pytest.raises(error, match=match):
+                run_study(failing, workers=2)
+            assert montecarlo._KEPT is None
+            assert all(end.closed for end in pool.ends)
+            assert not any(process.is_alive() for process in pool.processes)
+            monkeypatch.setattr(montecarlo, "_batch_values", real)
+            assert same_columns(run_study(design, workers=2), want)
+        assert started_pools == [2] * 5
 
     def test_threads_never_run_on_a_pool_another_shut_down(self, monkeypatch):
         # more threads than CPUs run studies at two maxima, which replace
-        # the kept pool in turn; the pools run their batches in the
+        # the kept pool in turn; the pools run their shares in the
         # calling thread, so that no process forks beside threads
         class Pool:
-            def __init__(self, max_workers):
-                self.open = True
+            def __init__(self, workers):
+                self.workers, self.open = workers, True
 
-            def map(self, fn, *tasks):
-                for args in zip(*tasks):
-                    assert self.open, "a batch ran on a pool that was shut down"
-                    yield fn(*args)
+            def start(self):
+                pass
 
-            def shutdown(self, cancel_futures=False):
+            def run(self, design, shares, values):
+                for share in shares:
+                    assert self.open, "a share ran on a pool that was shut down"
+                    montecarlo._run_batches(design, share, values)
+
+            def close(self):
                 self.open = False
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(montecarlo, "_Pool", Pool)
         monkeypatch.setattr(montecarlo, "_POOL_COST_S", FREE_POOL)
         design = small_design(n=500, reps=300)  # five batches
         want = run_study(design, workers=1)
@@ -610,14 +707,23 @@ class TestPoolSize:
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
     def test_a_forked_child_keeps_no_pool(self, monkeypatch):
-        kept = (2, object())
+        # and closes its copy of the pool's pipe end, which the parent keeps
+        end, theirs = multiprocessing.Pipe()
+        kept = types.SimpleNamespace(workers=2, ends=[end])
         monkeypatch.setattr(montecarlo, "_KEPT", kept)
         monkeypatch.setattr(montecarlo, "_FORGONE_S", 0.02)
-        pid = os.fork()
-        if pid == 0:  # the child reports through its exit status alone
-            os._exit(0 if (montecarlo._KEPT, montecarlo._FORGONE_S) == (None, 0.0) else 1)
-        assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
-        assert (montecarlo._KEPT, montecarlo._FORGONE_S) == (kept, 0.02)
+        try:
+            pid = os.fork()
+            if pid == 0:  # the child reports through its exit status alone
+                os._exit(0 if (montecarlo._KEPT, montecarlo._FORGONE_S, end.closed)
+                         == (None, 0.0, True) else 1)
+            assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
+            assert (montecarlo._KEPT, montecarlo._FORGONE_S) == (kept, 0.02)
+            end.send("open")
+            assert theirs.recv() == "open"
+        finally:
+            end.close()
+            theirs.close()
 
     @pytest.mark.parametrize("second,pool", [(0.0, []), (0.005, [2])])
     def test_only_the_second_batch_is_timed(self, monkeypatch, started_pools, second, pool):
@@ -655,17 +761,16 @@ class TestPoolSize:
             got.append(stop - start)
             return real(design, start, stop)
 
-        class Pool(concurrent.futures.ProcessPoolExecutor):
-            def map(self, fn, designs, starts, stops):
-                assert fn is batch_values
-                starts, stops = list(starts), list(stops)
-                got.extend(stop - start for start, stop in zip(starts, stops))
-                # the workers get the batch function by name
+        class Pool(montecarlo._Pool):
+            def run(self, design, shares, values):
+                # every share is counted here, the study's own one too, which
+                # then runs the real batch function
+                got.extend(stop - start for share in shares for start, stop in share)
                 monkeypatch.setattr(montecarlo, "_batch_values", real)
-                return super().map(real, designs, starts, stops)
+                super().run(design, shares, values)
 
         monkeypatch.setattr(montecarlo, "_batch_values", batch_values)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(montecarlo, "_Pool", Pool)
         if pool:
             self.batches_take(monkeypatch, 1.0)
             monkeypatch.setattr(montecarlo, "_POOL_COST_S", FREE_POOL)
@@ -719,9 +824,10 @@ class TestWorkerIndependence:
             assert np.array_equal(getattr(pooled, name), getattr(serial, name), equal_nan=True)
 
     @staticmethod
-    def run_fresh(code):
-        """Run ``code`` after a two-batch study design is built, in a fresh
-        interpreter, since this one has imported the pool already."""
+    def fresh(code):
+        """The command and environment that run ``code`` after a two-batch
+        study design is built, in a fresh interpreter, since this one has
+        imported the pool already."""
         code = textwrap.dedent("""
             import sys
             import censored_evi.cli
@@ -733,8 +839,13 @@ class TestWorkerIndependence:
         """) + textwrap.dedent(code)
         root = str(Path(censored_evi.__file__).resolve().parent.parent)
         path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env={**os.environ, "PYTHONPATH": path})
+        return [sys.executable, "-c", code], {**os.environ, "PYTHONPATH": path}
+
+    @classmethod
+    def run_fresh(cls, code):
+        """Run ``code`` as ``fresh`` does; its output."""
+        command, env = cls.fresh(code)
+        proc = subprocess.run(command, capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         return proc.stdout
 
@@ -745,7 +856,7 @@ class TestWorkerIndependence:
             from censored_evi import montecarlo
             montecarlo._POOL_COST_S = dict.fromkeys(montecarlo._POOL_COST_S, 0.0)
             run_study(dataclasses.replace(design, reps=200), workers=2)  # four batches
-            assert montecarlo._KEPT[0] == 2
+            assert montecarlo._KEPT.workers == 2
             print(*[child.pid for child in multiprocessing.active_children()])
         """).split()
         assert pids
@@ -753,9 +864,41 @@ class TestWorkerIndependence:
             with pytest.raises(ProcessLookupError):
                 os.kill(pid, 0)
 
+    @pytest.mark.parametrize("death", ["os._exit", "SIGKILL"])
+    def test_kept_pool_workers_end_with_a_process_that_dies(self, tmp_path, death):
+        # a process that keeps a pool of itself and two workers and then
+        # runs no exit handler, leaving by os._exit(0) or killed by
+        # SIGKILL, leaves no worker 10 s later: each sees its pipe's EOF
+        command, env = self.fresh(f"""
+            import dataclasses, os, time
+            from censored_evi import montecarlo
+            montecarlo._POOL_COST_S = dict.fromkeys(montecarlo._POOL_COST_S, 0.0)
+            run_study(dataclasses.replace(design, reps=200), workers=3)  # four batches
+            print(*[process.pid for process in montecarlo._KEPT.processes], flush=True)
+            {"os._exit(0)" if death == "os._exit" else "time.sleep(60)"}
+        """)
+        with open(tmp_path / "stderr", "w") as stderr, subprocess.Popen(
+                command, env=env, stdout=subprocess.PIPE, stderr=stderr, text=True) as proc:
+            # the workers hold the output pipe too, so read one line alone
+            pids = [int(pid) for pid in proc.stdout.readline().split()]
+            if death == "SIGKILL":
+                proc.kill()
+            proc.wait(60)
+        assert len(pids) == 2, (tmp_path / "stderr").read_text()
+        deadline = time.monotonic() + 10
+        try:
+            while not all(map(ended, pids)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert all(map(ended, pids)), "a pool worker outlived its process"
+        finally:
+            for pid in pids:
+                if not ended(pid):
+                    os.kill(pid, signal.SIGKILL)
+
     def test_serial_runs_do_not_import_the_pool(self):
         self.run_fresh("""
             run_study(design, workers=1)
+            assert "multiprocessing" not in sys.modules
             assert "concurrent.futures" not in sys.modules
         """)
 

@@ -19,11 +19,11 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import math
 import operator
 import os
 import sys
-import tempfile
 from itertools import count, repeat
 
 import numpy as np
@@ -59,16 +59,14 @@ def _write_atomic(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
         return
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(prefix=".tmp-", dir=directory)
+    # A new file beside the target, created 0o666 so that the kernel applies
+    # the umask as open(path, "w") would; reading the umask means setting it,
+    # which no thread can do safely.
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".tmp-{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
-        # mkstemp creates the file 0600; give it the mode open(path, "w")
-        # would, which the umask decides.
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -303,6 +301,9 @@ def cmd_plot(args: argparse.Namespace) -> int:
     return 0
 
 
+# Built on the first main() call, not at import, and reused: parse_args
+# leaves the parser as it was and returns a new Namespace.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="censored-evi",
@@ -344,8 +345,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    """Run one command (``argv``, default ``sys.argv[1:]``) and return its exit
+    status; a usage error raises ``SystemExit(2)``.  Calls may repeat in one
+    process."""
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

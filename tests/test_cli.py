@@ -2,12 +2,14 @@ import csv
 import dataclasses
 import importlib
 import importlib.metadata
+import json
 import math
 import os
 import shutil
 import subprocess
 import sys
 import tempfile
+import threading
 from pathlib import Path
 from xml.etree import ElementTree
 
@@ -805,13 +807,17 @@ class TestPlotCommand:
         assert not out.exists()
 
 
+def _umask_untouchable(mask=None):
+    raise AssertionError("os.umask called while writing an output file")
+
+
 class TestFileModes:
-    # Output files get the mode open(path, "w") would give them, whatever
-    # the temporary file they are renamed from was created with.
+    # Output files get the mode open(path, "w") would give them.  The umask
+    # is never read: reading it means setting it, for every thread at once.
     @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)],
                              ids=["umask-022", "umask-077"])
     @pytest.mark.parametrize("command", ["estimate", "plot"])
-    def test_out_follows_the_umask(self, tmp_path, command, umask, mode):
+    def test_out_follows_the_umask(self, tmp_path, monkeypatch, command, umask, mode):
         data = tmp_path / "data.csv"
         data.write_text(DEMO)
         argv = {
@@ -819,13 +825,141 @@ class TestFileModes:
             "plot": ["plot", "--input", str(DATA_DIR / "results_small.csv"),
                      "--metric", "mse"],
         }[command]
-        out = tmp_path / "out"
+        out, plain = tmp_path / "out", tmp_path / "plain"
         saved = os.umask(umask)
         try:
-            assert main([*argv, "--out", str(out)]) == 0
+            with open(plain, "w"):
+                pass
+            with monkeypatch.context() as patch:
+                patch.setattr(os, "umask", _umask_untouchable)
+                assert main([*argv, "--out", str(out)]) == 0
         finally:
             os.umask(saved)
-        assert out.stat().st_mode & 0o777 == mode
+        assert out.stat().st_mode & 0o777 == plain.stat().st_mode & 0o777 == mode
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv", "out", "plain"]
+
+
+# Runs each argv of argv[1] (JSON) through one main() in this one process,
+# and prints the [exit status, stdout, stderr] of each call as JSON.
+CALLS_IN_ONE_PROCESS = """
+import contextlib, io, json, sys
+from censored_evi import cli
+outcomes = []
+for argv in json.loads(sys.argv[1]):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    outcomes.append([code, stdout.getvalue(), stderr.getvalue()])
+print(json.dumps(outcomes))
+"""
+
+
+class TestRepeatedCalls:
+    # main() builds its argument parser on its first call and reuses it.
+
+    def test_import_builds_no_parser(self):
+        proc = run_python("-c", """
+import argparse
+built = []
+init = argparse.ArgumentParser.__init__
+def counted(self, *args, **kwargs):
+    built.append(None)
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counted
+from censored_evi import cli
+counts = [len(built)]
+for _ in range(3):
+    assert cli.main(["estimate", "--input", "missing.csv"]) == 1
+    counts.append(len(built))
+print(*counts)
+""")
+        assert proc.returncode == 0, proc.stderr
+        imported, *calls = map(int, proc.stdout.split())
+        assert imported == 0
+        assert calls[0] > 0 and calls == [calls[0]] * 3
+
+    def test_calls_in_one_process_match_fresh_processes(self, tmp_path):
+        calls = [
+            ["estimate", "--input", "data.csv", "--k-max", "x"],
+            ["estimate", "--input", "bad.csv", "--out", "bad-out.csv"],
+            ["estimate", "--input", "data.csv", "--out", "all.csv"],
+            ["estimate", "--input", "data.csv", "--families", "type2,mom", "--k-step", "3"],
+            ["plot", "--input", "results.csv", "--metric", "mse", "--out", "chart.svg"],
+        ]
+        one, fresh = tmp_path / "one", tmp_path / "fresh"
+        for where in (one, fresh):
+            where.mkdir()
+            (where / "data.csv").write_text(UNCENSORED)
+            (where / "bad.csv").write_text("z,delta\n1.0,1\n2.0,2\n")
+            shutil.copy(DATA_DIR / "results_small.csv", where / "results.csv")
+        proc = run_python("-c", CALLS_IN_ONE_PROCESS, json.dumps(calls), cwd=one)
+        assert proc.returncode == 0, proc.stderr
+        in_one = json.loads(proc.stdout)
+        in_fresh = [[p.returncode, p.stdout, p.stderr]
+                    for p in (run_cli(*argv, cwd=fresh) for argv in calls)]
+        assert [code for code, _, _ in in_one] == [2, 1, 0, 0, 0]
+        assert in_one == in_fresh
+        assert "invalid integer value: 'x'" in in_one[0][2]
+        assert "bad.csv: line 3: delta must be 0 or 1" in in_one[1][2]
+        assert in_one[3][1].startswith(ESTIMATES_HEADER + "\n")
+        written = ["all.csv", "chart.svg"]
+        for where in (one, fresh):
+            assert sorted(p.name for p in where.iterdir()) == sorted(
+                ["data.csv", "bad.csv", "results.csv", *written])
+        for name in written:
+            assert (one / name).read_bytes() == (fresh / name).read_bytes()
+
+    def test_threads_get_the_serial_bytes(self, tmp_path):
+        # More threads than cores, switching often, each with its own k range,
+        # families and output: every file equals its argv's serial output and
+        # has the mode open(path, "w") gives.
+        rng = np.random.default_rng(11)
+        data = tmp_path / "data.csv"
+        data.write_text("z,delta\n" + "".join(
+            f"{z!r},{d}\n" for z, d in zip(rng.uniform(0.5, 4.0, 300).tolist(), rng.integers(0, 2, 300).tolist())))
+        families = ["mom", "type1,type2", "type2,mom", "mom,type1,type2"]
+        nthreads, rounds = 2 * (os.cpu_count() or 1) + 3, 8
+
+        def argv(i, out):
+            return ["estimate", "--input", str(data), "--out", str(out), "--k-min", str(1 + i),
+                    "--k-step", str(1 + i % 5), "--families", families[i % len(families)]]
+
+        saved = os.umask(0o022)
+        try:
+            serial = []
+            for i in range(nthreads):
+                assert main(argv(i, tmp_path / "serial.csv")) == 0
+                serial.append((tmp_path / "serial.csv").read_bytes())
+            codes = [[] for _ in range(nthreads)]
+            start = threading.Barrier(nthreads)
+
+            def work(i):
+                start.wait(timeout=60)
+                for _ in range(rounds):
+                    codes[i].append(main(argv(i, tmp_path / f"out-{i}.csv")))
+
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(nthreads)]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
+            finally:
+                sys.setswitchinterval(interval)
+        finally:
+            os.umask(saved)
+        assert not any(thread.is_alive() for thread in threads)
+        assert codes == [[0] * rounds] * nthreads
+        for i in range(nthreads):
+            out = tmp_path / f"out-{i}.csv"
+            assert out.read_bytes() == serial[i]
+            assert out.stat().st_mode & 0o777 == 0o666 & ~0o022
+        assert len(list(tmp_path.glob(".tmp-*"))) == 0
 
 
 class TestEntryPoints:

@@ -21,7 +21,8 @@ every library call on the way acts along the last axis, so a row of the
 batch gets the bits its sample gets on its own.  ``run_study`` stores
 each batch at its rows of one ``(reps, len(k_grid), len(specs))`` array,
 and a pool worker runs whole batches.  ``aggregate`` reduces that array
-along the replicate axis.
+along the replicate axis through ``_column_stats``, which a pool's
+participants also run, each on its own slice of the k-grid.
 ``StudyResult`` keeps each statistic as a ``(len(k_grid), len(specs))``
 column; ``_listing`` puts the columns in the order every listing of a
 study takes, which ``simulate``'s writer and the per-cell ``cells`` view
@@ -37,9 +38,9 @@ SeedSequence states of its rows in one vectorised pass of
 words numpy's ``generate_state(4, np.uint64)`` gives; the pass holds
 about 128 bytes a row, so the batch's size bounds it too.  Each row's
 words seed ``PCG64`` through a ``numpy.random.bit_generator.ISeedSequence``,
-and a pool worker gets the ``(design, batch bounds)`` of its share.  The
-replicate index is one 32-bit entropy word, so a study has at most 2**32
-replicates.
+and a pool worker gets the batch bounds of its share, and the design
+when it holds another.  The replicate index is one 32-bit entropy word,
+so a study has at most 2**32 replicates.
 Replicates are therefore independent of scheduling, each lands at its
 own index, and the aggregation sums in replicate order, so the result is
 bitwise identical for any batch size and any worker count.
@@ -49,24 +50,40 @@ the one pool it starts until it exits (``_KEPT``).  The pool has ``w``
 participants: the maximum, or the study's batch count when that is
 less.  One is the study's own process and the other ``w - 1`` are
 ``multiprocessing`` processes, each serving one pipe (``_serve``), so
-the pool runs no thread.  A pool runs a list of batches as ``w``
-consecutive shares of whole batches whose sizes differ by at most one:
-each worker is sent its share, the study's own process runs the last
-and smallest one meanwhile, and then receives each worker's values as
-one array.  A worker ends at its pipe's EOF, so it ends with the process
-that started it however that process ends.  A study that finds a kept
-pool of from ``w`` participants to its maximum runs all its batches on
-it.  Otherwise it runs the first two batches in-process and times the
+the pool runs no thread.  The pool also keeps one shared memory segment,
+which holds a study's values and then its statistics (``_views``); a
+study that needs more than it holds replaces it.  A pool runs a list of
+batches as ``w`` consecutive shares of whole batches whose sizes differ
+by at most one: each worker is sent its share, the study's own process
+runs the last and smallest one meanwhile, and every participant writes
+its rows into the segment in place.  Once all rows are in, each
+participant reduces its own contiguous slice of the k-grid
+(``_slices``) with ``_column_stats`` and writes the statistics there
+too, so no values array crosses a pipe.  A worker keeps the last design
+it was sent and the segment it maps, so a repeated study sends each
+worker only its batch bounds and its slice.  A new segment's name is
+sent to every worker, and unlinked as soon as all of them have mapped
+it, so that after the first study on it no name is left to outlive the
+pool, however its process ends.  On Linux a worker that may run on
+another CPU leaves the one the study's process runs on as each task
+arrives, since the process that wakes it often gets it on its own CPU
+and then waits there while it runs (``_leave_cpu_of``).  A worker ends
+at its pipe's EOF, so it ends with the process that started it however
+that process ends.  A
+study that finds a kept pool of from ``w`` participants to its maximum
+runs all its batches on it.  Otherwise it runs the first two batches in-process and times the
 second, since the first also pays for what is loaded and warmed on
 first use, and adds what such a pool would have saved on the study, as
 measured by the second, to ``_FORGONE_S``.  Once that total exceeds the
-pool's fixed cost ``_POOL_COST_S``, which depends on how the pool starts
-its workers, the pool starts (replacing a kept one) and runs the rest.
+pool's fixed cost, ``_POOL_COST_S`` per worker it starts, which depends
+on how the pool starts its workers, the pool starts (replacing a kept
+one) and runs the rest.
 With forked workers this is a rent-or-buy rule: studies run in-process
 until the saving they gave up would have paid for a pool.  Workers that
 start afresh cost ten times as much, so there the total starts again
 from 0 after each study, and only a study that pays for the pool alone
-starts it.  Studies with ``w = 1`` leave this state alone.
+starts it.  Studies with ``w = 1`` leave this state alone, and so does
+a study whose segment cannot be reserved: it runs in-process.
 """
 
 from __future__ import annotations
@@ -104,14 +121,16 @@ ENV_THREADS = "CENSORED_EVI_THREADS"
 # benchmark's speed, peak memory and page faults (CHANGES.md).
 _BATCH_VALUES = 2 ** 15
 
-# Seconds a pool costs whatever its work, by the start method of its
-# workers: chiefly starting them, and the hand-out and collection of a
-# study's shares.  Measured on a 2-CPU Linux machine with pools of two
-# participants whose workers import the package (CHANGES.md); a pool has
-# at most one participant per batch of the study that starts it, and is
-# kept once started.  A new process (spawn, the default on macOS and
-# Windows) or a fork of a server process (forkserver, the default on
-# Linux from Python 3.14) imports the package again, which fork does not.
+# Seconds a pool costs whatever its work for each worker process it
+# starts, by the start method of its workers: chiefly starting them, and
+# the hand-out and collection of a study's shares.  Measured on a 2-CPU
+# Linux machine with pools of two participants, one worker, whose workers
+# import the package (CHANGES.md); a pool of w participants starts w - 1
+# workers and costs w - 1 times as much (``_pool_cost_s``), has at most
+# one participant per batch of the study that starts it, and is kept once
+# started.  A new process (spawn, the default on macOS and Windows) or a
+# fork of a server process (forkserver, the default on Linux from Python
+# 3.14) imports the package again, which fork does not.
 _POOL_COST_S = {"fork": 0.03, "forkserver": 0.25, "spawn": 0.3}
 
 # The pool this process keeps, a _Pool, or None; the seconds that studies
@@ -407,27 +426,51 @@ def aggregate(values, design: StudyDesign) -> StudyResult:
     shape = (design.reps, len(design.k_grid), len(design.specs))
     if values.shape != shape:
         raise ValueError(f"values must have shape {shape}, got {values.shape}")
-    gamma_x = design.gamma_x
+    floats, degenerate = np.empty((4, *shape[1:])), np.empty(shape[1:], dtype=np.intp)
+    _column_stats(values, design.gamma_x, floats, degenerate)
+    return _result(design, floats, degenerate)
+
+
+def _column_stats(values: np.ndarray, gamma_x: float, floats: np.ndarray,
+                  degenerate: np.ndarray) -> None:
+    """Write the statistics of each column of ``values``, shape ``(reps,
+    m, s)`` with replicates in index order, into ``floats[:, i, j]``
+    (median bias, mse, mean and variance) and ``degenerate[i, j]``.
+
+    Non-finite values are excluded and counted as degenerate; mse and
+    bias are taken about ``gamma_x``.  A column's statistics read that
+    column alone, and a slice of two or more columns gets the bits that
+    the whole array gets: numpy sums several columns row by row, in
+    replicate order, but a single column pairwise (``_slices``).
+    """
+    median_bias, mse, mean, variance = floats
     usable = np.isfinite(values)
-    count = usable.sum(axis=0)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        mean = np.where(usable, values, 0.0).sum(axis=0) / count
-        mse = np.where(usable, np.square(values - gamma_x), 0.0).sum(axis=0) / count
-        variance = np.where(usable, np.square(values - mean), 0.0).sum(axis=0) / count
+    count = np.count_nonzero(usable, axis=0)
+    kept = np.zeros(values.shape)  # the usable values, 0 elsewhere
+    np.copyto(kept, values, where=usable)
+    with np.errstate(invalid="ignore", divide="ignore"):  # 0 / 0 where none is usable
+        np.divide(kept.sum(axis=0), count, out=mean)
+        for centre, out in ((gamma_x, mse), (mean, variance)):
+            np.subtract(values, centre, out=kept, where=usable)
+            np.square(kept, out=kept)
+            np.divide(kept.sum(axis=0), count, out=out)
     # Degenerate values sort last as NaN; the median of the `count` usable
     # ones is the middle one, or the mean of the middle two (NaN when
     # count is 0, as every value of the column is NaN then).
-    ordered = np.sort(np.where(usable, values, np.nan), axis=0)
-    low = np.take_along_axis(ordered, ((count - 1) // 2)[None], axis=0)[0]
-    high = np.take_along_axis(ordered, (count // 2)[None], axis=0)[0]
-    median = np.where(count % 2 == 1, low, (low + high) / 2.0)
-    columns = dict(
-        median_bias=median - gamma_x, mse=mse, mean=mean, variance=variance,
-        degenerate_count=design.reps - count,
-    )
-    for column in columns.values():
+    kept.fill(np.nan)
+    np.copyto(kept, values, where=usable)
+    kept.sort(axis=0)
+    low, high = np.take_along_axis(kept, np.stack([(count - 1) // 2, count // 2]), axis=0)
+    np.subtract(np.where(count % 2 == 1, low, (low + high) / 2.0), gamma_x, out=median_bias)
+    np.subtract(len(values), count, out=degenerate)
+
+
+def _result(design: StudyDesign, floats: np.ndarray, degenerate: np.ndarray) -> StudyResult:
+    """The StudyResult of ``_column_stats``' output arrays, made read-only."""
+    columns = (*floats, degenerate)
+    for column in columns:
         column.flags.writeable = False
-    return StudyResult(design=design, **columns)
+    return StudyResult(design, *columns)
 
 
 def resolve_workers(workers: int | None, tasks: int | None = None) -> int:
@@ -459,9 +502,11 @@ def _start_method() -> str:
     return method or multiprocessing.get_all_start_methods()[0]
 
 
-def _pool_cost_s() -> float:
-    """_POOL_COST_S of the start method a new pool would take."""
-    return _POOL_COST_S[_start_method()]
+def _pool_cost_s(workers: int) -> float:
+    """What a new pool of ``workers`` participants costs: _POOL_COST_S of
+    the start method it would take, for each of its ``workers - 1``
+    worker processes."""
+    return _POOL_COST_S[_start_method()] * (workers - 1)
 
 
 def _saving(seconds: float, batches: int, workers: int) -> float:
@@ -470,30 +515,145 @@ def _saving(seconds: float, batches: int, workers: int) -> float:
     return seconds * (batches - -(-batches // workers))
 
 
+def _segment_bytes(design: StudyDesign) -> int:
+    """The bytes ``design``'s study takes in a pool's segment (``_views``)."""
+    cells = len(design.k_grid) * len(design.specs)
+    return cells * (8 * (design.reps + 4) + np.dtype(np.intp).itemsize)
+
+
+def _views(buffer, design: StudyDesign) -> tuple:
+    """The values ``(reps, len(k_grid), len(specs))`` of ``design``'s study,
+    its four float statistics ``(4, len(k_grid), len(specs))`` and its
+    degenerate counts, laid out in that order from the start of ``buffer``
+    as the arrays that ``_column_stats`` reads and writes."""
+    cells = (len(design.k_grid), len(design.specs))
+    values = np.ndarray((design.reps, *cells), buffer=buffer)
+    floats = np.ndarray((4, *cells), buffer=buffer, offset=values.nbytes)
+    degenerate = np.ndarray(cells, np.intp, buffer=buffer, offset=values.nbytes + floats.nbytes)
+    return values, floats, degenerate
+
+
+def _reduce(buffer, design: StudyDesign, start: int, stop: int) -> None:
+    """Write the statistics of k-grid rows ``start`` to ``stop - 1`` of
+    ``design``'s study in ``buffer`` from its values there."""
+    values, floats, degenerate = _views(buffer, design)
+    _column_stats(values[:, start:stop], design.gamma_x, floats[:, start:stop],
+                  degenerate[start:stop])
+
+
+def _slices(design: StudyDesign, parts: int) -> list[tuple[int, int]]:
+    """``(start, stop)`` of the k-grid rows each of a pool's ``parts``
+    participants reduces: consecutive slices whose sizes differ by at
+    most one, each of two or more cells when the design has that many,
+    since ``_column_stats`` sums a single column in another order; the
+    empty ones first, so that the last participant, the study's own
+    process, always has one."""
+    rows = len(design.k_grid)
+    used = min(parts, rows if len(design.specs) > 1 else max(1, rows // 2))
+    return [(0, 0)] * (parts - used) + _split(rows, used)
+
+
+def _mapped(segment):
+    """A mapping of the shared memory ``segment`` that is this process's
+    own; ``segment`` itself is closed.  Numpy views of the mapping keep it
+    until the last one goes, so a view that a traceback holds never stops
+    a pool from closing (``_unmap``)."""
+    import mmap  # here, so that studies without a pool do not load it
+
+    try:
+        if segment._fd >= 0:  # POSIX: the segment is a file
+            return mmap.mmap(segment._fd, segment.size)
+        return mmap.mmap(-1, segment.size, tagname=segment.name)  # Windows: a named mapping
+    finally:
+        segment.close()
+
+
+def _unmap(mapping) -> None:
+    """Unmap ``mapping`` now, or, while a view of it is still held, when
+    the last view goes."""
+    try:
+        mapping.close()
+    except BufferError:
+        pass
+
+
+def _attach(name: str):
+    """This process's own mapping of the pool segment ``name``, which it
+    never unlinks: from Python 3.13 the segment is mapped untracked;
+    before, it is registered with the resource tracker of the study's
+    process, whose unlink then unregisters it (``_Pool.start``)."""
+    import sys
+    from multiprocessing import shared_memory
+
+    untracked = {"track": False} if sys.version_info >= (3, 13) else {}
+    return _mapped(shared_memory.SharedMemory(name, **untracked))
+
+
+def _leave_cpu_of(pid: int, allowed: set[int]) -> None:
+    """Restrict this process to the CPUs of ``allowed`` but the one that
+    process ``pid`` last ran on, when one is left.  On Linux a process
+    that wakes a sleeping one often has it placed on its own CPU, the
+    other CPUs having idled, and then waits while it runs there; a worker
+    woken so moves off at once.  Best effort: where ``/proc`` cannot be
+    read or the CPUs cannot be set, nothing changes."""
+    try:
+        with open(f"/proc/{pid}/stat", "rb") as stat:
+            # field 39, the CPU it last ran on; field 2, its name, may hold ")"
+            others = allowed - {int(stat.read().rpartition(b")")[2].split()[36])}
+        if others:
+            os.sched_setaffinity(0, others)
+    except (OSError, ValueError, IndexError):
+        pass
+
+
 def _serve(end) -> None:
-    """A pool worker: for each ``(design, bounds)`` that arrives on ``end``,
-    send back the values of those batches as one array, or the exception
-    that computing them raised; return at the pipe's EOF, which comes when
-    the process that started the worker closes its end or dies.  A forked
-    worker holds no parent-side end open, since the fork hook closed them
+    """A pool worker.  Each task that arrives on ``end`` is ``(design,
+    name, bounds, ks)``: the study's design, or None for the one last
+    sent; the name of a new segment to map instead of the one mapped, or
+    None; the batches to store at their rows of the segment; and the
+    ``(start, stop)`` of the k-grid rows to reduce there.  The worker
+    answers None once its rows are stored; then, when ``ks`` is not
+    empty, it waits for a message that says every participant's rows are
+    in, reduces its rows of the k-grid and answers None again.  An
+    exception that a step raises is its answer instead.  On each task a
+    worker that may run on more than one CPU first leaves the CPU of the
+    study's process (``_leave_cpu_of``), so that the two run side by
+    side.  It returns at the pipe's EOF, which comes when the process
+    that started the worker closes its end or dies.  A forked worker
+    holds no parent-side end open, since the fork hook closed them
     (``_forget_pool``)."""
+    import multiprocessing  # loaded already in a pool worker
     import signal  # here, so that importing the package does not load it
 
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the study's own process handles it
-    while True:
-        try:
-            design, bounds = end.recv()
-        except EOFError:
-            return
-        try:
-            reply = np.concatenate([_batch_values(design, start, stop)
-                                    for start, stop in bounds])
-        except Exception as error:  # raised again by the study's own process
-            reply = error
-        try:
+    study = multiprocessing.parent_process().pid  # the study's process, however this one started
+    allowed = os.sched_getaffinity(0) if hasattr(os, "sched_setaffinity") else set()
+    design = buffer = None
+    try:
+        while True:
+            sent, name, bounds, (start, stop) = end.recv()
+            if len(allowed) > 1:
+                _leave_cpu_of(study, allowed)
+            reply = None
+            try:
+                if name is not None:
+                    buffer = None  # unmapped once no view holds it
+                    buffer = _attach(name)
+                if sent is not None:
+                    design = sent
+                _run_batches(design, bounds, _views(buffer, design)[0])
+            except Exception as error:  # raised again by the study's own process
+                reply = error
             end.send(reply)
-        except OSError:  # that process is gone
-            return
+            if reply is None and start < stop:
+                end.recv()
+                try:
+                    _reduce(buffer, design, start, stop)
+                except Exception as error:
+                    reply = error
+                end.send(reply)
+    except (EOFError, OSError):  # that process closed its end, or is gone
+        return
 
 
 def _piped(process, call, *args):
@@ -507,12 +667,28 @@ def _piped(process, call, *args):
                            f"exit code {process.exitcode}") from error
 
 
+def _collect(asked) -> None:
+    """Receive the answer of each ``(end, process, ks)`` of ``asked``, and
+    raise an exception that one of them is."""
+    for end, process, _ in asked:
+        reply = _piped(process, end.recv)
+        if isinstance(reply, BaseException):
+            raise reply
+
+
 class _Pool:
     """The study's own process and ``workers - 1`` worker processes, each
-    serving one pipe (``_serve``) once started."""
+    serving one pipe (``_serve``) once started, and the shared segment
+    that the participants' studies are written in."""
 
     def __init__(self, workers: int):
         self.workers, self.ends, self.processes = workers, [], []
+        # This process's mapping of the segment; the SharedMemory that
+        # unlinks its name, while some worker may still have to map it;
+        # and the design each worker was last sent, a copy of which it
+        # keeps.
+        self.mapping = self.named = None
+        self.designs = [None] * (workers - 1)
 
     def start(self) -> None:
         """Start the workers; a worker forked meanwhile closes its copies of
@@ -520,6 +696,12 @@ class _Pool:
         when this pool is the kept one."""
         import multiprocessing  # here, so that studies without a pool do not load it
 
+        if os.name == "posix":
+            # Workers that attach to a segment before Python 3.13 register
+            # it with the resource tracker that they inherit, which this
+            # process's unlink then tells: so it runs before they fork.
+            from multiprocessing import resource_tracker
+            resource_tracker.ensure_running()
         for _ in range(self.workers - 1):
             end, theirs = multiprocessing.Pipe()
             self.ends.append(end)
@@ -528,31 +710,89 @@ class _Pool:
             theirs.close()
             self.processes.append(process)
 
-    def run(self, design: StudyDesign, shares, values: np.ndarray) -> None:
-        """Store the batches of ``shares``, lists of consecutive
-        ``(start, stop)``, at their rows of ``values``: the workers run one
-        share each, the last share runs here meanwhile, and an exception a
-        worker's share raised is raised here."""
+    def reserve(self, design: StudyDesign) -> OSError | None:
+        """Keep a segment that holds ``design``'s study (``_views``), a new
+        one when the kept one is smaller: None, or the error that kept a
+        new one from being created with its pages reserved, which leaves
+        the pool as it was."""
+        size = _segment_bytes(design)
+        if self.mapping is not None and len(self.mapping) >= size:
+            return None
+        from multiprocessing import shared_memory
+
+        try:
+            segment = shared_memory.SharedMemory(create=True, size=size)
+        except OSError as error:
+            return error
+        try:
+            if hasattr(os, "posix_fallocate"):
+                # Reserved here, a full /dev/shm is this error, not a
+                # SIGBUS in a worker that writes to the segment.
+                os.posix_fallocate(segment._fd, 0, size)
+            mapping = _mapped(segment)
+        except OSError as error:
+            segment.close()
+            segment.unlink()
+            return error
+        self.release()
+        self.mapping, self.named = mapping, segment
+        return None
+
+    def run(self, design: StudyDesign, shares, head) -> StudyResult:
+        """The result of ``design``'s study, whose first rows are ``head``,
+        computed in-process (None when there are none), and the rest the
+        batches of ``shares``, lists of consecutive ``(start, stop)``, one
+        per participant of the study, which may be fewer than the pool's.
+        The workers store one share each at its rows of the segment (none
+        for a worker past the study's), the last share is stored here
+        meanwhile, and then each of the pool's participants reduces its
+        slice of the k-grid (``_slices``) there; an exception a worker
+        raised is raised here.  The segment's name is sent to every worker
+        in the first study on it, and unlinked once they have all mapped
+        it."""
+        values, floats, degenerate = _views(self.mapping, design)
+        if head is not None:
+            values[:len(head)] = head
         *theirs, mine = shares
-        asked = [(end, process, share) for end, process, share
-                 in zip(self.ends, self.processes, theirs) if share]
-        for end, process, share in asked:
-            _piped(process, end.send, (design, share))
+        theirs += [[]] * (self.workers - len(shares))
+        *slices, own = _slices(design, self.workers)
+        name = None if self.named is None else self.named.name
+        tasks = list(zip(self.ends, self.processes, slices))
+        for i, (end, process, ks) in enumerate(tasks):
+            sent = None if self.designs[i] is design else design  # designs are frozen
+            _piped(process, end.send, (sent, name, theirs[i], ks))
+            self.designs[i] = design
         _run_batches(design, mine, values)
-        for end, process, share in asked:
-            reply = _piped(process, end.recv)
-            if isinstance(reply, BaseException):
-                raise reply
-            values[share[0][0]:share[-1][1]] = reply
+        _collect(tasks)
+        if self.named is not None:
+            self.named.unlink()
+            self.named = None
+        reducing = [(end, process, ks) for end, process, ks in tasks if ks[0] < ks[1]]
+        for end, process, _ in reducing:
+            _piped(process, end.send, None)
+        _reduce(self.mapping, design, *own)
+        _collect(reducing)
+        return _result(design, floats.copy(), degenerate.copy())
+
+    def release(self) -> None:
+        """Unlink the segment if its name is still linked, and unmap it."""
+        if self.named is not None:
+            self.named.unlink()
+            self.named = None
+        if self.mapping is not None:
+            _unmap(self.mapping)
+            self.mapping = None
 
     def close(self) -> None:
-        """Close the pipes, then terminate and join the workers."""
+        """Close the pipes, terminate and join the workers, and release the
+        segment."""
         for end in self.ends:
             end.close()
         for process in self.processes:
             process.terminate()
         for process in self.processes:
             process.join()
+        self.release()
 
 
 def _start_pool(workers: int) -> None:
@@ -580,17 +820,38 @@ def _drop_pool():
 def _forget_pool():
     """In a forked child, the kept pool's own workers included, close the
     copies of the kept pool's pipe ends, so that its workers still end
-    with the process that started them, and keep no pool and no forgone
-    total: the workers belong to that process, and so may the lock."""
+    with the process that started them, unmap the copy of its segment
+    without unlinking it, and keep no pool and no forgone total: the
+    workers and the segment belong to that process, and so may the
+    lock."""
     global _KEPT, _FORGONE_S, _POOL_LOCK
     if _KEPT is not None:
         for end in _KEPT.ends:
             end.close()
+        if _KEPT.mapping is not None:
+            _unmap(_KEPT.mapping)
     _KEPT, _FORGONE_S, _POOL_LOCK = None, 0.0, threading.Lock()
 
 
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _values_array(design: StudyDesign, unreserved: OSError | None) -> np.ndarray:
+    """An empty ``(reps, len(k_grid), len(specs))`` array for the values of
+    ``design``'s study, or a MemoryError that names its size and
+    ``unreserved``, the error that kept a pool's segment from being
+    reserved for the study, if there was one."""
+    reps, rows, cols = shape = (design.reps, len(design.k_grid), len(design.specs))
+    try:
+        return np.empty(shape)
+    except MemoryError as error:
+        segment = ("" if unreserved is None else f"; a pool's shared segment of "
+                   f"{_segment_bytes(design):,} bytes could not be reserved either "
+                   f"({unreserved})")
+        raise MemoryError(f"a study of {reps} x {rows} x {cols} values (reps x len(k_grid) x "
+                          f"len(specs)) needs {8 * reps * rows * cols:,} bytes, which cannot be "
+                          f"allocated{segment}") from error
 
 
 def run_study(design: StudyDesign, workers: int | None = None) -> StudyResult:
@@ -605,20 +866,26 @@ def run_study(design: StudyDesign, workers: int | None = None) -> StudyResult:
     the batches run as ``w`` consecutive shares of whole batches
     (``_split``), sizes differing by at most one: the first ``w - 1`` go
     to the pool's workers, and this process runs the last and smallest.
+    Every participant writes its rows into the pool's segment, and then
+    reduces its slice of the k-grid there (``_Pool.run``).
     When the process keeps a pool of from ``w`` participants to the
     maximum, all batches run on it.  Otherwise the first two batches run
     in-process and the second is timed, at ``t`` seconds, and the study
     adds ``_saving(t, batches, w)``, what such a pool would have saved on
-    it, to
-    ``_FORGONE_S``.  Once that total exceeds the pool's fixed cost
-    ``_POOL_COST_S`` for the start method that multiprocessing would use,
-    a kept pool of ``w`` participants replaces any other, the total starts
+    it, to ``_FORGONE_S``.  Once that total exceeds the fixed cost of a
+    pool of ``w`` participants, ``_POOL_COST_S`` of the start method that
+    multiprocessing would use for each of its ``w - 1`` workers, a kept
+    pool of ``w`` participants replaces any other, the total starts
     again from 0, and the rest of the batches run on the pool; until
     then they run in-process, and for a start method other than fork
-    the total starts again from 0 after the study.  A pool that fails (a
-    worker that stops, an exception in a share, an interrupt) is dropped,
-    its pipes closed and its workers terminated and joined, before the
-    error propagates.  ``_POOL_LOCK`` is held while the pool is priced,
+    the total starts again from 0 after the study.  A study whose values
+    the pool's segment cannot hold, since the segment cannot be reserved,
+    runs in-process, and one whose in-process array cannot be allocated
+    either raises a MemoryError that names its size before its first
+    batch.  A pool that fails (a worker that stops, an exception in a
+    share, an interrupt) is dropped, its pipes closed, its workers
+    terminated and joined and its segment released, before the error
+    propagates.  ``_POOL_LOCK`` is held while the pool is priced,
     replaced or used, and not over in-process batches.
     The output is independent of the worker count and of the batch size:
     replicates are pure functions of (seed, index), stored at their index
@@ -627,25 +894,34 @@ def run_study(design: StudyDesign, workers: int | None = None) -> StudyResult:
     global _FORGONE_S
     batches = _batches(design.reps, design.n)
     most, workers = resolve_workers(workers), resolve_workers(workers, len(batches))
-    values = np.empty((design.reps, len(design.k_grid), len(design.specs)))
+    unreserved = None  # the error that kept the pool's segment from being reserved
 
-    def pooled(bounds):
+    def pooled(bounds, head):
+        """The study's result from ``bounds`` on the kept pool, after the
+        rows of ``head``; None when its segment cannot be reserved."""
+        nonlocal unreserved
         try:
-            _KEPT.run(design, [bounds[a:b] for a, b in _split(len(bounds), workers)], values)
+            unreserved = _KEPT.reserve(design)
+            if unreserved is None:
+                return _KEPT.run(design, [bounds[a:b] for a, b in _split(len(bounds), workers)],
+                                 head)
         except BaseException:
             _drop_pool()  # a broken or interrupted pool is not kept
             raise
-        return aggregate(values, design)
+        return None
 
     def kept():
         return _KEPT is not None and workers <= _KEPT.workers <= most
 
-    if workers == 1:
+    if workers > 1:
+        with _POOL_LOCK:
+            result = pooled(batches, None) if kept() else None
+        if result is not None:
+            return result
+    values = _values_array(design, unreserved)
+    if workers == 1 or unreserved is not None:
         _run_batches(design, batches, values)
         return aggregate(values, design)
-    with _POOL_LOCK:
-        if kept():
-            return pooled(batches)
     # The first batch also pays for what numpy and the library load and
     # warm on first use, so the second is the one timed.
     _run_batches(design, batches[:1], values)
@@ -656,14 +932,15 @@ def run_study(design: StudyDesign, workers: int | None = None) -> StudyResult:
     with _POOL_LOCK:
         if not kept():
             _FORGONE_S += _saving(seconds, len(batches), workers)
-            if _FORGONE_S > _pool_cost_s():
+            if _FORGONE_S > _pool_cost_s(workers):
                 _start_pool(workers)
             elif _start_method() != "fork":
                 # A pool whose workers start afresh costs ten times a forked
                 # one, and _saving was measured to overestimate what a pool
                 # saves (CHANGES.md), so a total that buys it late loses.
                 _FORGONE_S = 0.0
-        if kept():
-            return pooled(rest)
+        result = pooled(rest, values[:batches[1][1]]) if kept() else None
+    if result is not None:
+        return result
     _run_batches(design, rest, values)
     return aggregate(values, design)

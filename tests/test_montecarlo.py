@@ -1,5 +1,6 @@
 import concurrent.futures
 import dataclasses
+import errno
 import functools
 import itertools
 import math
@@ -354,6 +355,36 @@ class TestAggregate:
                                  ["km", "l", "efg"].index(t[2]), t[3])
         )
 
+    @pytest.mark.parametrize("reps,rows,specs", [(80, 40, 9), (130, 40, 1), (130, 3, 1),
+                                                 (200, 2, 1), (9, 5, 3), (1, 4, 2), (130, 1, 1)])
+    @pytest.mark.parametrize("parts", [1, 2, 3, 4, 8])
+    def test_slices_of_the_k_grid_keep_every_bit(self, reps, rows, specs, parts):
+        # each participant of a pool reduces its own slice of the k-grid in
+        # the segment: the slices cover the grid once in order, the last
+        # one, the study's own process's, is never empty, and together they
+        # give the bytes of aggregate over the whole array, degenerate
+        # values (NaN, inf, -inf) included.  A one-spec design is sliced two
+        # ks or more at a time, since numpy sums a single column pairwise
+        rng = np.random.default_rng([reps, rows, specs])
+        design = small_design(reps=reps, k_grid=tuple(range(1, rows + 1)),
+                              specs=build_specs(ALL_FAMILIES, ALL_METHODS, (2.0,))[:specs])
+        values = (rng.standard_normal((reps, rows, specs))
+                  * 10.0 ** rng.integers(-5, 5, (reps, rows, specs)))
+        draws = rng.random(values.shape)
+        values[draws < 0.05] = np.nan
+        values[(0.05 <= draws) & (draws < 0.07)] = np.inf
+        values[(0.07 <= draws) & (draws < 0.08)] = -np.inf
+        want = aggregate(values, design)
+        slices = montecarlo._slices(design, parts)
+        assert len(slices) == parts and slices[-1][0] < slices[-1][1]
+        assert [k for start, stop in slices for k in range(start, stop)] == list(range(rows))
+        buffer = bytearray(montecarlo._segment_bytes(design))
+        montecarlo._views(buffer, design)[0][:] = values
+        for start, stop in slices:
+            montecarlo._reduce(buffer, design, start, stop)
+        _, floats, degenerate = montecarlo._views(buffer, design)
+        assert same_bits(montecarlo._result(design, floats.copy(), degenerate.copy()), want)
+
     def test_mse_decomposition_on_real_study(self):
         res = run_study(small_design(n=80, reps=12, k_grid=(25,)), workers=1)
         for cell in res.cells:
@@ -409,6 +440,14 @@ def same_columns(result, want):
                for name in montecarlo._COLUMNS)
 
 
+def same_bits(result, want):
+    """Whether every column of two StudyResults has the same dtype and
+    bytes, as criterion 7 asks of the CSV they are written to."""
+    return all(getattr(result, name).dtype == getattr(want, name).dtype
+               and getattr(result, name).tobytes() == getattr(want, name).tobytes()
+               for name in montecarlo._COLUMNS)
+
+
 class TestPoolSize:
     # The process keeps one pool, of itself and w - 1 worker processes.  A
     # study of w participants, its maximum or its batch count when that is
@@ -459,7 +498,7 @@ class TestPoolSize:
 
                 def run(*args):
                     runs.append(args)
-                    real(*args)
+                    return real(*args)
 
                 monkeypatch.setattr(pool, "run", run)
         assert montecarlo._KEPT is pool
@@ -616,9 +655,9 @@ class TestPoolSize:
         assert montecarlo._KEPT.workers == kept
         sizes, real = [], montecarlo._KEPT.run
 
-        def run(design, parts, values):
+        def run(design, parts, head):
             sizes.append([len(part) for part in parts])
-            real(design, parts, values)
+            return real(design, parts, head)
 
         monkeypatch.setattr(montecarlo._KEPT, "run", run)
         design = small_design(n=500, reps=reps)
@@ -683,10 +722,16 @@ class TestPoolSize:
             def start(self):
                 pass
 
-            def run(self, design, shares, values):
+            def reserve(self, design):
+                assert self.open, "a segment was reserved on a pool that was shut down"
+
+            def run(self, design, shares, head):
+                values = np.empty((design.reps, len(design.k_grid), len(design.specs)))
+                values[:0 if head is None else len(head)] = head
                 for share in shares:
                     assert self.open, "a share ran on a pool that was shut down"
                     montecarlo._run_batches(design, share, values)
+                return montecarlo.aggregate(values, design)
 
             def close(self):
                 self.open = False
@@ -707,23 +752,36 @@ class TestPoolSize:
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
     def test_a_forked_child_keeps_no_pool(self, monkeypatch):
-        # and closes its copy of the pool's pipe end, which the parent keeps
+        # and closes its copy of the pool's pipe end, which the parent
+        # keeps, and its mapping of the pool's segment, whose name it does
+        # not unlink: the parent still writes through its own mapping, and
+        # a new mapping of the name reads what it wrote
+        from multiprocessing import shared_memory
+
         end, theirs = multiprocessing.Pipe()
-        kept = types.SimpleNamespace(workers=2, ends=[end])
+        segment = shared_memory.SharedMemory(create=True, size=64)
+        mapping = montecarlo._mapped(segment)
+        kept = types.SimpleNamespace(workers=2, ends=[end], mapping=mapping)
         monkeypatch.setattr(montecarlo, "_KEPT", kept)
         monkeypatch.setattr(montecarlo, "_FORGONE_S", 0.02)
         try:
             pid = os.fork()
             if pid == 0:  # the child reports through its exit status alone
-                os._exit(0 if (montecarlo._KEPT, montecarlo._FORGONE_S, end.closed)
-                         == (None, 0.0, True) else 1)
+                os._exit(0 if (montecarlo._KEPT, montecarlo._FORGONE_S, end.closed,
+                               mapping.closed) == (None, 0.0, True, True) else 1)
             assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
             assert (montecarlo._KEPT, montecarlo._FORGONE_S) == (kept, 0.02)
             end.send("open")
             assert theirs.recv() == "open"
+            mapping[:5] = b"named"
+            again = montecarlo._attach(segment.name)
+            assert again[:5] == b"named"
+            again.close()
         finally:
             end.close()
             theirs.close()
+            mapping.close()
+            segment.unlink()
 
     @pytest.mark.parametrize("second,pool", [(0.0, []), (0.005, [2])])
     def test_only_the_second_batch_is_timed(self, monkeypatch, started_pools, second, pool):
@@ -762,12 +820,12 @@ class TestPoolSize:
             return real(design, start, stop)
 
         class Pool(montecarlo._Pool):
-            def run(self, design, shares, values):
+            def run(self, design, shares, head):
                 # every share is counted here, the study's own one too, which
                 # then runs the real batch function
                 got.extend(stop - start for share in shares for start, stop in share)
                 monkeypatch.setattr(montecarlo, "_batch_values", real)
-                super().run(design, shares, values)
+                return super().run(design, shares, head)
 
         monkeypatch.setattr(montecarlo, "_batch_values", batch_values)
         monkeypatch.setattr(montecarlo, "_Pool", Pool)
@@ -784,7 +842,28 @@ class TestPoolSize:
         monkeypatch.setattr(multiprocessing, "get_start_method", lambda allow_none=False: None)
         for methods in (["fork", "spawn"], ["spawn", "fork"], ["forkserver", "fork", "spawn"]):
             monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: methods)
-            assert montecarlo._pool_cost_s() == montecarlo._POOL_COST_S[methods[0]]
+            assert montecarlo._pool_cost_s(2) == montecarlo._POOL_COST_S[methods[0]]
+
+    @pytest.mark.parametrize("workers", [2, 4, 8])
+    def test_pool_is_priced_by_the_workers_it_starts(self, monkeypatch, workers):
+        # a pool of w participants starts w - 1 worker processes, each at
+        # the price of its start method: at w = 2 the price of one
+        for method, price in montecarlo._POOL_COST_S.items():
+            self.pools_start_by(monkeypatch, method)
+            assert montecarlo._pool_cost_s(workers) == price * (workers - 1)
+
+    @pytest.mark.parametrize("method", ["forkserver", "spawn"])
+    def test_a_study_that_pays_for_two_participants_does_not_buy_four(
+            self, monkeypatch, started_pools, method):
+        # at 25 ms batches the figure-3 study saves 0.375 s at 2 workers,
+        # which pays for a pool of two, and 0.575 s at 4, which does not
+        # pay for the three workers a pool of four starts
+        self.batches_take(monkeypatch, 0.025)
+        self.pools_start_by(monkeypatch, method)
+        assert montecarlo._saving(0.025, 31, 4) == pytest.approx(0.575)
+        run_study(self.figure3(), workers=4)
+        assert started_pools == []
+        assert (montecarlo._KEPT, montecarlo._FORGONE_S) == (None, 0.0)
 
     @pytest.mark.parametrize("reps,workers,pool", [(10, 8, 5), (10, 2, 2), (10, 1, None),
                                                    (7, 8, 4), (4, 8, 2)])
@@ -896,9 +975,12 @@ class TestWorkerIndependence:
                     os.kill(pid, signal.SIGKILL)
 
     def test_serial_runs_do_not_import_the_pool(self):
+        # nor its segment
         self.run_fresh("""
             run_study(design, workers=1)
             assert "multiprocessing" not in sys.modules
+            assert "multiprocessing.shared_memory" not in sys.modules
+            assert "mmap" not in sys.modules
             assert "concurrent.futures" not in sys.modules
         """)
 
@@ -922,6 +1004,237 @@ class TestWorkerIndependence:
         got = [repr(c) for c in run_study(d, workers=None).cells]
         assert started_pools == [2]
         assert got == want
+
+
+def shm_names():
+    """The names in /dev/shm, where Linux keeps POSIX shared memory; an
+    empty set where there is no such directory."""
+    return set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else set()
+
+
+def full_shm(fd, offset, length):
+    """An ``os.posix_fallocate`` on a full /dev/shm."""
+    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+class TestSegment:
+    # A pool keeps one shared segment: every participant writes its rows
+    # there in place, and then reduces its own slice of the k-grid there.
+    @pytest.mark.parametrize("method", multiprocessing.get_all_start_methods())
+    def test_criterion_7_under_every_start_method(self, monkeypatch, started_pools, method):
+        # the columns at 1, 2 and 4 workers have the same bytes, on pools
+        # whose workers start by each method that multiprocessing offers
+        # here, the last study on a kept pool whose workers hold its
+        # design; no segment is left once the pool is dropped
+        names = shm_names()
+        before = multiprocessing.get_start_method(allow_none=True)
+        multiprocessing.set_start_method(method, force=True)
+        try:
+            TestPoolSize.batches_take(monkeypatch, 1.0)
+            monkeypatch.setattr(montecarlo, "_POOL_COST_S", FREE_POOL)
+            monkeypatch.setattr(montecarlo, "_BATCH_VALUES", 5 * 60)  # 5 rows at n = 60
+            design = small_design(reps=40, k_grid=(10, 20, 30, 40, 50))  # eight batches
+            want = run_study(design, workers=1)
+            for workers in (2, 4, 4):
+                assert same_bits(run_study(design, workers=workers), want)
+            assert started_pools == [2, 4]
+        finally:
+            montecarlo._drop_pool()
+            multiprocessing.set_start_method(before, force=True)
+        assert shm_names() <= names
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+                        reason="needs CPU affinity and two CPUs to run on")
+    @pytest.mark.parametrize("method", multiprocessing.get_all_start_methods())
+    def test_a_worker_leaves_the_cpu_of_the_study(self, monkeypatch, method):
+        # on each task a worker restricts itself to the CPUs this process
+        # may run on but the one the study's process last ran on, whichever
+        # start method started it; a process it cannot read changes nothing
+        allowed = os.sched_getaffinity(0)
+        before = multiprocessing.get_start_method(allow_none=True)
+        multiprocessing.set_start_method(method, force=True)
+        try:
+            TestPoolSize.batches_take(monkeypatch, 1.0)
+            monkeypatch.setattr(montecarlo, "_POOL_COST_S", FREE_POOL)
+            design = small_design(n=500, reps=300)  # five batches
+            for _ in range(2):
+                assert same_bits(run_study(design, workers=2), run_study(design, workers=1))
+            (worker,) = montecarlo._KEPT.processes
+            theirs = os.sched_getaffinity(worker.pid)
+        finally:
+            montecarlo._drop_pool()
+            multiprocessing.set_start_method(before, force=True)
+        assert theirs < allowed and len(theirs) == len(allowed) - 1
+        montecarlo._leave_cpu_of(-1, set())  # no /proc/-1/stat
+        assert os.sched_getaffinity(0) == allowed
+
+    @pytest.mark.parametrize("death", ["exit", "os._exit", "SIGKILL"])
+    def test_no_segment_outlives_its_process(self, tmp_path, death):
+        # a process that runs pooled studies, whose pool replaces its
+        # segment by a larger one once, and then exits normally, leaves by
+        # os._exit or is killed, leaves no segment in /dev/shm once its
+        # workers and its resource tracker have ended, and nothing warns of
+        # one on its stderr
+        names = shm_names()
+        command, env = TestWorkerIndependence.fresh(f"""
+            import dataclasses, os, time
+            from multiprocessing import resource_tracker
+            from censored_evi import montecarlo
+            montecarlo._POOL_COST_S = dict.fromkeys(montecarlo._POOL_COST_S, 0.0)
+            for reps in (200, 400, 200):  # four, then seven batches
+                run_study(dataclasses.replace(design, reps=reps, k_grid=(50, 100, 150)),
+                          workers=3)
+            print(*[process.pid for process in montecarlo._KEPT.processes],
+                  resource_tracker._resource_tracker._pid, flush=True)
+            {"time.sleep(60)" if death == "SIGKILL" else "os._exit(0)" if death == "os._exit"
+             else "pass"}
+        """)
+        with open(tmp_path / "stderr", "w") as stderr, subprocess.Popen(
+                command, env=env, stdout=subprocess.PIPE, stderr=stderr, text=True) as proc:
+            # the workers hold the output pipe too, so read one line alone
+            pids = [int(pid) for pid in proc.stdout.readline().split()]
+            if death == "SIGKILL":
+                proc.kill()
+            proc.wait(60)
+        assert len(pids) == 3, (tmp_path / "stderr").read_text()
+        deadline = time.monotonic() + 10
+        try:
+            while not all(map(ended, pids)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert all(map(ended, pids)), "a pool worker or the resource tracker outlived it"
+        finally:
+            for pid in pids:
+                if not ended(pid):
+                    os.kill(pid, signal.SIGKILL)
+        assert proc.returncode == (-signal.SIGKILL if death == "SIGKILL" else 0)
+        assert shm_names() <= names
+        assert "resource_tracker" not in (tmp_path / "stderr").read_text()
+
+    @pytest.mark.parametrize("step", ["rows", "statistics"])
+    def test_a_worker_exception_frees_the_segment(self, monkeypatch, step):
+        # a worker raises while it stores its rows, or while it reduces its
+        # slice, in the first study on a new pool: the error reaches the
+        # caller after the pool is dropped, its workers joined and its
+        # segment unlinked and unmapped; the next study runs on a new pool
+        if step == "statistics" and montecarlo._start_method() != "fork":
+            pytest.skip("a patch reaches pool workers only through fork")
+        TestPoolSize.batches_take(monkeypatch, 1.0)
+        monkeypatch.setattr(montecarlo, "_POOL_COST_S", FREE_POOL)
+        runs = []
+
+        class Pool(montecarlo._Pool):
+            def run(self, design, shares, head):
+                runs.append((self, self.named.name))
+                return super().run(design, shares, head)
+
+        monkeypatch.setattr(montecarlo, "_Pool", Pool)
+        design = small_design(n=500, reps=300)  # five batches: the last three start a pool
+        want = run_study(design, workers=1)
+        names = shm_names()
+        failing, real = design, montecarlo._column_stats
+        if step == "rows":
+            failing = dataclasses.replace(design, dist_x=RefusedInWorkers(1, 1, 1, 10))
+        else:
+            def column_stats(*args):
+                if multiprocessing.parent_process() is not None:
+                    raise ValueError("refused in a pool worker")
+                return real(*args)
+
+            monkeypatch.setattr(montecarlo, "_column_stats", column_stats)
+        with pytest.raises(ValueError, match="refused in a pool worker"):
+            run_study(failing, workers=2)
+        ((pool, name),) = runs
+        assert montecarlo._KEPT is None
+        assert (pool.mapping, pool.named) == (None, None)
+        assert not any(process.is_alive() for process in pool.processes)
+        with pytest.raises(FileNotFoundError):
+            montecarlo._attach(name)
+        assert shm_names() <= names
+        monkeypatch.setattr(montecarlo, "_column_stats", real)
+        assert same_bits(run_study(design, workers=2), want)
+        assert len(runs) == 2 and montecarlo._KEPT is runs[1][0]
+
+    def test_a_repeated_study_sends_no_design(self, monkeypatch):
+        # each worker keeps the last design it was sent, so a repeated
+        # study sends it only its batch bounds and its slice; the segment's
+        # name goes with the first study on it alone
+        TestPoolSize.batches_take(monkeypatch, 1.0)
+        monkeypatch.setattr(montecarlo, "_POOL_COST_S", FREE_POOL)
+        design = small_design(n=500, reps=300)  # five batches
+        other = dataclasses.replace(design, seed=design.seed + 1)
+        tasks, real = [], montecarlo._piped
+
+        def piped(process, call, *args):
+            if args and args[0] is not None:  # not the message that starts the reductions
+                tasks.append(args[0])
+            return real(process, call, *args)
+
+        monkeypatch.setattr(montecarlo, "_piped", piped)
+        for study in (design, design, other, other):
+            assert same_bits(run_study(study, workers=2), run_study(study, workers=1))
+        assert [sent for sent, _, _, _ in tasks] == [design, None, other, None]
+        assert [name is not None for _, name, _, _ in tasks] == [True, False, False, False]
+
+    def test_a_study_whose_segment_cannot_be_reserved_runs_in_process(self, monkeypatch):
+        # with /dev/shm full, a study that needs a larger segment than the
+        # kept pool's runs in-process, as at one worker: the pool, its
+        # segment and the forgone total stay as they were, no segment is
+        # left, and a study that the kept segment holds still runs on it
+        TestPoolSize.batches_take(monkeypatch, 1.0)
+        monkeypatch.setattr(montecarlo, "_POOL_COST_S", FREE_POOL)
+        small, large = small_design(n=500, reps=300), small_design(n=500, reps=600)
+        want = [run_study(design, workers=1) for design in (small, large)]
+        assert same_bits(run_study(small, workers=2), want[0])
+        pool = montecarlo._KEPT
+        mapping, names = pool.mapping, shm_names()
+        monkeypatch.setattr(os, "posix_fallocate", full_shm, raising=False)
+        ran, real = [], montecarlo._run_batches
+
+        def run_batches(design, bounds, values):
+            ran.extend(bounds)
+            real(design, bounds, values)
+
+        monkeypatch.setattr(montecarlo, "_run_batches", run_batches)
+        assert same_bits(run_study(large, workers=2), want[1])
+        assert ran == montecarlo._batches(600, 500)  # all of them, here
+        assert (montecarlo._KEPT, pool.mapping, montecarlo._FORGONE_S) == (pool, mapping, 0.0)
+        assert shm_names() <= names
+        assert same_bits(run_study(small, workers=2), want[0])
+        assert pool.mapping is mapping
+
+    @pytest.mark.parametrize("pool", [False, True])
+    def test_values_that_cannot_be_held_are_reported_before_the_first_batch(self, monkeypatch,
+                                                                           pool):
+        # the figure-1 design at 10**7 replicates holds 10**7 x 40 x 3
+        # values, 9.6 GB: when numpy cannot allocate them (with a kept
+        # pool, once a full /dev/shm cannot hold them either), the
+        # MemoryError names that size and the design's, and no batch runs
+        design = dataclasses.replace(parse_config(FIGURE1_CFG.read_text()).to_design(),
+                                     reps=10 ** 7)
+        if pool:
+            TestPoolSize.batches_take(monkeypatch, 1.0)
+            monkeypatch.setattr(montecarlo, "_POOL_COST_S", FREE_POOL)
+            run_study(small_design(n=500, reps=300), workers=2)
+            monkeypatch.setattr(os, "posix_fallocate", full_shm, raising=False)
+            # nothing of this study may reach the workers
+            monkeypatch.setattr(montecarlo._KEPT, "run",
+                                lambda *args: pytest.fail("the study ran on the pool"))
+        kept, real = montecarlo._KEPT, np.empty
+
+        def empty(shape, *args, **kwargs):
+            if shape == (10 ** 7, 40, 3):
+                raise MemoryError("Unable to allocate 8.94 GiB")
+            return real(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "empty", empty)
+        monkeypatch.setattr(montecarlo, "_batch_values", lambda *args: pytest.fail("a batch ran"))
+        size = (r"10000000 x 40 x 3 values \(reps x len\(k_grid\) x len\(specs\)\) "
+                r"needs 9,600,000,000 bytes")
+        with pytest.raises(MemoryError, match=size) as caught:
+            run_study(design, workers=2 if pool else 1)
+        segment = "segment of 9,600,004,800 bytes could not be reserved"
+        assert (segment in str(caught.value)) == pool
+        assert montecarlo._KEPT is kept
 
 
 class TestTailProportionCalibration:

@@ -176,7 +176,10 @@ def _read_data_csv(path: str):
 
 def cmd_estimate(args: argparse.Namespace) -> int:
     z, delta = _read_data_csv(args.input)
-    s = from_observations(z, delta)
+    try:  # the reader has checked each row; here the row count is checked
+        s = from_observations(z, delta)
+    except ValueError as exc:
+        raise ValueError(f"{args.input}: {exc}") from None
     ks = _k_range(args.k_min, s.n - 1 if args.k_max is None else args.k_max, args.k_step)
     families = _parse_list("--families", args.families, Family)
     methods = _parse_list("--methods", args.methods, Method)

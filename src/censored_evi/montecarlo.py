@@ -61,20 +61,22 @@ participant reduces its own contiguous slice of the k-grid
 (``_slices``) with ``_column_stats`` and writes the statistics there
 too, so no values array crosses a pipe.  A worker keeps the last design
 it was sent and the segment it maps, so a repeated study sends each
-worker only its batch bounds and its slice.  A new segment's name is
-sent to every worker, and unlinked as soon as all of them have mapped
-it, so that after the first study on it no name is left to outlive the
-pool, however its process ends.  On Linux a worker that may run on
-another CPU leaves the one the study's process runs on as each task
-arrives, since the process that wakes it often gets it on its own CPU
-and then waits there while it runs (``_leave_cpu_of``).  A worker ends
-at its pipe's EOF, so it ends with the process that started it however
-that process ends.  A
-study that finds a kept pool of from ``w`` participants to its maximum
-runs all its batches on it.  Otherwise it runs the first two batches in-process and times the
-second, since the first also pays for what is loaded and warmed on
-first use, and adds what such a pool would have saved on the study, as
-measured by the second, to ``_FORGONE_S``.  Once that total exceeds the
+worker only its batch bounds and its slice.  A segment's name is
+unlinked as soon as it is created and mapped, so no name outlives the
+pool however its process ends: the first study on it sends each worker
+its file descriptor over the worker's pipe, a Unix socket, and the
+worker maps it and closes it.  Pools are therefore POSIX-only;
+elsewhere every study runs in-process, as with ``w = 1``.  On Linux a
+worker that may run on another CPU leaves the one the study's process
+runs on as each task arrives, since the process that wakes it often
+gets it on its own CPU and then waits there while it runs
+(``_leave_cpu_of``).  A worker ends at its pipe's EOF, so it ends with
+the process that started it however that process ends.  A study that
+finds a kept pool of from ``w`` participants to its maximum runs all
+its batches on it.  Otherwise it runs the first two batches in-process
+and times the second, since the first also pays for what is loaded and
+warmed on first use, and adds what such a pool would have saved on the
+study, as measured by the second, to ``_FORGONE_S``.  Once that total exceeds the
 pool's fixed cost, ``_POOL_COST_S`` per worker it starts, which depends
 on how the pool starts its workers, the pool starts (replacing a kept
 one) and runs the rest.
@@ -128,7 +130,7 @@ _BATCH_VALUES = 2 ** 15
 # import the package (CHANGES.md); a pool of w participants starts w - 1
 # workers and costs w - 1 times as much (``_pool_cost_s``), has at most
 # one participant per batch of the study that starts it, and is kept once
-# started.  A new process (spawn, the default on macOS and Windows) or a
+# started.  A new process (spawn, the default on macOS) or a
 # fork of a server process (forkserver, the default on Linux from Python
 # 3.14) imports the package again, which fork does not.
 _POOL_COST_S = {"fork": 0.03, "forkserver": 0.25, "spawn": 0.3}
@@ -489,6 +491,10 @@ def resolve_workers(workers: int | None, tasks: int | None = None) -> int:
                 workers = 0  # reported below, like any non-positive value
             if workers < 1:
                 raise ValueError(f"{ENV_THREADS} must be a positive integer, got {env!r}")
+    try:
+        workers = operator.index(workers)
+    except TypeError:
+        raise TypeError(f"worker count must be an integer, got {workers!r}") from None
     if workers < 1:
         raise ValueError(f"worker count must be >= 1, got {workers}")
     return workers if tasks is None else min(workers, tasks)
@@ -553,42 +559,6 @@ def _slices(design: StudyDesign, parts: int) -> list[tuple[int, int]]:
     return [(0, 0)] * (parts - used) + _split(rows, used)
 
 
-def _mapped(segment):
-    """A mapping of the shared memory ``segment`` that is this process's
-    own; ``segment`` itself is closed.  Numpy views of the mapping keep it
-    until the last one goes, so a view that a traceback holds never stops
-    a pool from closing (``_unmap``)."""
-    import mmap  # here, so that studies without a pool do not load it
-
-    try:
-        if segment._fd >= 0:  # POSIX: the segment is a file
-            return mmap.mmap(segment._fd, segment.size)
-        return mmap.mmap(-1, segment.size, tagname=segment.name)  # Windows: a named mapping
-    finally:
-        segment.close()
-
-
-def _unmap(mapping) -> None:
-    """Unmap ``mapping`` now, or, while a view of it is still held, when
-    the last view goes."""
-    try:
-        mapping.close()
-    except BufferError:
-        pass
-
-
-def _attach(name: str):
-    """This process's own mapping of the pool segment ``name``, which it
-    never unlinks: from Python 3.13 the segment is mapped untracked;
-    before, it is registered with the resource tracker of the study's
-    process, whose unlink then unregisters it (``_Pool.start``)."""
-    import sys
-    from multiprocessing import shared_memory
-
-    untracked = {"track": False} if sys.version_info >= (3, 13) else {}
-    return _mapped(shared_memory.SharedMemory(name, **untracked))
-
-
 def _leave_cpu_of(pid: int, allowed: set[int]) -> None:
     """Restrict this process to the CPUs of ``allowed`` but the one that
     process ``pid`` last ran on, when one is left.  On Linux a process
@@ -608,10 +578,12 @@ def _leave_cpu_of(pid: int, allowed: set[int]) -> None:
 
 def _serve(end) -> None:
     """A pool worker.  Each task that arrives on ``end`` is ``(design,
-    name, bounds, ks)``: the study's design, or None for the one last
-    sent; the name of a new segment to map instead of the one mapped, or
+    size, bounds, ks)``: the study's design, or None for the one last
+    sent; the size of a new segment to map instead of the one mapped, or
     None; the batches to store at their rows of the segment; and the
-    ``(start, stop)`` of the k-grid rows to reduce there.  The worker
+    ``(start, stop)`` of the k-grid rows to reduce there.  A new segment
+    has no name: its file descriptor follows the task on ``end``
+    (``recv_handle``), and the worker maps it and closes it.  The worker
     answers None once its rows are stored; then, when ``ks`` is not
     empty, it waits for a message that says every participant's rows are
     in, reduces its rows of the k-grid and answers None again.  An
@@ -622,8 +594,10 @@ def _serve(end) -> None:
     that started the worker closes its end or dies.  A forked worker
     holds no parent-side end open, since the fork hook closed them
     (``_forget_pool``)."""
-    import multiprocessing  # loaded already in a pool worker
-    import signal  # here, so that importing the package does not load it
+    import mmap  # here, so that importing the package does not load these
+    import multiprocessing
+    import signal
+    from multiprocessing.reduction import recv_handle
 
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the study's own process handles it
     study = multiprocessing.parent_process().pid  # the study's process, however this one started
@@ -631,14 +605,18 @@ def _serve(end) -> None:
     design = buffer = None
     try:
         while True:
-            sent, name, bounds, (start, stop) = end.recv()
+            sent, size, bounds, (start, stop) = end.recv()
+            fd = None if size is None else recv_handle(end)
             if len(allowed) > 1:
                 _leave_cpu_of(study, allowed)
             reply = None
             try:
-                if name is not None:
+                if fd is not None:
                     buffer = None  # unmapped once no view holds it
-                    buffer = _attach(name)
+                    try:
+                        buffer = mmap.mmap(fd, size)
+                    finally:
+                        os.close(fd)
                 if sent is not None:
                     design = sent
                 _run_batches(design, bounds, _views(buffer, design)[0])
@@ -679,15 +657,16 @@ def _collect(asked) -> None:
 class _Pool:
     """The study's own process and ``workers - 1`` worker processes, each
     serving one pipe (``_serve``) once started, and the shared segment
-    that the participants' studies are written in."""
+    that the participants' studies are written in.  The segment has no
+    name once reserved: each worker maps it from the file descriptor that
+    the first study on it sends over the worker's pipe."""
 
     def __init__(self, workers: int):
         self.workers, self.ends, self.processes = workers, [], []
-        # This process's mapping of the segment; the SharedMemory that
-        # unlinks its name, while some worker may still have to map it;
-        # and the design each worker was last sent, a copy of which it
-        # keeps.
-        self.mapping = self.named = None
+        # This process's mapping of the segment; its file descriptor,
+        # until the first study on it has sent that to every worker; and
+        # the design each worker was last sent, a copy of which it keeps.
+        self.mapping = self.fd = None
         self.designs = [None] * (workers - 1)
 
     def start(self) -> None:
@@ -696,12 +675,6 @@ class _Pool:
         when this pool is the kept one."""
         import multiprocessing  # here, so that studies without a pool do not load it
 
-        if os.name == "posix":
-            # Workers that attach to a segment before Python 3.13 register
-            # it with the resource tracker that they inherit, which this
-            # process's unlink then tells: so it runs before they fork.
-            from multiprocessing import resource_tracker
-            resource_tracker.ensure_running()
         for _ in range(self.workers - 1):
             end, theirs = multiprocessing.Pipe()
             self.ends.append(end)
@@ -714,10 +687,12 @@ class _Pool:
         """Keep a segment that holds ``design``'s study (``_views``), a new
         one when the kept one is smaller: None, or the error that kept a
         new one from being created with its pages reserved, which leaves
-        the pool as it was."""
+        the pool as it was.  A new segment's name is unlinked before this
+        returns; the pool keeps its mapping and its file descriptor."""
         size = _segment_bytes(design)
         if self.mapping is not None and len(self.mapping) >= size:
             return None
+        import mmap  # here, so that studies without a pool do not load it
         from multiprocessing import shared_memory
 
         try:
@@ -729,13 +704,14 @@ class _Pool:
                 # Reserved here, a full /dev/shm is this error, not a
                 # SIGBUS in a worker that writes to the segment.
                 os.posix_fallocate(segment._fd, 0, size)
-            mapping = _mapped(segment)
+            mapping, fd = mmap.mmap(segment._fd, size), os.dup(segment._fd)
         except OSError as error:
+            return error
+        finally:
             segment.close()
             segment.unlink()
-            return error
         self.release()
-        self.mapping, self.named = mapping, segment
+        self.mapping, self.fd = mapping, fd
         return None
 
     def run(self, design: StudyDesign, shares, head) -> StudyResult:
@@ -747,26 +723,30 @@ class _Pool:
         for a worker past the study's), the last share is stored here
         meanwhile, and then each of the pool's participants reduces its
         slice of the k-grid (``_slices``) there; an exception a worker
-        raised is raised here.  The segment's name is sent to every worker
-        in the first study on it, and unlinked once they have all mapped
-        it."""
+        raised is raised here.  The first study on a segment sends its file
+        descriptor to every worker after the worker's task, and then closes
+        this process's copy."""
+        from multiprocessing.reduction import send_handle  # loaded with multiprocessing
+
         values, floats, degenerate = _views(self.mapping, design)
         if head is not None:
             values[:len(head)] = head
         *theirs, mine = shares
         theirs += [[]] * (self.workers - len(shares))
         *slices, own = _slices(design, self.workers)
-        name = None if self.named is None else self.named.name
+        size = None if self.fd is None else len(self.mapping)
         tasks = list(zip(self.ends, self.processes, slices))
         for i, (end, process, ks) in enumerate(tasks):
             sent = None if self.designs[i] is design else design  # designs are frozen
-            _piped(process, end.send, (sent, name, theirs[i], ks))
+            _piped(process, end.send, (sent, size, theirs[i], ks))
+            if size is not None:
+                _piped(process, send_handle, end, self.fd, process.pid)
             self.designs[i] = design
+        if size is not None:  # each worker's pipe holds a copy of it now
+            os.close(self.fd)
+            self.fd = None
         _run_batches(design, mine, values)
         _collect(tasks)
-        if self.named is not None:
-            self.named.unlink()
-            self.named = None
         reducing = [(end, process, ks) for end, process, ks in tasks if ks[0] < ks[1]]
         for end, process, _ in reducing:
             _piped(process, end.send, None)
@@ -775,13 +755,18 @@ class _Pool:
         return _result(design, floats.copy(), degenerate.copy())
 
     def release(self) -> None:
-        """Unlink the segment if its name is still linked, and unmap it."""
-        if self.named is not None:
-            self.named.unlink()
-            self.named = None
-        if self.mapping is not None:
-            _unmap(self.mapping)
-            self.mapping = None
+        """Close the segment's file descriptor if this process still holds
+        it, and unmap the segment now or, while a numpy view of it is still
+        held (a traceback's, say), when the last view goes: both are this
+        process's own copies."""
+        if self.fd is not None:
+            os.close(self.fd)
+        try:
+            if self.mapping is not None:
+                self.mapping.close()
+        except BufferError:  # a view holds it
+            pass
+        self.mapping = self.fd = None
 
     def close(self) -> None:
         """Close the pipes, terminate and join the workers, and release the
@@ -820,16 +805,15 @@ def _drop_pool():
 def _forget_pool():
     """In a forked child, the kept pool's own workers included, close the
     copies of the kept pool's pipe ends, so that its workers still end
-    with the process that started them, unmap the copy of its segment
-    without unlinking it, and keep no pool and no forgone total: the
+    with the process that started them, release the copies of its segment
+    (``_Pool.release``), and keep no pool and no forgone total: the
     workers and the segment belong to that process, and so may the
     lock."""
     global _KEPT, _FORGONE_S, _POOL_LOCK
     if _KEPT is not None:
         for end in _KEPT.ends:
             end.close()
-        if _KEPT.mapping is not None:
-            _unmap(_KEPT.mapping)
+        _KEPT.release()
     _KEPT, _FORGONE_S, _POOL_LOCK = None, 0.0, threading.Lock()
 
 
@@ -878,15 +862,17 @@ def run_study(design: StudyDesign, workers: int | None = None) -> StudyResult:
     pool of ``w`` participants replaces any other, the total starts
     again from 0, and the rest of the batches run on the pool; until
     then they run in-process, and for a start method other than fork
-    the total starts again from 0 after the study.  A study whose values
-    the pool's segment cannot hold, since the segment cannot be reserved,
-    runs in-process, and one whose in-process array cannot be allocated
-    either raises a MemoryError that names its size before its first
-    batch.  A pool that fails (a worker that stops, an exception in a
-    share, an interrupt) is dropped, its pipes closed, its workers
-    terminated and joined and its segment released, before the error
-    propagates.  ``_POOL_LOCK`` is held while the pool is priced,
-    replaced or used, and not over in-process batches.
+    the total starts again from 0 after the study.  Off POSIX a pool
+    cannot pass its segment to its workers, so every study runs there as
+    with ``w = 1``.  A study whose values the pool's segment cannot hold,
+    since the segment cannot be reserved, runs in-process, and one whose
+    in-process array cannot be allocated either raises a MemoryError that
+    names its size before its first batch.  A pool that fails (a worker
+    that stops, an exception in a share, an interrupt) is dropped, its
+    pipes closed, its workers terminated and joined and its segment
+    released, before the error propagates.  ``_POOL_LOCK`` is held while
+    the pool is priced, replaced or used, and not over in-process
+    batches.
     The output is independent of the worker count and of the batch size:
     replicates are pure functions of (seed, index), stored at their index
     and reduced in index order.
@@ -894,6 +880,8 @@ def run_study(design: StudyDesign, workers: int | None = None) -> StudyResult:
     global _FORGONE_S
     batches = _batches(design.reps, design.n)
     most, workers = resolve_workers(workers), resolve_workers(workers, len(batches))
+    if os.name != "posix":  # a pool passes its segment as a POSIX file descriptor
+        workers = 1
     unreserved = None  # the error that kept the pool's segment from being reserved
 
     def pooled(bounds, head):

@@ -257,6 +257,15 @@ class TestEstimateCommand:
         assert proc.returncode == 1
         assert "at least 2" in proc.stderr
 
+    @pytest.mark.parametrize("text", ["z,delta\n", "z,delta\n\n \n", "z,delta\n1.0,1\n"])
+    def test_too_few_rows_names_the_file(self, tmp_path, capsys, text):
+        # a header-only file, one with blank lines alone and a one-row file
+        # fail as every other data error does, with the file's name first
+        data = tmp_path / "data.csv"
+        data.write_text(text)
+        assert main(["estimate", "--input", str(data)]) == 1
+        assert capsys.readouterr().err == f"error: {data}: need at least 2 observations\n"
+
     def test_wrong_header(self, tmp_path):
         data = tmp_path / "data.csv"
         data.write_text("time,event\n1.0,1\n2.0,0\n")

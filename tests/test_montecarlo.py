@@ -2,8 +2,10 @@ import concurrent.futures
 import dataclasses
 import errno
 import functools
+import gc
 import itertools
 import math
+import mmap
 import multiprocessing
 import os
 import signal
@@ -11,7 +13,9 @@ import subprocess
 import sys
 import textwrap
 import time
-import types
+import weakref
+from multiprocessing import shared_memory
+from multiprocessing.reduction import send_handle
 from pathlib import Path
 
 import numpy as np
@@ -426,6 +430,21 @@ class TestResolveWorkers:
         with pytest.raises(ValueError, match="worker count"):
             resolve_workers(0, 10)
 
+    @pytest.mark.parametrize("workers", [2.5, 2.0, "2"])
+    def test_rejects_counts_that_are_not_integers(self, workers):
+        # a count that is not an integer is a TypeError that names it, as
+        # StudyDesign's n is, before any pool is priced for it
+        with pytest.raises(TypeError) as info:
+            resolve_workers(workers, 10)
+        assert str(info.value) == f"worker count must be an integer, got {workers!r}"
+        with pytest.raises(TypeError, match="worker count must be an integer"):
+            run_study(small_design(), workers=workers)
+
+    def test_accepts_integer_types(self):
+        assert resolve_workers(np.int64(3), 10) == 3
+        assert type(resolve_workers(np.int64(3), 10)) is int
+        assert resolve_workers(True, 10) == 1
+
     @pytest.mark.parametrize("raw", ["abc", "0", "1_0", "\uff12"])
     def test_bad_environment_value_names_the_variable(self, monkeypatch, raw):
         monkeypatch.setenv("CENSORED_EVI_THREADS", raw)
@@ -599,6 +618,20 @@ class TestPoolSize:
         assert same_columns(run_study(design, workers=1), want)
         assert (montecarlo._KEPT, montecarlo._FORGONE_S) == (kept, 0.01)
 
+    def test_no_pool_off_posix(self, monkeypatch, started_pools):
+        # a pool passes its segment to its workers as a POSIX file
+        # descriptor, so off POSIX a study runs in-process as at one worker,
+        # however long its batches take and however cheap a pool is, and
+        # leaves the process's pool state alone
+        self.batches_take(monkeypatch, 1e6)
+        monkeypatch.setattr(montecarlo, "_POOL_COST_S", FREE_POOL)
+        design = small_design(n=500, reps=300)  # five batches
+        want = run_study(design, workers=1)
+        monkeypatch.setattr(montecarlo.os, "name", "nt")
+        assert same_bits(run_study(design, workers=2), want)
+        assert started_pools == []
+        assert (montecarlo._KEPT, montecarlo._FORGONE_S) == (None, 0.0)
+
     def test_a_new_maximum_replaces_the_pool(self, monkeypatch, started_pools):
         # a larger one, which the kept pool is too small for, and a smaller
         # one, which it is too large for
@@ -753,35 +786,36 @@ class TestPoolSize:
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
     def test_a_forked_child_keeps_no_pool(self, monkeypatch):
         # and closes its copy of the pool's pipe end, which the parent
-        # keeps, and its mapping of the pool's segment, whose name it does
-        # not unlink: the parent still writes through its own mapping, and
-        # a new mapping of the name reads what it wrote
-        from multiprocessing import shared_memory
-
+        # keeps, and its copies of the pool's segment, the mapping and the
+        # file descriptor: the parent still writes through its own mapping,
+        # and a new mapping of its descriptor reads what it wrote
         end, theirs = multiprocessing.Pipe()
-        segment = shared_memory.SharedMemory(create=True, size=64)
-        mapping = montecarlo._mapped(segment)
-        kept = types.SimpleNamespace(workers=2, ends=[end], mapping=mapping)
+        kept = montecarlo._Pool(2)
+        kept.ends.append(end)
+        assert kept.reserve(small_design()) is None
+        mapping, fd = kept.mapping, kept.fd
+        segment = file_id(fd)
         monkeypatch.setattr(montecarlo, "_KEPT", kept)
         monkeypatch.setattr(montecarlo, "_FORGONE_S", 0.02)
         try:
             pid = os.fork()
             if pid == 0:  # the child reports through its exit status alone
                 os._exit(0 if (montecarlo._KEPT, montecarlo._FORGONE_S, end.closed,
-                               mapping.closed) == (None, 0.0, True, True) else 1)
+                               mapping.closed, kept.fd, file_id(fd))
+                         == (None, 0.0, True, True, None, None) else 1)
             assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
             assert (montecarlo._KEPT, montecarlo._FORGONE_S) == (kept, 0.02)
+            assert (kept.mapping, kept.fd, file_id(fd)) == (mapping, fd, segment)
             end.send("open")
             assert theirs.recv() == "open"
-            mapping[:5] = b"named"
-            again = montecarlo._attach(segment.name)
-            assert again[:5] == b"named"
+            mapping[:5] = b"bytes"
+            again = mmap.mmap(fd, len(mapping))
+            assert again[:5] == b"bytes"
             again.close()
         finally:
             end.close()
             theirs.close()
-            mapping.close()
-            segment.unlink()
+            kept.release()
 
     @pytest.mark.parametrize("second,pool", [(0.0, []), (0.005, [2])])
     def test_only_the_second_batch_is_timed(self, monkeypatch, started_pools, second, pool):
@@ -1017,6 +1051,30 @@ def full_shm(fd, offset, length):
     raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
 
+def file_id(fd):
+    """``(st_dev, st_ino)`` of the file that descriptor ``fd`` of this
+    process refers to, or None when ``fd`` is not open."""
+    try:
+        info = os.fstat(fd)
+    except OSError:
+        return None
+    return info.st_dev, info.st_ino
+
+
+def wait_ended(pids):
+    """Wait up to 10 s for the processes ``pids`` to end; kill those that
+    have not, and fail then."""
+    deadline = time.monotonic() + 10
+    try:
+        while not all(map(ended, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert all(map(ended, pids)), "a pool worker or the resource tracker outlived it"
+    finally:
+        for pid in pids:
+            if not ended(pid):
+                os.kill(pid, signal.SIGKILL)
+
+
 class TestSegment:
     # A pool keeps one shared segment: every participant writes its rows
     # there in place, and then reduces its own slice of the k-grid there.
@@ -1097,25 +1155,83 @@ class TestSegment:
                 proc.kill()
             proc.wait(60)
         assert len(pids) == 3, (tmp_path / "stderr").read_text()
-        deadline = time.monotonic() + 10
-        try:
-            while not all(map(ended, pids)) and time.monotonic() < deadline:
-                time.sleep(0.05)
-            assert all(map(ended, pids)), "a pool worker or the resource tracker outlived it"
-        finally:
-            for pid in pids:
-                if not ended(pid):
-                    os.kill(pid, signal.SIGKILL)
+        wait_ended(pids)
         assert proc.returncode == (-signal.SIGKILL if death == "SIGKILL" else 0)
         assert shm_names() <= names
         assert "resource_tracker" not in (tmp_path / "stderr").read_text()
+
+    @pytest.mark.parametrize("method", multiprocessing.get_all_start_methods())
+    def test_no_name_outlives_a_process_killed_in_its_first_pooled_study(self, tmp_path,
+                                                                         method):
+        # a process is killed while it runs its own share of the first study
+        # on its new pool, after the workers were sent theirs: once its
+        # workers and its resource tracker have ended, no segment is left
+        # in /dev/shm and nothing warns of one on its stderr, since the
+        # segment's name went before the workers were sent anything
+        names = shm_names()
+        command, env = TestWorkerIndependence.fresh(f"""
+            import dataclasses, multiprocessing, time
+            from multiprocessing import resource_tracker
+            from censored_evi import montecarlo
+            multiprocessing.set_start_method({method!r}, force=True)
+            montecarlo._POOL_COST_S = dict.fromkeys(montecarlo._POOL_COST_S, 0.0)
+            real = montecarlo._run_batches
+
+            def run_batches(design, bounds, values):
+                if montecarlo._KEPT is not None:  # this process's share on the pool
+                    print(*[process.pid for process in montecarlo._KEPT.processes],
+                          resource_tracker._resource_tracker._pid, flush=True)
+                    time.sleep(60)
+                real(design, bounds, values)
+
+            montecarlo._run_batches = run_batches
+            run_study(dataclasses.replace(design, reps=400, k_grid=(50, 100, 150)), workers=3)
+        """)
+        with open(tmp_path / "stderr", "w") as stderr, subprocess.Popen(
+                command, env=env, stdout=subprocess.PIPE, stderr=stderr, text=True) as proc:
+            # the workers hold the output pipe too, so read one line alone
+            pids = [int(pid) for pid in proc.stdout.readline().split()]
+            proc.kill()
+            proc.wait(60)
+        assert len(pids) == 3, (tmp_path / "stderr").read_text()
+        wait_ended(pids)
+        assert proc.returncode == -signal.SIGKILL
+        assert shm_names() <= names
+        assert "resource_tracker" not in (tmp_path / "stderr").read_text()
+
+    def test_a_reserved_segment_has_no_name(self, monkeypatch):
+        # reserve unlinks the name of each segment it creates before it
+        # returns, and keeps the segment's mapping and file descriptor
+        created, real = [], shared_memory.SharedMemory
+
+        def recorded(*args, **kwargs):
+            segment = real(*args, **kwargs)
+            created.append(segment.name)
+            return segment
+
+        monkeypatch.setattr(shared_memory, "SharedMemory", recorded)
+        names = shm_names()
+        pool = montecarlo._Pool(2)  # no worker started
+        try:
+            for reps in (6, 60):  # a new, larger segment the second time
+                assert pool.reserve(small_design(reps=reps)) is None
+                assert len(pool.mapping) == montecarlo._segment_bytes(small_design(reps=reps))
+                assert file_id(pool.fd) is not None
+                assert shm_names() <= names
+                with pytest.raises(FileNotFoundError):
+                    real(created[-1])
+            assert len(created) == 2
+        finally:
+            pool.release()
+        assert (pool.mapping, pool.fd) == (None, None)
 
     @pytest.mark.parametrize("step", ["rows", "statistics"])
     def test_a_worker_exception_frees_the_segment(self, monkeypatch, step):
         # a worker raises while it stores its rows, or while it reduces its
         # slice, in the first study on a new pool: the error reaches the
         # caller after the pool is dropped, its workers joined and its
-        # segment unlinked and unmapped; the next study runs on a new pool
+        # segment's file descriptor closed and its mapping released; the
+        # next study runs on a new pool
         if step == "statistics" and montecarlo._start_method() != "fork":
             pytest.skip("a patch reaches pool workers only through fork")
         TestPoolSize.batches_take(monkeypatch, 1.0)
@@ -1124,7 +1240,7 @@ class TestSegment:
 
         class Pool(montecarlo._Pool):
             def run(self, design, shares, head):
-                runs.append((self, self.named.name))
+                runs.append((self, weakref.ref(self.mapping), self.fd, file_id(self.fd)))
                 return super().run(design, shares, head)
 
         monkeypatch.setattr(montecarlo, "_Pool", Pool)
@@ -1143,12 +1259,13 @@ class TestSegment:
             monkeypatch.setattr(montecarlo, "_column_stats", column_stats)
         with pytest.raises(ValueError, match="refused in a pool worker"):
             run_study(failing, workers=2)
-        ((pool, name),) = runs
+        ((pool, mapping, fd, segment),) = runs
         assert montecarlo._KEPT is None
-        assert (pool.mapping, pool.named) == (None, None)
+        assert (pool.mapping, pool.fd) == (None, None)
         assert not any(process.is_alive() for process in pool.processes)
-        with pytest.raises(FileNotFoundError):
-            montecarlo._attach(name)
+        assert segment is not None and file_id(fd) != segment
+        gc.collect()  # the traceback's views of the mapping go
+        assert mapping() is None
         assert shm_names() <= names
         monkeypatch.setattr(montecarlo, "_column_stats", real)
         assert same_bits(run_study(design, workers=2), want)
@@ -1157,23 +1274,29 @@ class TestSegment:
     def test_a_repeated_study_sends_no_design(self, monkeypatch):
         # each worker keeps the last design it was sent, so a repeated
         # study sends it only its batch bounds and its slice; the segment's
-        # name goes with the first study on it alone
+        # size, and then its file descriptor, go with the first study on
+        # it alone, and again with the first study on a larger one
         TestPoolSize.batches_take(monkeypatch, 1.0)
         monkeypatch.setattr(montecarlo, "_POOL_COST_S", FREE_POOL)
         design = small_design(n=500, reps=300)  # five batches
         other = dataclasses.replace(design, seed=design.seed + 1)
-        tasks, real = [], montecarlo._piped
+        larger = dataclasses.replace(design, reps=400)  # seven batches, a larger segment
+        tasks, handles, real = [], [], montecarlo._piped
 
         def piped(process, call, *args):
-            if args and args[0] is not None:  # not the message that starts the reductions
+            if call is send_handle:
+                handles.append(len(tasks))  # the tasks sent before the descriptor
+            elif args and args[0] is not None:  # not the message that starts the reductions
                 tasks.append(args[0])
             return real(process, call, *args)
 
         monkeypatch.setattr(montecarlo, "_piped", piped)
-        for study in (design, design, other, other):
+        for study in (design, design, other, other, larger):
             assert same_bits(run_study(study, workers=2), run_study(study, workers=1))
-        assert [sent for sent, _, _, _ in tasks] == [design, None, other, None]
-        assert [name is not None for _, name, _, _ in tasks] == [True, False, False, False]
+        assert [sent for sent, _, _, _ in tasks] == [design, None, other, None, larger]
+        sizes = [montecarlo._segment_bytes(study) for study in (design, larger)]
+        assert [size for _, size, _, _ in tasks] == [sizes[0], None, None, None, sizes[1]]
+        assert handles == [1, 5]
 
     def test_a_study_whose_segment_cannot_be_reserved_runs_in_process(self, monkeypatch):
         # with /dev/shm full, a study that needs a larger segment than the
